@@ -33,26 +33,15 @@ int main(int argc, char** argv) {
         int idx = 0;
         for (const auto strategy :
              {shed::StrategyKind::kMmfsCpu, shed::StrategyKind::kMmfsPkt}) {
-          core::RunSpec spec;
-          spec.system.shedder = core::ShedderKind::kPredictive;
-          spec.system.strategy = strategy;
           const double demand = core::MeasureMeanDemand(names, trace_data, args.oracle);
-          spec.system.cycles_per_bin = std::max(1.0, demand * (1.0 - k));
-          spec.oracle = args.oracle;
-          spec.query_names = names;
-          spec.use_default_min_rates = false;
-          spec.query_configs.assign(names.size(), core::QueryConfig{mq, true});
-          auto result = RunSystemOnTrace(spec, trace_data);
-          // trace accuracy = processed fraction; counter accuracy = 1 - err.
-          double avg = 0.0;
-          double min_acc = 1.0;
-          for (size_t q = 0; q < names.size(); ++q) {
-            const double acc = result.MeanAccuracy(q);
-            avg += acc;
-            min_acc = std::min(min_acc, acc);
+          auto builder = bench::SpecAtOverload(demand, {}, k, core::ShedderKind::kPredictive,
+                                               strategy, args);
+          for (const std::string& name : names) {
+            builder.AddQuery(name, core::QueryConfig{mq, true});
           }
-          avg /= static_cast<double>(names.size());
-          values[idx++] = minimum ? min_acc : avg;
+          const auto result = api::RunTrace(builder, trace_data);
+          // trace accuracy = processed fraction; counter accuracy = 1 - err.
+          values[idx++] = minimum ? result->MinimumAccuracy() : result->AverageAccuracy();
         }
         row.push_back(util::Fmt(values[1] - values[0], 2));
       }

@@ -3,7 +3,6 @@
 // representative nine-query set with its Table 5.2 rate constraints.
 
 #include "bench/bench_common.h"
-#include "src/api/run.h"
 
 int main(int argc, char** argv) {
   using namespace shedmon;

@@ -15,7 +15,6 @@ int main(int argc, char** argv) {
   const auto trace =
       trace::TraceGenerator(bench::Scaled(spec, args, args.quick ? 8.0 : 20.0)).Generate();
   const auto names = query::StandardNineQueryNames();
-  const size_t autofocus_idx = 1;  // position in StandardNineQueryNames()
 
   struct System {
     std::string label;
@@ -29,13 +28,24 @@ int main(int argc, char** argv) {
       {"mmfs_pkt", core::ShedderKind::kPredictive, shed::StrategyKind::kMmfsPkt},
   };
 
+  const double demand = core::MeasureMeanDemand(names, trace, args.oracle);
   std::vector<std::vector<double>> series;
   for (const auto& system : systems) {
-    auto result = bench::RunAtOverload(trace, names, 0.2, system.shedder, system.strategy,
-                                       args, /*custom=*/false, /*min_rates=*/true);
+    auto pipeline = bench::SpecAtOverload(demand, {}, 0.2, system.shedder, system.strategy,
+                                          args, /*custom=*/false, /*min_rates=*/true)
+                        .BuildUnique();
+    QueryHandle autofocus;
+    for (const std::string& name : names) {
+      const QueryHandle handle = pipeline->AddQuery(name);
+      if (name == "autofocus") {
+        autofocus = handle;
+      }
+    }
+    pipeline->Push(trace);
+    pipeline->Finish();
     std::vector<double> acc;
-    const auto& est = result.system->query(autofocus_idx);
-    const auto& ref = *result.reference[autofocus_idx];
+    const auto& est = autofocus.query();
+    const auto& ref = *autofocus.reference();
     const size_t n = std::min(est.completed_intervals(), ref.completed_intervals());
     for (size_t i = 0; i < n; ++i) {
       acc.push_back(1.0 - est.IntervalError(ref, i));

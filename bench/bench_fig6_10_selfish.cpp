@@ -27,30 +27,28 @@ int RunScenario(const std::string& label, bool buggy, const bench::BenchArgs& ar
   cfg.enable_custom_shedding = true;
   cfg.enforcement.strikes_to_disable = 5;
   cfg.enforcement.penalty_bins = 30;
-  core::MonitoringSystem system(cfg, core::MakeOracle(args.oracle));
+  auto pipeline = PipelineBuilder().Config(cfg).Oracle(args.oracle).BuildUnique();
+  // The offender is user-supplied, so its accuracy reference is passed in:
+  // the standard p2p-detector over the unsampled stream.
+  std::unique_ptr<query::Query> offender;
   if (buggy) {
-    system.AddQuery(std::make_unique<query::BuggyP2pDetectorQuery>(), {0.1, true});
+    offender = std::make_unique<query::BuggyP2pDetectorQuery>();
   } else {
-    system.AddQuery(std::make_unique<query::SelfishP2pDetectorQuery>(), {0.1, true});
+    offender = std::make_unique<query::SelfishP2pDetectorQuery>();
   }
+  pipeline->AddQuery(std::move(offender), {0.1, true}, query::MakeQuery("p2p-detector"));
   for (const auto& name : honest) {
-    system.AddQuery(query::MakeQuery(name), {core::DefaultMinRate(name), true});
+    pipeline->AddQuery(name);
   }
+  pipeline->Push(trace);
+  pipeline->Finish();
 
-  trace::Batcher batcher(trace, 100'000);
-  trace::Batch batch;
-  while (batcher.Next(batch)) {
-    system.ProcessBatch(batch);
-  }
-  system.Finish();
-
-  auto reference = query::RunReference(all, trace);
+  const core::MonitoringSystem& system = pipeline->system();
   std::printf("\n%s:\n\n", label.c_str());
   util::Table table({"query", "accuracy", "times policed", "correction"});
   for (size_t q = 0; q < all.size(); ++q) {
-    const auto row = query::SummarizeAccuracy(system.query(q), *reference[q]);
     table.AddRow({all[q] + (q == 0 ? (buggy ? " (buggy)" : " (selfish)") : ""),
-                  util::Fmt(1.0 - row.mean_error, 2),
+                  util::Fmt(1.0 - pipeline->AccuracyAt(q).mean_error, 2),
                   std::to_string(system.enforcement(q).times_policed()),
                   util::Fmt(system.enforcement(q).correction(), 2)});
   }

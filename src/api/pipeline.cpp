@@ -54,16 +54,12 @@ class PipelineIngestSink final : public capture::IngestSink {
 // ---------------------------------------------------------------------------
 
 bool QueryHandle::valid() const {
-  return pipeline_ != nullptr && id_ != 0 && pipeline_->system_ != nullptr &&
-         pipeline_->FindSlot(id_) != kNpos;
+  return pipeline_ != nullptr && id_ != 0 && pipeline_->FindSlot(id_) != kNpos;
 }
 
 size_t QueryHandle::index() const {
   if (pipeline_ == nullptr || id_ == 0) {
     throw std::logic_error("QueryHandle: not attached to a Pipeline");
-  }
-  if (pipeline_->system_ == nullptr) {
-    throw std::logic_error("QueryHandle: the Pipeline's system was released");
   }
   return pipeline_->SlotIndex(id_);
 }
@@ -154,13 +150,13 @@ PipelineBuilder& PipelineBuilder::DefaultMinRates(bool enable) {
 }
 
 PipelineBuilder& PipelineBuilder::AddQuery(std::string_view name) {
-  queries_.push_back({std::string(name), {}, /*has_config=*/false});
+  queries_.push_back({std::string(name), std::nullopt});
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::AddQuery(std::string_view name,
                                            const core::QueryConfig& config) {
-  queries_.push_back({std::string(name), config, /*has_config=*/true});
+  queries_.push_back({std::string(name), config});
   return *this;
 }
 
@@ -186,8 +182,11 @@ PipelineBuilder& PipelineBuilder::Deadline(double budget_fraction) {
 }
 
 PipelineBuilder& PipelineBuilder::Deadline(const rt::GovernorConfig& config) {
-  deadline_enabled_ = config.budget_fraction > 0.0;
-  governor_config_ = config;
+  if (config.budget_fraction > 0.0) {
+    governor_config_ = config;
+  } else {
+    governor_config_.reset();  // 0 disables
+  }
   return *this;
 }
 
@@ -203,7 +202,6 @@ PipelineBuilder& PipelineBuilder::IngestCap(size_t max_records, rt::OverflowPoli
 }
 
 PipelineBuilder& PipelineBuilder::InjectFaults(const rt::FaultPlan& plan) {
-  has_fault_plan_ = true;
   fault_plan_ = plan;
   return *this;
 }
@@ -219,7 +217,6 @@ PipelineBuilder& PipelineBuilder::CheckpointEvery(size_t bins) {
 }
 
 PipelineBuilder& PipelineBuilder::SinkRetry(const rt::RetryPolicy& policy) {
-  has_sink_retry_ = true;
   sink_retry_ = policy;
   return *this;
 }
@@ -230,13 +227,11 @@ PipelineBuilder& PipelineBuilder::Tracing(bool enable) {
 }
 
 PipelineBuilder& PipelineBuilder::ServeOn(uint16_t port) {
-  serve_enabled_ = true;
   serve_port_ = port;
   return *this;
 }
 
 PipelineBuilder& PipelineBuilder::CaptureFrom(capture::CaptureConfig config) {
-  has_capture_ = true;
   capture_config_ = std::move(config);
   return *this;
 }
@@ -245,8 +240,8 @@ void PipelineBuilder::ApplyObsOptions(Pipeline& pipeline) const {
   if (tracing_) {
     pipeline.EnableTracing();
   }
-  if (serve_enabled_) {
-    pipeline.ServeOn(serve_port_);
+  if (serve_port_) {
+    pipeline.ServeOn(*serve_port_);
   }
 }
 
@@ -254,17 +249,17 @@ void PipelineBuilder::ApplyRtOptions(Pipeline& pipeline) const {
   if (clock_ != nullptr) {
     pipeline.clock_ = clock_;
   }
-  if (has_fault_plan_) {
-    pipeline.SetFaultPlan(fault_plan_);
+  if (fault_plan_) {
+    pipeline.SetFaultPlan(*fault_plan_);
   }
-  if (deadline_enabled_) {
-    pipeline.SetDeadline(governor_config_);
+  if (governor_config_) {
+    pipeline.SetDeadline(*governor_config_);
   }
   if (ingest_cap_ > 0) {
     pipeline.SetIngestCap(ingest_cap_, ingest_policy_);
   }
-  if (has_sink_retry_) {
-    pipeline.SetSinkRetry(sink_retry_);
+  if (sink_retry_) {
+    pipeline.SetSinkRetry(*sink_retry_);
   }
   if (!checkpoint_path_.empty()) {
     pipeline.SetCheckpoint(checkpoint_path_, checkpoint_every_);
@@ -288,18 +283,10 @@ std::unique_ptr<Pipeline> PipelineBuilder::RestoreOrBuild(const std::string& pat
   }
   ApplyRtOptions(*pipeline);
   ApplyObsOptions(*pipeline);
-  if (has_capture_) {
-    pipeline->StartCapture(capture_config_);
+  if (capture_config_) {
+    pipeline->StartCapture(*capture_config_);
   }
   return pipeline;
-}
-
-PipelineBuilder PipelineBuilder::FromRunSpec(const core::RunSpec& spec) {
-  PipelineBuilder builder;
-  builder.config_ = spec.system;
-  builder.oracle_ = spec.oracle;
-  builder.default_min_rates_ = spec.use_default_min_rates;
-  return builder;
 }
 
 PipelineBuilder PipelineBuilder::FromConfig(const FileConfig& config) {
@@ -361,19 +348,16 @@ void PipelineBuilder::Validate() const {
     } catch (const std::invalid_argument& e) {
       throw ConfigError(std::string("unknown query '") + pending.name + "': " + e.what());
     }
-    if (pending.has_config && (pending.config.min_sampling_rate < 0.0 ||
-                               pending.config.min_sampling_rate > 1.0)) {
+    if (pending.config && (pending.config->min_sampling_rate < 0.0 ||
+                           pending.config->min_sampling_rate > 1.0)) {
       throw ConfigError("query '" + pending.name + "': min_sampling_rate must be in [0, 1]");
     }
   }
-  if (deadline_enabled_ && !(governor_config_.budget_fraction > 0.0)) {
-    throw ConfigError("deadline budget_fraction must be positive");
-  }
-  if (has_capture_) {
-    if (capture_config_.sources.empty()) {
+  if (capture_config_) {
+    if (capture_config_->sources.empty()) {
       throw ConfigError("CaptureFrom: config has no sources");
     }
-    for (const capture::SourceSpec& spec : capture_config_.sources) {
+    for (const capture::SourceSpec& spec : capture_config_->sources) {
       if (spec.kind == capture::SourceSpec::Kind::kPcapFile && spec.path.empty()) {
         throw ConfigError("CaptureFrom: pcap source needs a path");
       }
@@ -429,8 +413,8 @@ Pipeline::Pipeline(const PipelineBuilder& builder)
     : Pipeline(builder.config_, builder.oracle_, builder.track_accuracy_,
                builder.default_min_rates_) {
   for (const PipelineBuilder::PendingQuery& pending : builder.queries_) {
-    if (pending.has_config) {
-      AddQuery(pending.name, pending.config);
+    if (pending.config) {
+      AddQuery(pending.name, *pending.config);
     } else {
       AddQuery(pending.name);
     }
@@ -450,10 +434,11 @@ Pipeline::Pipeline(const PipelineBuilder& builder)
   }
   builder.ApplyRtOptions(*this);
   builder.ApplyObsOptions(*this);
-  if (builder.has_capture_) {
-    StartCapture(builder.capture_config_);
-  }
   RefreshStats();
+  // Last: once capture runs, its consumer thread is the coordinator.
+  if (builder.capture_config_) {
+    StartCapture(*builder.capture_config_);
+  }
 }
 
 Pipeline::~Pipeline() = default;
@@ -574,16 +559,6 @@ void Pipeline::Push(std::span<const net::Packet> packets) {
 
 void Pipeline::Push(const trace::Trace& trace) {
   for (const net::PacketRecord& record : trace.packets) {
-    AppendRecord(record, nullptr);
-  }
-}
-
-// Deprecated raw-record shims; bodies go straight to AppendRecord so the
-// library builds without tripping its own deprecation warnings.
-void Pipeline::Push(const net::PacketRecord& record) { AppendRecord(record, nullptr); }
-
-void Pipeline::Push(std::span<const net::PacketRecord> records) {
-  for (const net::PacketRecord& record : records) {
     AppendRecord(record, nullptr);
   }
 }
@@ -863,15 +838,17 @@ void Pipeline::StartCapture(capture::CaptureConfig config) {
   }
   capture_sink_ = std::make_unique<PipelineIngestSink>(this);
   try {
-    auto loop = std::make_unique<capture::CaptureLoop>(std::move(config), capture_sink_.get(),
-                                                       &system_->metrics(), tracer_.get());
-    loop->Start();
-    capture_ = std::move(loop);
+    capture_ = std::make_unique<capture::CaptureLoop>(std::move(config), capture_sink_.get(),
+                                                      &system_->metrics(), tracer_.get());
+    // Publish before Start(): from then on the consumer thread is the
+    // coordinator and reads capture_ and the tallies itself.
+    RefreshStats();
+    capture_->Start();
   } catch (const std::exception& e) {
+    capture_.reset();
     capture_sink_.reset();
     throw ConfigError(std::string("capture: ") + e.what());
   }
-  RefreshStats();
 }
 
 void Pipeline::StopCapture() {
@@ -1029,28 +1006,6 @@ double Pipeline::MinimumAccuracy() const {
     }
   }
   return min;
-}
-
-std::unique_ptr<core::MonitoringSystem> Pipeline::ReleaseSystem() {
-  if (!finished_) {
-    throw std::logic_error("Pipeline::ReleaseSystem: call Finish() first");
-  }
-  // The HTTP handler dereferences system_ (metrics snapshots); join the
-  // accept thread before the system leaves this pipeline.
-  server_.reset();
-  return std::move(system_);
-}
-
-std::vector<std::unique_ptr<query::Query>> Pipeline::ReleaseReferences() {
-  if (!finished_) {
-    throw std::logic_error("Pipeline::ReleaseReferences: call Finish() first");
-  }
-  std::vector<std::unique_ptr<query::Query>> references;
-  references.reserve(slots_.size());
-  for (Slot& slot : slots_) {
-    references.push_back(std::move(slot.reference));
-  }
-  return references;
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -158,7 +159,7 @@ class PipelineBuilder {
   // per-query accuracy is queryable live from a handle (default on).
   PipelineBuilder& TrackAccuracy(bool enable = true);
   // Apply core::DefaultMinRate to queries added by name without an explicit
-  // QueryConfig (default on, matching core::RunSpec::use_default_min_rates).
+  // QueryConfig (default on).
   PipelineBuilder& DefaultMinRates(bool enable = true);
 
   // ---- Declarative roster & sinks ----------------------------------------
@@ -240,9 +241,6 @@ class PipelineBuilder {
   // options above are re-applied to the restored pipeline either way.
   std::unique_ptr<Pipeline> RestoreOrBuild(const std::string& path) const;
 
-  // Mirrors a core::RunSpec (system config, oracle, min-rate policy); the
-  // spec's queries are added by the caller, e.g. via api::RunTrace.
-  static PipelineBuilder FromRunSpec(const core::RunSpec& spec);
   // Loads a parsed config file (see api::ParseConfigFile for the format):
   // system knobs, query roster, and sinks. The fluent setters still apply on
   // top, so a file can serve as a base that code overrides.
@@ -279,8 +277,7 @@ class PipelineBuilder {
 
   struct PendingQuery {
     std::string name;
-    core::QueryConfig config;
-    bool has_config = false;  // false: apply the builder's min-rate policy
+    std::optional<core::QueryConfig> config;  // none: the builder's min-rate policy
   };
 
   core::SystemConfig config_;
@@ -292,24 +289,19 @@ class PipelineBuilder {
   std::string jsonl_path_;
   std::string log_path_;
   // rt options; applied by Build() and re-applied after RestoreOrBuild().
-  bool deadline_enabled_ = false;
-  rt::GovernorConfig governor_config_;
+  std::optional<rt::GovernorConfig> governor_config_;
   std::shared_ptr<rt::Clock> clock_;
   size_t ingest_cap_ = 0;
   rt::OverflowPolicy ingest_policy_ = rt::OverflowPolicy::kDropNewest;
-  bool has_fault_plan_ = false;
-  rt::FaultPlan fault_plan_;
+  std::optional<rt::FaultPlan> fault_plan_;
   std::string checkpoint_path_;
   size_t checkpoint_every_ = 0;  // 0 = the system's measurement interval
-  bool has_sink_retry_ = false;
-  rt::RetryPolicy sink_retry_;
+  std::optional<rt::RetryPolicy> sink_retry_;
   // obs options; applied like the rt options.
   bool tracing_ = false;
-  bool serve_enabled_ = false;
-  uint16_t serve_port_ = 0;
+  std::optional<uint16_t> serve_port_;
   // capture option; started by Build()/RestoreOrBuild() after rt and obs.
-  bool has_capture_ = false;
-  capture::CaptureConfig capture_config_;
+  std::optional<capture::CaptureConfig> capture_config_;
 
   // Shared by Build() and RestoreOrBuild(): arms the rt options on a
   // freshly built or freshly restored pipeline.
@@ -390,15 +382,6 @@ class Pipeline {
   // payload_len > 0 falls back to deterministic materialization, exactly
   // like Push.
   void PushPinned(const net::Packet& packet);
-
-  // Raw-record compatibility shims. Deprecated: the record-vs-packet split
-  // made payload handling ambiguous at the API surface (records materialize
-  // payloads downstream, packets carry them), so ingestion converges on
-  // Packet. Equivalent to Push(net::Packet::View(record)).
-  [[deprecated("use Push(net::Packet::View(record)) — Packet is the ingestion currency")]]
-  void Push(const net::PacketRecord& record);
-  [[deprecated("wrap each record with net::Packet::View and use the Packet span overload")]]
-  void Push(std::span<const net::PacketRecord> records);
 
   // Declares that the clock reached `ts_us`: closes every bin that ends at
   // or before it (empty bins included) without pushing a packet. This is how
@@ -529,13 +512,6 @@ class Pipeline {
   double MeanAccuracyAt(size_t index) const;
   double AverageAccuracy() const;  // across accuracy-tracked queries
   double MinimumAccuracy() const;  // worst accuracy-tracked query
-
-  // ---- Compatibility extraction ------------------------------------------
-  // Moves the finished run's guts out for core::RunResult (the thin
-  // RunSystemOnTrace wrapper). Only valid after Finish(); the pipeline is
-  // dead afterwards.
-  std::unique_ptr<core::MonitoringSystem> ReleaseSystem();
-  std::vector<std::unique_ptr<query::Query>> ReleaseReferences();
 
  private:
   friend class PipelineBuilder;

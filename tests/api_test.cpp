@@ -42,12 +42,50 @@ const trace::Trace& SharedTrace() {
   return trace;
 }
 
-// The pre-refactor core::RunSystemOnTrace, replicated verbatim (modulo the
-// serial reference helper): the golden batch path every Pipeline run must
+// One golden run's configuration: the system, its oracle and the query
+// roster (explicit per-query configs, else the default min-rate policy).
+struct GoldenSpec {
+  core::SystemConfig system;
+  core::OracleKind oracle = core::OracleKind::kModel;
+  std::vector<std::string> query_names;
+  std::vector<core::QueryConfig> query_configs;
+  bool use_default_min_rates = true;
+};
+
+// The golden run's system plus the reference (unsampled) instances its
+// accuracies are measured against, summarized independently of the facade.
+struct GoldenRun {
+  std::unique_ptr<core::MonitoringSystem> system;
+  std::vector<std::unique_ptr<query::Query>> reference;
+
+  query::AccuracyRow Accuracy(size_t i) const {
+    return query::SummarizeAccuracy(system->query(i), *reference[i]);
+  }
+  double MeanAccuracy(size_t i) const {
+    return std::clamp(1.0 - Accuracy(i).mean_error, 0.0, 1.0);
+  }
+  double AverageAccuracy() const {
+    double sum = 0.0;
+    for (size_t i = 0; i < system->num_queries(); ++i) {
+      sum += MeanAccuracy(i);
+    }
+    return system->num_queries() == 0 ? 0.0 : sum / static_cast<double>(system->num_queries());
+  }
+  double MinimumAccuracy() const {
+    double min = 1.0;
+    for (size_t i = 0; i < system->num_queries(); ++i) {
+      min = std::min(min, MeanAccuracy(i));
+    }
+    return min;
+  }
+};
+
+// The pre-refactor batch runner, replicated verbatim (modulo the serial
+// reference helper): the golden batch path every Pipeline run must
 // reproduce bit for bit. Kept in the test so the facade can never drift from
 // the historical semantics unnoticed.
-core::RunResult GoldenRunSystemOnTrace(const core::RunSpec& spec, const trace::Trace& trace) {
-  core::RunResult result;
+GoldenRun GoldenRunSystemOnTrace(const GoldenSpec& spec, const trace::Trace& trace) {
+  GoldenRun result;
   result.system =
       std::make_unique<core::MonitoringSystem>(spec.system, core::MakeOracle(spec.oracle));
   for (size_t i = 0; i < spec.query_names.size(); ++i) {
@@ -101,9 +139,9 @@ void ExpectBinLogsIdentical(const std::vector<core::BinLog>& golden,
   }
 }
 
-core::RunSpec SpecFor(const std::vector<std::string>& names, core::ShedderKind shedder,
-                      shed::StrategyKind strategy, bool custom, size_t threads) {
-  core::RunSpec spec;
+GoldenSpec SpecFor(const std::vector<std::string>& names, core::ShedderKind shedder,
+                   shed::StrategyKind strategy, bool custom, size_t threads) {
+  GoldenSpec spec;
   spec.system.shedder = shedder;
   spec.system.strategy = strategy;
   spec.system.enable_custom_shedding = custom;
@@ -112,6 +150,14 @@ core::RunSpec SpecFor(const std::vector<std::string>& names, core::ShedderKind s
       0.5 * core::MeasureMeanDemand(names, SharedTrace(), core::OracleKind::kModel);
   spec.query_names = names;
   return spec;
+}
+
+// A builder configured like `spec` (system, oracle, min-rate policy); the
+// caller registers the queries so it holds their handles.
+api::PipelineBuilder BuilderFor(const GoldenSpec& spec) {
+  api::PipelineBuilder builder;
+  builder.Config(spec.system).Oracle(spec.oracle).DefaultMinRates(spec.use_default_min_rates);
+  return builder;
 }
 
 // ---------------------------------------------------------------------------
@@ -130,12 +176,12 @@ class PipelineGolden : public ::testing::TestWithParam<std::tuple<GoldenCase, si
 
 TEST_P(PipelineGolden, BinLogsAndAccuraciesMatchPreRefactorPath) {
   const auto& [config, threads] = GetParam();
-  const core::RunSpec spec =
+  const GoldenSpec spec =
       SpecFor(config.names, config.shedder, config.strategy, config.custom, threads);
 
-  const core::RunResult golden = GoldenRunSystemOnTrace(spec, SharedTrace());
+  const GoldenRun golden = GoldenRunSystemOnTrace(spec, SharedTrace());
 
-  auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  auto pipeline = BuilderFor(spec).BuildUnique();
   std::vector<api::QueryHandle> handles;
   for (const auto& name : config.names) {
     handles.push_back(pipeline->AddQuery(name));
@@ -192,22 +238,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param).label + "_threads" +
              std::to_string(std::get<1>(info.param));
     });
-
-// The wrapper itself (core::RunSystemOnTrace is now a shim over the facade)
-// must also match the golden path exactly.
-TEST(PipelineGoldenWrapper, RunSystemOnTraceStillMatchesGoldenPath) {
-  for (const size_t threads : {size_t{0}, size_t{2}}) {
-    const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                       shed::StrategyKind::kMmfsPkt, false, threads);
-    const core::RunResult golden = GoldenRunSystemOnTrace(spec, SharedTrace());
-    const core::RunResult wrapped = core::RunSystemOnTrace(spec, SharedTrace());
-    ExpectBinLogsIdentical(golden.system->log(), wrapped.system->log());
-    for (size_t q = 0; q < spec.query_names.size(); ++q) {
-      EXPECT_EQ(golden.Accuracy(q).mean_error, wrapped.Accuracy(q).mean_error);
-      EXPECT_EQ(golden.Accuracy(q).stdev_error, wrapped.Accuracy(q).stdev_error);
-    }
-  }
-}
 
 // Mid-run query arrival (Fig. 6.9 shape): golden = manual batch loop adding
 // a query between two ProcessBatch calls; pipeline = AdvanceTime + AddQuery
@@ -283,11 +313,10 @@ TEST(PipelineGoldenArrival, MidRunAddQueryMatchesManualBatchLoop) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelinePush, PacketViewSpansMatchRecordPush) {
-  const core::RunSpec spec = SpecFor({"counter", "pattern-search"},
-                                     core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
+  const GoldenSpec spec = SpecFor({"counter", "pattern-search"}, core::ShedderKind::kPredictive,
+                                  shed::StrategyKind::kMmfsPkt, false, 0);
 
-  auto by_record = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  auto by_record = BuilderFor(spec).BuildUnique();
   by_record->AddQuery("counter");
   by_record->AddQuery("pattern-search");
   by_record->Push(SharedTrace());
@@ -295,7 +324,7 @@ TEST(PipelinePush, PacketViewSpansMatchRecordPush) {
 
   // Same traffic, ingested as materialized Packet views batch by batch (the
   // shape a live capture path would use); payload bytes are copied.
-  auto by_view = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  auto by_view = BuilderFor(spec).BuildUnique();
   by_view->AddQuery("counter");
   by_view->AddQuery("pattern-search");
   trace::Batcher batcher(SharedTrace(), spec.system.time_bin_us);
@@ -445,11 +474,17 @@ TEST(PipelineHandles, UnattachedAndReleasedHandlesThrowInsteadOfCrashing) {
 
   auto pipeline = api::PipelineBuilder().BuildUnique();
   api::QueryHandle counter = pipeline->AddQuery("counter");
-  pipeline->Finish();
-  (void)pipeline->ReleaseSystem();
-  EXPECT_FALSE(counter.valid());
-  EXPECT_THROW(counter.query(), std::logic_error);
-  EXPECT_THROW(counter.name(), std::logic_error);
+  const api::QueryHandle copy = counter;
+  (void)pipeline->Detach(counter);
+  for (const api::QueryHandle& stale : {counter, copy}) {
+    EXPECT_FALSE(stale.valid());
+    EXPECT_THROW(stale.index(), std::logic_error);
+    EXPECT_THROW(stale.query(), std::logic_error);
+    EXPECT_THROW(stale.name(), std::logic_error);
+    EXPECT_THROW(stale.reference(), std::logic_error);
+    EXPECT_THROW(stale.Accuracy(), std::logic_error);
+  }
+  EXPECT_THROW(pipeline->Detach(counter), std::logic_error);
 }
 
 TEST(PipelineHandles, ZeroTimeBinIsRejectedAtBuild) {
@@ -494,18 +529,6 @@ TEST(PipelineHandles, ReAddedDetachedQueryIsChargedOnlyForNewWork) {
   pipeline->Finish();
   const double second_charge = pipeline->log()[1].per_query_cycles[back.index()];
   EXPECT_NEAR(second_charge, first_charge, 0.05 * first_charge);
-}
-
-TEST(PipelineHandles, ReleaseRequiresFinish) {
-  auto pipeline = api::PipelineBuilder().BuildUnique();
-  pipeline->AddQuery("counter");
-  EXPECT_THROW(pipeline->ReleaseSystem(), std::logic_error);
-  EXPECT_THROW(pipeline->ReleaseReferences(), std::logic_error);
-  pipeline->Finish();
-  auto references = pipeline->ReleaseReferences();
-  ASSERT_EQ(references.size(), 1u);
-  EXPECT_NE(references[0], nullptr);
-  EXPECT_NE(pipeline->ReleaseSystem(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -633,61 +656,29 @@ TEST(PipelineApi, RunPipelineGridMatchesSerialCells) {
   const std::vector<std::string> names = {"counter", "flows"};
   const double demand =
       core::MeasureMeanDemand(names, SharedTrace(), core::OracleKind::kModel);
-  const auto make_spec = [&](size_t cell) {
-    core::RunSpec spec;
-    spec.system.cycles_per_bin = (0.3 + 0.2 * static_cast<double>(cell)) * demand;
-    spec.query_names = names;
-    return spec;
+  // Cells are distinguished by capacity so the cell -> result mapping is
+  // observable.
+  const auto capacity = [&](size_t cell) {
+    return (0.3 + 0.2 * static_cast<double>(cell)) * demand;
   };
-  const auto serial = api::RunPipelineGrid(3, make_spec, SharedTrace(), nullptr);
+  const auto make_builder = [&](size_t cell) {
+    api::PipelineBuilder builder;
+    builder.CyclesPerBin(capacity(cell)).AddQuery(names[0]).AddQuery(names[1]);
+    return builder;
+  };
+  const auto serial = api::RunPipelineGrid(3, make_builder, SharedTrace(), nullptr);
   exec::ThreadPool pool(3);
-  const auto parallel = api::RunPipelineGrid(3, make_spec, SharedTrace(), &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
+  const auto parallel = api::RunPipelineGrid(3, make_builder, SharedTrace(), &pool);
+  ASSERT_EQ(serial.size(), 3u);
+  ASSERT_EQ(parallel.size(), 3u);
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
+    EXPECT_EQ(serial[i]->system().capacity(), capacity(i));
+    EXPECT_EQ(parallel[i]->system().capacity(), capacity(i));
     ExpectBinLogsIdentical(serial[i]->log(), parallel[i]->log());
     EXPECT_EQ(serial[i]->AverageAccuracy(), parallel[i]->AverageAccuracy());
   }
 }
-
-// ---------------------------------------------------------------------------
-// Deprecated raw-record shims: still exactly equivalent to the Packet path
-// ---------------------------------------------------------------------------
-
-// The shims stay until the next major cleanup; this test pins their semantics
-// (shim == Push(net::Packet::View(record)), record by record or as a span).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(PipelineCompat, DeprecatedRecordShimsMatchThePacketViewPath) {
-  const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
-
-  auto by_view = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
-  by_view->AddQuery("counter");
-  by_view->AddQuery("flows");
-  for (const net::PacketRecord& packet : SharedTrace().packets) {
-    by_view->Push(net::Packet::View(packet));
-  }
-  by_view->Finish();
-
-  auto by_record = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
-  by_record->AddQuery("counter");
-  by_record->AddQuery("flows");
-  for (const net::PacketRecord& packet : SharedTrace().packets) {
-    by_record->Push(packet);
-  }
-  by_record->Finish();
-
-  auto by_span = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
-  by_span->AddQuery("counter");
-  by_span->AddQuery("flows");
-  by_span->Push(std::span<const net::PacketRecord>(SharedTrace().packets));
-  by_span->Finish();
-
-  ExpectBinLogsIdentical(by_view->log(), by_record->log());
-  ExpectBinLogsIdentical(by_view->log(), by_span->log());
-}
-#pragma GCC diagnostic pop
 
 // ---------------------------------------------------------------------------
 // Eager builder validation: Build() rejects bad configs with ConfigError
@@ -815,9 +806,9 @@ TEST(PipelineApi, ConfigParserRejectsUnknownKeysWithTheOffendingLine) {
 }
 
 TEST(PipelineApi, StatsSummarizesTheRunFromRunningTallies) {
-  const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
-  auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  const GoldenSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
+                                  shed::StrategyKind::kMmfsPkt, false, 0);
+  auto pipeline = BuilderFor(spec).BuildUnique();
   pipeline->AddQuery("counter");
   pipeline->AddQuery("flows");
   pipeline->Push(SharedTrace());
@@ -858,9 +849,9 @@ const obs::MetricSample* FindSample(const obs::MetricsSnapshot& snapshot,
 }
 
 TEST(PipelineMetrics, RegistryMirrorsTheBinLogTallies) {
-  const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
-  auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  const GoldenSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
+                                  shed::StrategyKind::kMmfsPkt, false, 0);
+  auto pipeline = BuilderFor(spec).BuildUnique();
   pipeline->AddQuery("counter");
   pipeline->AddQuery("flows");
   pipeline->Push(SharedTrace());
@@ -939,18 +930,18 @@ TEST(PipelineSnapshot, RestoreThenReplayReproducesTheUninterruptedRun) {
   constexpr uint64_t kCutUs = 2'000'000;  // bin 20 = interval boundary (10-bin intervals)
   for (const size_t threads : {size_t{0}, size_t{2}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    const core::RunSpec spec =
+    const GoldenSpec spec =
         SpecFor({"counter", "flows", "top-k"}, core::ShedderKind::kPredictive,
                 shed::StrategyKind::kMmfsPkt, false, threads);
 
-    auto full = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+    auto full = BuilderFor(spec).BuildUnique();
     for (const char* name : {"counter", "flows", "top-k"}) {
       full->AddQuery(name);
     }
     full->Push(SharedTrace());
     full->Finish();
 
-    auto first = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+    auto first = BuilderFor(spec).BuildUnique();
     for (const char* name : {"counter", "flows", "top-k"}) {
       first->AddQuery(name);
     }
@@ -988,9 +979,9 @@ TEST(PipelineSnapshot, RestoreThenReplayReproducesTheUninterruptedRun) {
 }
 
 TEST(PipelineSnapshot, SnapshotRestoreSnapshotIsByteIdentical) {
-  const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
-  auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  const GoldenSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
+                                  shed::StrategyKind::kMmfsPkt, false, 0);
+  auto pipeline = BuilderFor(spec).BuildUnique();
   pipeline->AddQuery("counter");
   pipeline->AddQuery("flows");
   for (const net::PacketRecord& packet : SharedTrace().packets) {
@@ -1094,9 +1085,9 @@ TEST(PipelineSnapshot, PathSnapshotIsAtomicAndRestorable) {
 
 TEST(PipelineDeterminism, ScrapingUnderLoadNeverPerturbsResults) {
   const std::vector<std::string> names = {"counter", "flows", "top-k"};
-  const core::RunSpec golden_spec = SpecFor(names, core::ShedderKind::kPredictive,
-                                            shed::StrategyKind::kMmfsPkt, false, 0);
-  const core::RunResult golden = GoldenRunSystemOnTrace(golden_spec, SharedTrace());
+  const GoldenSpec golden_spec = SpecFor(names, core::ShedderKind::kPredictive,
+                                         shed::StrategyKind::kMmfsPkt, false, 0);
+  const GoldenRun golden = GoldenRunSystemOnTrace(golden_spec, SharedTrace());
 
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
     for (const size_t shards : {size_t{1}, size_t{8}}) {
@@ -1105,10 +1096,10 @@ TEST(PipelineDeterminism, ScrapingUnderLoadNeverPerturbsResults) {
       }
       SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
                    std::to_string(shards));
-      core::RunSpec spec = SpecFor(names, core::ShedderKind::kPredictive,
-                                   shed::StrategyKind::kMmfsPkt, false, threads);
+      GoldenSpec spec = SpecFor(names, core::ShedderKind::kPredictive,
+                                shed::StrategyKind::kMmfsPkt, false, threads);
       spec.system.max_shards_per_query = shards;
-      auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+      auto pipeline = BuilderFor(spec).BuildUnique();
       std::vector<api::QueryHandle> handles;
       for (const auto& name : names) {
         handles.push_back(pipeline->AddQuery(name));
