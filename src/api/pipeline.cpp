@@ -236,36 +236,6 @@ PipelineBuilder& PipelineBuilder::CaptureFrom(capture::CaptureConfig config) {
   return *this;
 }
 
-void PipelineBuilder::ApplyObsOptions(Pipeline& pipeline) const {
-  if (tracing_) {
-    pipeline.EnableTracing();
-  }
-  if (serve_port_) {
-    pipeline.ServeOn(*serve_port_);
-  }
-}
-
-void PipelineBuilder::ApplyRtOptions(Pipeline& pipeline) const {
-  if (clock_ != nullptr) {
-    pipeline.clock_ = clock_;
-  }
-  if (fault_plan_) {
-    pipeline.SetFaultPlan(*fault_plan_);
-  }
-  if (governor_config_) {
-    pipeline.SetDeadline(*governor_config_);
-  }
-  if (ingest_cap_ > 0) {
-    pipeline.SetIngestCap(ingest_cap_, ingest_policy_);
-  }
-  if (sink_retry_) {
-    pipeline.SetSinkRetry(*sink_retry_);
-  }
-  if (!checkpoint_path_.empty()) {
-    pipeline.SetCheckpoint(checkpoint_path_, checkpoint_every_);
-  }
-}
-
 std::unique_ptr<Pipeline> PipelineBuilder::RestoreOrBuild(const std::string& path) const {
   std::unique_ptr<Pipeline> pipeline;
   std::ifstream in(path, std::ios::binary);
@@ -279,33 +249,18 @@ std::unique_ptr<Pipeline> PipelineBuilder::RestoreOrBuild(const std::string& pat
     }
   }
   if (pipeline == nullptr) {
-    return BuildUnique();  // the Pipeline ctor applies the rt/obs options
+    return BuildUnique();
   }
-  ApplyRtOptions(*pipeline);
-  ApplyObsOptions(*pipeline);
-  if (capture_config_) {
-    pipeline->StartCapture(*capture_config_);
-  }
+  pipeline->AttachBuilderOptions(*this);
   return pipeline;
 }
 
-PipelineBuilder PipelineBuilder::FromConfig(const FileConfig& config) {
-  PipelineBuilder builder;
-  builder.config_ = config.system;
-  builder.oracle_ = config.oracle;
-  builder.track_accuracy_ = config.track_accuracy;
-  builder.default_min_rates_ = config.default_min_rates;
-  for (const std::string& name : config.queries) {
-    builder.AddQuery(name);
+std::vector<std::string> PipelineBuilder::query_names() const {
+  std::vector<std::string> names;
+  for (const PendingQuery& pending : queries_) {
+    names.push_back(pending.name);
   }
-  builder.csv_path_ = config.csv_path;
-  builder.jsonl_path_ = config.jsonl_path;
-  builder.log_path_ = config.log_path;
-  return builder;
-}
-
-PipelineBuilder PipelineBuilder::FromConfigFile(const std::string& path) {
-  return FromConfig(ParseConfigFile(path));
+  return names;
 }
 
 void PipelineBuilder::Validate() const {
@@ -419,6 +374,12 @@ Pipeline::Pipeline(const PipelineBuilder& builder)
       AddQuery(pending.name);
     }
   }
+  AttachBuilderOptions(builder);
+}
+
+Pipeline::~Pipeline() = default;
+
+void Pipeline::AttachBuilderOptions(const PipelineBuilder& builder) {
   if (!builder.csv_path_.empty()) {
     auto sink = std::make_unique<CsvBinSink>(builder.csv_path_);
     rt_sinks_.push_back(sink.get());
@@ -432,16 +393,69 @@ Pipeline::Pipeline(const PipelineBuilder& builder)
   if (!builder.log_path_.empty()) {
     SetLogger(std::make_unique<obs::JsonlLogger>(builder.log_path_));
   }
-  builder.ApplyRtOptions(*this);
-  builder.ApplyObsOptions(*this);
+
+  // rt options: one clock drives the governor, fault injector and sink
+  // retry backoff; it stays null (capture falls back to its own default)
+  // when none of them is armed.
+  clock_ = builder.clock_;
+  if (clock_ == nullptr &&
+      (builder.fault_plan_ || builder.governor_config_ || builder.sink_retry_)) {
+    clock_ = rt::DefaultClock();
+  }
+  if (builder.fault_plan_) {
+    injector_ = std::make_unique<rt::FaultInjector>(*builder.fault_plan_, clock_);
+    system_->SetFaultInjector(injector_.get());
+  }
+  if (builder.governor_config_) {
+    governor_ = std::make_unique<rt::DeadlineGovernor>(*builder.governor_config_, clock_);
+    governor_->Attach(&system_->metrics(), logger_.get());
+  }
+  ingest_cap_ = builder.ingest_cap_;
+  ingest_policy_ = builder.ingest_policy_;
+  if (ingest_cap_ > 0) {
+    m_ingest_dropped_ = &system_->metrics().GetCounter(
+        "shedmon_rt_ingest_dropped_total", {},
+        "Records rejected or evicted by the bounded ingest buffer");
+  }
+  if (builder.sink_retry_) {
+    for (ResilientSinkBase* sink : rt_sinks_) {
+      sink->EnableResilience(*builder.sink_retry_, clock_);
+    }
+  }
+  AttachSinkRt();
+  checkpoint_path_ = builder.checkpoint_path_;
+  checkpoint_every_ = builder.checkpoint_every_;
+
+  // obs options: both one-way, never read back by a decision.
+  if (builder.tracing_) {
+    tracer_ = std::make_unique<obs::Tracer>();
+    tracer_->AttachMetrics(&system_->metrics());
+    system_->SetTracer(tracer_.get());
+    if (governor_ != nullptr) {
+      governor_->SetTracer(tracer_.get());
+    }
+    // Published last: once the HTTP thread can see the tracer, it is fully
+    // attached and safe to snapshot.
+    tracer_view_.store(tracer_.get(), std::memory_order_release);
+  }
+  if (builder.serve_port_) {
+    RefreshStats();  // the handler must see valid stats before the first bin
+    try {
+      server_ = std::make_unique<obs::ObsServer>(
+          *builder.serve_port_, [this](const std::string& path) { return HandleHttp(path); });
+    } catch (const std::runtime_error& e) {
+      // Port squatting is a deployment error the operator must see at
+      // Build(), not a silent fallback; the listen socket deliberately
+      // avoids SO_REUSEADDR so the bind fails loudly here.
+      throw ConfigError(e.what());
+    }
+  }
   RefreshStats();
   // Last: once capture runs, its consumer thread is the coordinator.
   if (builder.capture_config_) {
     StartCapture(*builder.capture_config_);
   }
 }
-
-Pipeline::~Pipeline() = default;
 
 size_t Pipeline::FindSlot(uint64_t id) const noexcept {
   for (size_t i = 0; i < slots_.size(); ++i) {
@@ -876,55 +890,6 @@ void Pipeline::SetLogger(std::unique_ptr<obs::JsonlLogger> logger) {
 // Real-time robustness
 // ---------------------------------------------------------------------------
 
-void Pipeline::SetDeadline(const rt::GovernorConfig& config) {
-  if (clock_ == nullptr) {
-    clock_ = rt::DefaultClock();
-  }
-  governor_ = std::make_unique<rt::DeadlineGovernor>(config, clock_);
-  governor_->Attach(&system_->metrics(), logger_.get());
-  governor_->SetTracer(tracer_.get());
-}
-
-void Pipeline::ClearDeadline() {
-  governor_.reset();
-  system_->SetDegradation(rt::Directive{});
-}
-
-void Pipeline::SetFaultPlan(const rt::FaultPlan& plan) {
-  if (clock_ == nullptr) {
-    clock_ = rt::DefaultClock();
-  }
-  injector_ = std::make_unique<rt::FaultInjector>(plan, clock_);
-  system_->SetFaultInjector(injector_.get());
-  AttachSinkRt();
-}
-
-void Pipeline::SetIngestCap(size_t max_records, rt::OverflowPolicy policy) {
-  ingest_cap_ = max_records;
-  ingest_policy_ = policy;
-  if (ingest_cap_ > 0 && m_ingest_dropped_ == nullptr) {
-    m_ingest_dropped_ = &system_->metrics().GetCounter(
-        "shedmon_rt_ingest_dropped_total", {},
-        "Records rejected or evicted by the bounded ingest buffer");
-  }
-}
-
-void Pipeline::SetSinkRetry(const rt::RetryPolicy& policy) {
-  sink_retry_ = policy;
-  if (clock_ == nullptr) {
-    clock_ = rt::DefaultClock();
-  }
-  for (ResilientSinkBase* sink : rt_sinks_) {
-    sink->EnableResilience(sink_retry_, clock_);
-  }
-  AttachSinkRt();
-}
-
-void Pipeline::SetCheckpoint(std::string path, size_t every_bins) {
-  checkpoint_path_ = std::move(path);
-  checkpoint_every_ = every_bins;
-}
-
 void Pipeline::AttachSinkRt() {
   for (ResilientSinkBase* sink : rt_sinks_) {
     sink->AttachRt(injector_.get(), &system_->metrics(), logger_.get());
@@ -1012,21 +977,6 @@ double Pipeline::MinimumAccuracy() const {
 // Tracing & HTTP endpoint
 // ---------------------------------------------------------------------------
 
-obs::Tracer& Pipeline::EnableTracing() {
-  if (tracer_ == nullptr) {
-    tracer_ = std::make_unique<obs::Tracer>();
-    tracer_->AttachMetrics(&system_->metrics());
-    system_->SetTracer(tracer_.get());
-    if (governor_ != nullptr) {
-      governor_->SetTracer(tracer_.get());
-    }
-    // Published last: once the HTTP thread can see the tracer, it is fully
-    // attached and safe to snapshot.
-    tracer_view_.store(tracer_.get(), std::memory_order_release);
-  }
-  return *tracer_;
-}
-
 void Pipeline::DumpTrace(const std::string& path) const {
   if (tracer_ == nullptr) {
     throw std::logic_error("Pipeline::DumpTrace: tracing is not enabled");
@@ -1034,21 +984,6 @@ void Pipeline::DumpTrace(const std::string& path) const {
   if (!tracer_->WriteChromeTrace(path)) {
     throw std::runtime_error("Pipeline::DumpTrace: cannot write '" + path + "'");
   }
-}
-
-uint16_t Pipeline::ServeOn(uint16_t port) {
-  server_.reset();  // rebinding replaces any previous endpoint
-  RefreshStats();   // the handler must see valid stats before the first bin
-  try {
-    server_ = std::make_unique<obs::ObsServer>(
-        port, [this](const std::string& path) { return HandleHttp(path); });
-  } catch (const std::runtime_error& e) {
-    // Port squatting is a deployment error the operator must see at Build(),
-    // not a silent fallback; the listen socket deliberately avoids
-    // SO_REUSEADDR so the bind fails loudly here.
-    throw ConfigError(e.what());
-  }
-  return server_->port();
 }
 
 namespace {

@@ -237,17 +237,15 @@ class PipelineBuilder {
   // Restore-on-restart: restores from `path` when it holds a readable
   // snapshot; a missing, torn or corrupt file (e.g. a crash mid-checkpoint,
   // though the atomic checkpoint writer makes that exceedingly unlikely)
-  // falls back to building fresh from this builder's configuration. The rt
-  // options above are re-applied to the restored pipeline either way.
+  // falls back to building fresh from this builder's configuration. The
+  // sinks, event log and rt/obs options above are attached to the restored
+  // pipeline either way.
   std::unique_ptr<Pipeline> RestoreOrBuild(const std::string& path) const;
 
-  // Loads a parsed config file (see api::ParseConfigFile for the format):
-  // system knobs, query roster, and sinks. The fluent setters still apply on
-  // top, so a file can serve as a base that code overrides.
-  static PipelineBuilder FromConfig(const FileConfig& config);
-  static PipelineBuilder FromConfigFile(const std::string& path);
-
   const core::SystemConfig& config() const { return config_; }
+  core::OracleKind oracle() const { return oracle_; }
+  // The standard queries Build() registers, in order.
+  std::vector<std::string> query_names() const;
 
   // Validates the full configuration (ranges, cross-field rules, query
   // names, sink paths) and throws ConfigError on the first violation.
@@ -274,6 +272,8 @@ class PipelineBuilder {
 
  private:
   friend class Pipeline;  // Build() hands the whole builder to the ctor
+  // The config key table sets fields that have no fluent setter of their own.
+  friend std::span<const ConfigKey> ConfigKeys();
 
   struct PendingQuery {
     std::string name;
@@ -302,12 +302,6 @@ class PipelineBuilder {
   std::optional<uint16_t> serve_port_;
   // capture option; started by Build()/RestoreOrBuild() after rt and obs.
   std::optional<capture::CaptureConfig> capture_config_;
-
-  // Shared by Build() and RestoreOrBuild(): arms the rt options on a
-  // freshly built or freshly restored pipeline.
-  void ApplyRtOptions(Pipeline& pipeline) const;
-  // Same for the tracing/HTTP-endpoint options.
-  void ApplyObsOptions(Pipeline& pipeline) const;
 };
 
 // The supported public entry point to shedmon: a long-lived, online
@@ -422,12 +416,7 @@ class Pipeline {
   PipelineStats Stats() const;
 
   // ---- Tracing & HTTP endpoint (src/obs) ----------------------------------
-  // Arms per-stage span tracing (idempotent; normally via
-  // PipelineBuilder::Tracing). Spans land in bounded lock-free rings; once
-  // full, further spans are counted in shedmon_obs_trace_dropped_total and
-  // discarded. Also registers the shedmon_stage_wall_us{stage=...}
-  // histograms, fed from the same spans.
-  obs::Tracer& EnableTracing();
+  // Null unless PipelineBuilder::Tracing armed span tracing.
   const obs::Tracer* tracer() const { return tracer_.get(); }
 
   // Writes the trace so far as Chrome trace-event JSON (Perfetto /
@@ -435,12 +424,7 @@ class Pipeline {
   // std::runtime_error when the file cannot be written.
   void DumpTrace(const std::string& path) const;
 
-  // Starts the embedded HTTP endpoint on 127.0.0.1:<port> (0 = ephemeral)
-  // serving GET /metrics, /healthz, /stats and /trace; returns the bound
-  // port. Normally via PipelineBuilder::ServeOn. Throws ConfigError when the
-  // port cannot be bound. One server per pipeline: calling again replaces it.
-  uint16_t ServeOn(uint16_t port);
-  // The bound port, 0 when not serving.
+  // The port PipelineBuilder::ServeOn bound, 0 when not serving.
   uint16_t serve_port() const { return server_ != nullptr ? server_->port() : 0; }
   // Stops the endpoint (idempotent; Finish and destruction also stop it).
   void StopServing() { server_.reset(); }
@@ -469,21 +453,9 @@ class Pipeline {
   capture::CaptureStats capture_stats() const;
 
   // ---- Real-time robustness (src/rt) --------------------------------------
-  // Attach (or replace) the deadline governor mid-run; the rt configuration
-  // is process-local and deliberately not serialized into snapshots, so a
-  // restored pipeline re-arms through these setters (RestoreOrBuild does it
-  // from the builder's options automatically).
-  void SetDeadline(const rt::GovernorConfig& config);
-  void ClearDeadline();
-  void SetFaultPlan(const rt::FaultPlan& plan);
-  void SetIngestCap(size_t max_records, rt::OverflowPolicy policy);
-  void SetSinkRetry(const rt::RetryPolicy& policy);
-  // Arms periodic crash-safe checkpoints (empty path disarms). Checkpoints
-  // fire after every `every_bins`-th closed bin, at the next
-  // measurement-interval boundary; failures are logged and counted, never
-  // thrown — losing a checkpoint must not kill the measurement.
-  void SetCheckpoint(std::string path, size_t every_bins);
-
+  // Armed through the PipelineBuilder rt options; the rt configuration is
+  // process-local and deliberately not serialized into snapshots, so
+  // RestoreOrBuild re-arms a restored pipeline from the builder.
   const rt::DeadlineGovernor* governor() const { return governor_.get(); }
   const rt::FaultInjector* fault_injector() const { return injector_.get(); }
   const std::shared_ptr<rt::Clock>& rt_clock() const { return clock_; }
@@ -530,6 +502,10 @@ class Pipeline {
   // The Build() path: validates, constructs, then registers the builder's
   // pending queries and sinks. Builder stays const — it is reusable.
   explicit Pipeline(const PipelineBuilder& builder);
+
+  // Shared by Build() and RestoreOrBuild(): attaches the builder's sinks and
+  // event log, arms its rt and obs options, then starts its capture.
+  void AttachBuilderOptions(const PipelineBuilder& builder);
 
   size_t FindSlot(uint64_t id) const noexcept;  // npos when unknown/removed
   size_t SlotIndex(uint64_t id) const;          // throws std::logic_error when stale
@@ -598,9 +574,8 @@ class Pipeline {
   std::string checkpoint_path_;
   size_t checkpoint_every_ = 0;
   size_t checkpoints_written_ = 0;
-  rt::RetryPolicy sink_retry_;
   // Owned sinks created from builder paths, remembered so rt attachments
-  // (retry policy, fault injector, metrics) can be re-applied by setters.
+  // (retry policy, fault injector, metrics) follow a SetLogger replacement.
   std::vector<class ResilientSinkBase*> rt_sinks_;
 
   std::vector<BinObserver*> observers_;
@@ -623,8 +598,8 @@ class Pipeline {
   // Tracing & HTTP endpoint. The published stats are the only pipeline state
   // the server thread reads besides the (internally thread-safe) metrics
   // registry and tracer rings; the coordinator republishes them after every
-  // mutation. tracer_view_ mirrors tracer_.get() atomically so a mid-run
-  // EnableTracing cannot race a concurrent GET /trace. server_ is declared
+  // mutation. tracer_view_ mirrors tracer_.get() atomically for GET /trace
+  // on the server thread. server_ is declared
   // last on purpose: it is destroyed (accept thread joined) before anything
   // its handler dereferences.
   mutable util::Mutex stats_mutex_;

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -749,7 +750,7 @@ TEST(PipelineApi, BuilderRosterRegistersQueriesAtBuild) {
   EXPECT_EQ(pipeline->log().back().rate.size(), 2u);
 }
 
-TEST(PipelineApi, FromConfigFileBuildsTheDescribedPipeline) {
+TEST(PipelineApi, ParseConfigFileBuildsTheDescribedPipeline) {
   const std::string config_path = ::testing::TempDir() + "shedmon_api_test_config.ini";
   const std::string csv_path = ::testing::TempDir() + "shedmon_api_test_bins.csv";
   {
@@ -773,7 +774,7 @@ TEST(PipelineApi, FromConfigFileBuildsTheDescribedPipeline) {
             "[sinks]\n"
             "csv = " << csv_path << "\n";
   }
-  api::PipelineBuilder builder = api::PipelineBuilder::FromConfigFile(config_path);
+  api::PipelineBuilder builder = api::ParseConfigFile(config_path);
   EXPECT_EQ(builder.config().time_bin_us, 100'000u);
   EXPECT_EQ(builder.config().shedder, core::ShedderKind::kReactive);
   EXPECT_EQ(builder.config().strategy, shed::StrategyKind::kMmfsCpu);
@@ -803,6 +804,212 @@ TEST(PipelineApi, ConfigParserRejectsUnknownKeysWithTheOffendingLine) {
     EXPECT_NE(std::string(error.what()).find("test.ini:2"), std::string::npos);
     EXPECT_NE(std::string(error.what()).find("bogus_key"), std::string::npos);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The config schema: one key table behind config files and CLI flags
+// ---------------------------------------------------------------------------
+
+enum class SampleKind { kEnum, kNumber, kBool, kText };
+
+struct KeySample {
+  std::string value;  // accepted by the key
+  SampleKind kind;
+};
+
+// One valid value per schema key. A key added to the table without a sample
+// here fails ConfigSchema.EveryKeyHasASample, so every key gets the parity
+// and rejection checks below.
+std::map<std::string, KeySample> KeySamples() {
+  const std::string dir = ::testing::TempDir();
+  return {
+      {"system.time_bin_us", {"50000", SampleKind::kNumber}},
+      {"system.cycles_per_bin", {"2.5e6", SampleKind::kNumber}},
+      {"system.shedder", {"reactive", SampleKind::kEnum}},
+      {"system.strategy", {"mmfs_cpu", SampleKind::kEnum}},
+      {"system.threads", {"2", SampleKind::kNumber}},
+      {"system.shards", {"2", SampleKind::kNumber}},
+      {"system.seed", {"7", SampleKind::kNumber}},
+      {"system.buffer_bins", {"3", SampleKind::kNumber}},
+      {"system.ewma_alpha", {"0.5", SampleKind::kNumber}},
+      {"system.como_overhead", {"0.1", SampleKind::kNumber}},
+      {"system.custom_shedding", {"true", SampleKind::kBool}},
+      {"system.oracle", {"measured", SampleKind::kEnum}},
+      {"system.track_accuracy", {"false", SampleKind::kBool}},
+      {"system.default_min_rates", {"off", SampleKind::kBool}},
+      {"predictor.kind", {"ewma", SampleKind::kEnum}},
+      {"predictor.history", {"30", SampleKind::kNumber}},
+      {"predictor.fcbf_threshold", {"0.5", SampleKind::kNumber}},
+      {"predictor.ewma_alpha", {"0.4", SampleKind::kNumber}},
+      {"queries.add", {"counter,flows", SampleKind::kText}},
+      {"sinks.csv", {dir + "shedmon_schema.csv", SampleKind::kText}},
+      {"sinks.jsonl", {dir + "shedmon_schema.jsonl", SampleKind::kText}},
+      {"sinks.log", {dir + "shedmon_schema.log", SampleKind::kText}},
+      {"rt.deadline", {"0.5", SampleKind::kNumber}},
+      {"rt.ingest_cap", {"3", SampleKind::kNumber}},
+      {"rt.ingest_policy", {"drop-oldest", SampleKind::kEnum}},
+      {"rt.fault_plan", {"seed=3,sink_fail_n=1", SampleKind::kText}},
+      {"rt.sink_retries", {"2", SampleKind::kNumber}},
+      {"rt.checkpoint", {dir + "shedmon_schema.ckpt", SampleKind::kText}},
+      {"rt.checkpoint_every", {"10", SampleKind::kNumber}},
+      {"obs.serve", {"0", SampleKind::kNumber}},
+  };
+}
+
+// Everything a built pipeline shows of its builder: the snapshot (system
+// config, oracle, accuracy and min-rate policy, roster), the Stats, the
+// armed rt/obs machinery, and the ingest bound on a one-bin burst.
+std::string BuiltState(const api::PipelineBuilder& builder) {
+  auto pipeline = builder.BuildUnique();
+  std::ostringstream state;
+  pipeline->Snapshot(state);
+  for (const net::PacketRecord& packet : SharedTrace().packets) {
+    if (packet.ts_us >= 10'000) {
+      break;
+    }
+    pipeline->Push(net::Packet::View(packet));
+  }
+  pipeline->Finish();
+  const api::PipelineStats stats = pipeline->Stats();
+  state << '|' << stats.queries << '|' << stats.capacity << '|' << stats.ingest_dropped << '|'
+        << (pipeline->governor() != nullptr) << (pipeline->fault_injector() != nullptr)
+        << (pipeline->tracer() != nullptr) << (pipeline->serve_port() != 0);
+  return state.str();
+}
+
+// checkpoint_every is only valid next to a checkpoint path.
+api::PipelineBuilder SchemaBase() {
+  return std::move(api::PipelineBuilder().Threads(1).AddQuery("counter").CheckpointTo(
+      ::testing::TempDir() + "shedmon_schema_base.ckpt"));
+}
+
+std::vector<api::Setting> IniSettings(const api::ConfigKey& key, const std::string& value) {
+  const std::string_view name = key.name;
+  std::istringstream ini("[" + std::string(name.substr(0, name.find('.'))) + "]\n" +
+                         std::string(name.substr(name.find('.') + 1)) + " = " + value + "\n");
+  return api::ReadConfig(ini, "t.ini");
+}
+
+TEST(ConfigSchema, EveryKeyHasASample) {
+  const auto samples = KeySamples();
+  for (const api::ConfigKey& key : api::ConfigKeys()) {
+    EXPECT_EQ(samples.count(std::string(key.name)), 1u) << key.name;
+    EXPECT_EQ(api::FindKey(key.name), &key);
+    if (!key.flag.empty()) {
+      EXPECT_EQ(api::FindFlag(key.flag), &key);
+    }
+  }
+  EXPECT_EQ(samples.size(), api::ConfigKeys().size());
+}
+
+TEST(ConfigSchema, FileLineAndFlagSetTheSameBuilderState) {
+  const auto samples = KeySamples();
+  for (const api::ConfigKey& key : api::ConfigKeys()) {
+    if (key.flag.empty()) {
+      continue;
+    }
+    SCOPED_TRACE(std::string(key.name));
+    const std::string& value = samples.at(std::string(key.name)).value;
+    api::PipelineBuilder from_file = SchemaBase();
+    api::ApplySettings(from_file, IniSettings(key, value));
+    api::PipelineBuilder from_flag = SchemaBase();
+    const api::Setting flag[] = {{&key, value, "--" + std::string(key.flag)}};
+    api::ApplySettings(from_flag, flag);
+
+    const core::SystemConfig& a = from_file.config();
+    const core::SystemConfig& b = from_flag.config();
+    EXPECT_EQ(a.time_bin_us, b.time_bin_us);
+    EXPECT_EQ(a.cycles_per_bin, b.cycles_per_bin);
+    EXPECT_EQ(a.shedder, b.shedder);
+    EXPECT_EQ(a.strategy, b.strategy);
+    EXPECT_EQ(a.num_threads, b.num_threads);
+    EXPECT_EQ(a.max_shards_per_query, b.max_shards_per_query);
+    EXPECT_EQ(a.enable_custom_shedding, b.enable_custom_shedding);
+    EXPECT_EQ(from_file.oracle(), from_flag.oracle());
+    EXPECT_EQ(from_file.query_names(), from_flag.query_names());
+    EXPECT_EQ(BuiltState(from_file), BuiltState(from_flag));
+  }
+  for (const auto& [name, sample] : samples) {
+    if (sample.kind == SampleKind::kText && name != "queries.add" && name != "rt.fault_plan") {
+      std::remove(sample.value.c_str());
+    }
+  }
+  std::remove((::testing::TempDir() + "shedmon_schema_base.ckpt").c_str());
+}
+
+TEST(ConfigSchema, RejectsUnknownNamesAndTrailingGarbageNamingTheKey) {
+  for (const auto& [name, sample] : KeySamples()) {
+    if (sample.kind == SampleKind::kText) {
+      continue;
+    }
+    const api::ConfigKey& key = *api::FindKey(name);
+    std::vector<std::string> bad = {"bogus"};
+    if (sample.kind == SampleKind::kNumber) {
+      bad.push_back(sample.value + "x");
+    }
+    for (const std::string& value : bad) {
+      SCOPED_TRACE(name + " = '" + value + "'");
+      api::PipelineBuilder builder;
+      try {
+        api::ApplySettings(builder, IniSettings(key, value));
+        ADD_FAILURE() << "accepted";
+      } catch (const ConfigError& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find("t.ini:2: " + name), std::string::npos) << what;
+        if (sample.kind == SampleKind::kEnum) {
+          // The message lists the accepted names, the sample among them.
+          EXPECT_NE(what.find(sample.value), std::string::npos) << what;
+        }
+      }
+      if (!key.flag.empty()) {
+        const std::string flag = "--" + std::string(key.flag);
+        const api::Setting setting[] = {{&key, value, flag}};
+        try {
+          api::ApplySettings(builder, setting);
+          ADD_FAILURE() << "flag accepted";
+        } catch (const ConfigError& error) {
+          EXPECT_EQ(std::string(error.what()).rfind(flag + ": ", 0), 0u) << error.what();
+        }
+      }
+    }
+  }
+}
+
+TEST(ConfigSchema, EnumAliasesNameTheSameValue) {
+  const std::pair<const char*, const char*> aliases[] = {
+      {"eq", "eq_srates"}, {"cpu", "mmfs_cpu"}, {"pkt", "mmfs_pkt"}};
+  for (const auto& [alias, name] : aliases) {
+    api::PipelineBuilder by_alias;
+    api::PipelineBuilder by_name;
+    const api::Setting a[] = {{api::FindFlag("strategy"), alias, "--strategy"}};
+    const api::Setting n[] = {{api::FindFlag("strategy"), name, "--strategy"}};
+    api::ApplySettings(by_alias, a);
+    api::ApplySettings(by_name, n);
+    EXPECT_EQ(by_alias.config().strategy, by_name.config().strategy) << alias;
+  }
+  api::PipelineBuilder none;
+  const api::Setting shedder[] = {{api::FindFlag("shedder"), "none", "--shedder"}};
+  api::ApplySettings(none, shedder);
+  EXPECT_EQ(none.config().shedder, core::ShedderKind::kNoShed);
+}
+
+// Each source (defaults, a config file, the command line) replaces the
+// roster of the source below it; within one source, entries append.
+TEST(ConfigSchema, EachSourceReplacesTheRosterBelowIt) {
+  api::PipelineBuilder builder;
+  const api::Setting defaults[] = {
+      {api::FindKey("queries.add"), "counter,flows,application", "default"}};
+  api::ApplySettings(builder, defaults);
+  std::istringstream file("[queries]\nadd = flows\nadd = top-k\n");
+  api::ApplySettings(builder, api::ReadConfig(file, "f.ini"));
+  EXPECT_EQ(builder.query_names(), (std::vector<std::string>{"flows", "top-k"}));
+  const api::Setting flags[] = {{api::FindFlag("queries"), "counter", "--queries"}};
+  api::ApplySettings(builder, flags);
+  EXPECT_EQ(builder.query_names(), std::vector<std::string>{"counter"});
+
+  std::istringstream no_roster("[system]\nseed = 3\n");
+  api::ApplySettings(builder, api::ReadConfig(no_roster, "g.ini"));
+  EXPECT_EQ(builder.query_names(), std::vector<std::string>{"counter"});
 }
 
 TEST(PipelineApi, StatsSummarizesTheRunFromRunningTallies) {

@@ -417,6 +417,65 @@ TEST(Robustness, CheckpointThenRestoreReplaysTheRemainingBinsFieldExactly) {
   std::remove(path.c_str());
 }
 
+// A restored pipeline gets the builder's sinks with their rt wrapping, not
+// bare ones: injected sink faults on the resumed bins are retried, and every
+// resumed bin lands a CSV row.
+TEST(Robustness, RestoreOrBuildAttachesTheBuildersSinksWithRetry) {
+  const std::string path = ::testing::TempDir() + "shedmon_robustness_restore_sinks.bin";
+  const std::string csv = ::testing::TempDir() + "shedmon_robustness_restore_sinks.csv";
+  std::remove(path.c_str());
+  std::remove(csv.c_str());
+  const core::SystemConfig config = BaseConfig(0, 1);
+  {
+    auto victim = api::PipelineBuilder()
+                      .Config(config)
+                      .AddQuery("counter")
+                      .CheckpointTo(path)
+                      .CheckpointEvery(10)
+                      .BuildUnique();
+    for (const net::PacketRecord& packet : RobustnessTrace().packets) {
+      if (packet.ts_us >= 1'450'000) {
+        break;  // abandoned mid-bin-14, after the bin-10 checkpoint
+      }
+      victim->Push(net::Packet::View(packet));
+    }
+  }
+
+  rt::RetryPolicy retry;
+  retry.max_retries = 3;
+  retry.jitter_fraction = 0.0;
+  rt::FaultPlan faults;
+  faults.sink_fail_n = 2;
+  auto restored = api::PipelineBuilder()
+                      .Config(config)
+                      .AddQuery("counter")
+                      .CsvTo(csv)
+                      .RtClock(std::make_shared<rt::ManualClock>())
+                      .InjectFaults(faults)
+                      .SinkRetry(retry)
+                      .RestoreOrBuild(path);
+  ASSERT_EQ(restored->next_bin(), 10u);
+  const uint64_t resume_us = restored->next_bin() * restored->time_bin_us();
+  for (const net::PacketRecord& packet : RobustnessTrace().packets) {
+    if (packet.ts_us >= resume_us) {
+      restored->Push(net::Packet::View(packet));
+    }
+  }
+  restored->Finish();
+
+  EXPECT_GT(CounterValue(restored->Metrics(), "shedmon_rt_sink_retries_total"), 0.0);
+  std::ifstream in(csv);
+  size_t lines = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    ++lines;
+  }
+  ASSERT_GT(restored->log().size(), 0u);
+  EXPECT_EQ(lines, 1 + restored->log().size());  // header + one row per resumed bin
+  std::remove(path.c_str());
+  std::remove(csv.c_str());
+}
+
 TEST(Robustness, RestoreOrBuildFallsBackPastMissingOrCorruptCheckpoints) {
   const std::string path = ::testing::TempDir() + "shedmon_robustness_corrupt.bin";
   std::remove(path.c_str());

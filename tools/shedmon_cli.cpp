@@ -22,18 +22,16 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/api/config.h"
 #include "src/api/pipeline.h"
-#include "src/api/sinks.h"
 #include "src/capture/capture.h"
 #include "src/capture/replay.h"
 #include "src/obs/prometheus.h"
 #include "src/core/runner.h"
 #include "src/rt/clock.h"
-#include "src/rt/fault.h"
-#include "src/rt/resilient.h"
 #include "src/query/queries.h"
 #include "src/trace/anomaly.h"
 #include "src/trace/generator.h"
@@ -49,23 +47,53 @@ using namespace shedmon;
 
 // ----------------------------------------------------------- flag parsing --
 
+class Flags;
+
+// What a verb accepts on its command line.
+struct Verb {
+  std::string_view name;
+  int (*run)(const Flags& flags);
+  std::vector<std::string_view> flags;     // take a value: --flag V or --flag=V
+  std::vector<std::string_view> switches;  // boolean: --flag, or --flag=V
+  // Also accept every pipeline key's flag from the config table
+  // (src/api/config.h); those become settings, applied in argv order.
+  bool pipeline_keys;
+};
+
+bool Contains(const std::vector<std::string_view>& names, std::string_view name) {
+  return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+// Throws ConfigError on a flag the verb does not declare or a missing value.
 class Flags {
  public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
+  Flags(int argc, char** argv, const Verb& verb) {
+    for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg.rfind("--", 0) == 0) {
-        const auto eq = arg.find('=');
-        if (eq != std::string::npos) {
-          values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-        } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-          values_[arg.substr(2)] = argv[++i];
-        } else {
-          values_[arg.substr(2)] = "true";
-        }
-      } else {
+      if (arg.rfind("--", 0) != 0) {
         positional_.push_back(arg);
+        continue;
       }
+      const size_t eq = arg.find('=');
+      const std::string name = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+      const api::ConfigKey* key = verb.pipeline_keys ? api::FindFlag(name) : nullptr;
+      const bool is_switch = key != nullptr ? key->boolean : Contains(verb.switches, name);
+      if (key == nullptr && !is_switch && !Contains(verb.flags, name)) {
+        throw ConfigError("unknown flag --" + name);
+      }
+      std::string value = "true";
+      if (eq != std::string::npos) {
+        value = arg.substr(eq + 1);
+      } else if (!is_switch) {
+        if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+          throw ConfigError("--" + name + " needs a value");
+        }
+        value = argv[++i];
+      }
+      if (key != nullptr) {
+        settings_.push_back({key, value, "--" + name});
+      }
+      values_[name] = value;
     }
   }
 
@@ -74,19 +102,22 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   double GetDouble(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return Has(key) ? api::ParseNumber("--" + key, Get(key)) : fallback;
   }
   uint64_t GetU64(const std::string& key, uint64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    return Has(key) ? api::ParseUnsigned("--" + key, Get(key)) : fallback;
+  }
+  bool Switch(const std::string& key) const {
+    return Has(key) && api::ParseBool("--" + key, Get(key));
   }
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
   const std::vector<std::string>& positional() const { return positional_; }
+  const std::vector<api::Setting>& settings() const { return settings_; }
 
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
+  std::vector<api::Setting> settings_;
 };
 
 trace::TraceSpec PresetByName(const std::string& name) {
@@ -109,24 +140,6 @@ trace::TraceSpec PresetByName(const std::string& name) {
                               "' (cesca1|cesca2|abilene|cenic|upc1)");
 }
 
-std::vector<std::string> SplitCsv(const std::string& csv) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  while (start <= csv.size()) {
-    const size_t comma = csv.find(',', start);
-    const std::string item = csv.substr(
-        start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return out;
-}
-
 int Usage() {
   std::printf(
       "usage: shedmon <command> [flags]\n"
@@ -137,64 +150,36 @@ int Usage() {
       "  export-pcap FILE OUT.pcap [--snaplen N]\n"
       "  inject-ddos FILE --out FILE [--start S] [--duration S] [--pps N]\n"
       "              [--on-off S] [--target-ip HEX]\n"
-      "  run         FILE --queries a,b,c [--k 0.5] [--strategy eq|cpu|pkt]\n"
-      "              [--shedder predictive|reactive|none] [--custom]\n"
-      "              [--oracle model|measured] [--bin-us N] [--threads N]\n"
-      "              [--shards N] [--csv FILE] [--jsonl FILE]\n"
-      "              [--config FILE] [--metrics-out FILE]\n"
-      "              [--deadline F] [--ingest-cap N] [--ingest-policy P]\n"
-      "              [--fault-plan SPEC] [--sink-retries N]\n"
-      "              [--checkpoint FILE] [--checkpoint-every N] [--restore]\n"
-      "              [--serve PORT] [--trace-out FILE]\n"
+      "  run         FILE [--k 0.5] [--restore] [pipeline flags]\n"
       "  capture     --listen-udp PORT | --listen-tcp PORT | --follow-pcap FILE\n"
-      "              --queries a,b,c --capacity CYCLES [--bin-us N]\n"
-      "              [--duration S] [--slots N] [--snap BYTES] [--queue N]\n"
-      "              [--overflow block|drop-newest|drop-oldest]\n"
-      "              [--late-slack-us N] (plus run's --threads --shards\n"
-      "              --shedder --strategy --deadline --ingest-cap --csv\n"
-      "              --jsonl --serve --trace-out --metrics-out)\n"
+      "              --capacity CYCLES [--duration S] [--slots N] [--snap BYTES]\n"
+      "              [--queue N] [--overflow block|drop-newest|drop-oldest]\n"
+      "              [--late-slack-us N] [pipeline flags]\n"
       "  replay      FILE --udp PORT | --tcp PORT [--pps N]\n"
       "  queries     (list available queries and their default min rates)\n"
       "\n"
-      "capture flags:\n"
-      "  --listen-udp PORT   capture framed (or raw) Ethernet frames from UDP\n"
-      "                      datagrams on 127.0.0.1:PORT (0 picks a free port;\n"
-      "                      the bound port is printed)\n"
-      "  --listen-tcp PORT   capture length-framed records from one TCP stream\n"
-      "                      (lossless; what `replay --tcp` sends)\n"
-      "  --follow-pcap FILE  follow a growing pcap file, tail -f style\n"
-      "  --capacity CYCLES   absolute cycle budget per bin (live capture has\n"
-      "                      no trace to measure demand against)\n"
-      "  --duration S        stop after S seconds (default: on SIGINT/SIGTERM,\n"
-      "                      which also stop early and drain cleanly)\n"
-      "  --slots/--snap/--queue/--overflow/--late-slack-us\n"
-      "                      capture ring geometry: pre-allocated slots, bytes\n"
-      "                      captured per frame, ring depth, overflow policy,\n"
-      "                      and how far behind real time a packet may arrive\n"
-      "\n"
-      "run flags:\n"
-      "  --config FILE       load an INI pipeline config (system knobs, query\n"
-      "                      roster, sinks); other flags override the file\n"
-      "  --metrics-out FILE  dump the metrics registry in Prometheus text\n"
-      "                      format at end of run, and whenever the process\n"
-      "                      receives SIGUSR1 mid-run\n"
-      "  --deadline F        enforce a wall-clock budget of F x the bin\n"
-      "                      duration per bin; overruns climb a degradation\n"
-      "                      ladder (boost shedding, truncate, drop bin)\n"
-      "  --ingest-cap N      bound the open bin at N records; --ingest-policy\n"
-      "                      is block, drop-newest (default) or drop-oldest\n"
-      "  --fault-plan SPEC   deterministic fault injection, e.g.\n"
-      "                      'seed=7,stall_bin=3:80000,sink_fail_n=2'\n"
-      "  --sink-retries N    retry failed CSV/JSONL sink writes up to N times\n"
-      "                      (with backoff), then quarantine the sink\n"
-      "  --checkpoint FILE   write a crash-safe snapshot (tmp+fsync+rename)\n"
-      "                      every --checkpoint-every bins (default: one\n"
-      "                      measurement interval); --restore resumes from it\n"
-      "  --serve PORT        serve /metrics, /healthz, /stats and /trace over\n"
-      "                      HTTP on 127.0.0.1:PORT for the whole run (PORT 0\n"
-      "                      picks a free port; the bound port is printed)\n"
-      "  --trace-out FILE    record per-stage spans and write them as Chrome\n"
-      "                      trace-event JSON (load in Perfetto / about:tracing)\n");
+      "run provisions (1 - K) x the trace's measured demand per bin; capture\n"
+      "takes an absolute --capacity and runs until --duration S or SIGINT/TERM.\n"
+      "Port 0 binds a free port (printed). Both take the pipeline flags, each\n"
+      "also a config-file key (src/api/config.h), applied over the defaults\n"
+      "--strategy mmfs_pkt --queries counter,flows,application, then over\n"
+      "--config FILE, in order:\n"
+      "  --queries a,b,c --bin-us N --capacity CYCLES --threads N --shards N\n"
+      "  --shedder predictive|reactive|noshed|none --custom --oracle model|measured\n"
+      "  --strategy eq_srates|mmfs_cpu|mmfs_pkt|eq|cpu|pkt\n"
+      "  --csv FILE --jsonl FILE   per-bin rows\n"
+      "  --deadline F              per-bin wall-clock budget of F x the bin;\n"
+      "                            overruns climb a degradation ladder\n"
+      "  --ingest-cap N            bound the open bin at N records; --ingest-policy\n"
+      "                            block|drop-newest (default)|drop-oldest\n"
+      "  --fault-plan SPEC         fault injection: 'seed=7,stall_bin=3:80000'\n"
+      "  --sink-retries N          retry failed sink writes, then quarantine\n"
+      "  --checkpoint FILE         crash-safe snapshots every --checkpoint-every\n"
+      "                            bins; run --restore resumes from it\n"
+      "  --serve PORT              HTTP /metrics /healthz /stats /trace\n"
+      "plus --metrics-out FILE (Prometheus text at exit and on SIGUSR1) and\n"
+      "--trace-out FILE (per-stage spans as Chrome trace-event JSON).\n"
+      "Unknown flags, config keys and values exit 2 naming the culprit.\n");
   return 2;
 }
 
@@ -305,6 +290,16 @@ volatile std::sig_atomic_t g_stop_requested = 0;
 
 void RequestStop(int) { g_stop_requested = 1; }
 
+// Async-signal-safety: the handlers above only store to a volatile
+// sig_atomic_t — no stdio, allocation or locks run in signal context.
+void OnSignal(int signal, void (*handler)(int), int flags) {
+  struct sigaction action = {};
+  sigemptyset(&action.sa_mask);
+  action.sa_handler = handler;
+  action.sa_flags = flags;
+  sigaction(signal, &action, nullptr);
+}
+
 void DumpMetrics(const Pipeline& pipeline, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) {
@@ -345,189 +340,191 @@ void PrintResults(const Pipeline& pipeline) {
                   std::max<double>(1.0, static_cast<double>(pipeline.total_packets())));
 }
 
-int CmdRun(const Flags& flags) {
-  if (flags.positional().empty()) {
-    std::fprintf(stderr, "run: trace file required\n");
-    return 2;
+uint16_t PortFlag(const Flags& flags, const std::string& name) {
+  const uint64_t port = flags.GetU64(name, 0);
+  if (port > 65535) {
+    throw ConfigError("--" + name + ": expected a port (0-65535), got '" + flags.Get(name) + "'");
   }
-  const trace::Trace t = trace::LoadTrace(flags.positional()[0]);
+  return static_cast<uint16_t>(port);
+}
 
-  // --config loads the INI file as the baseline; every other flag still
-  // overrides it. Without --config the flag defaults apply as before.
-  const bool have_config = flags.Has("config");
-  api::FileConfig file_config;
-  if (have_config) {
-    file_config = api::ParseConfigFile(flags.Get("config"));
+// `run` and `capture` share everything but their input: a saved trace pushed
+// record by record, or live sources whose consumer thread drives Push and
+// AdvanceTime while this thread waits for a signal or --duration.
+int CmdPipeline(const Flags& flags, bool live) {
+  const char* verb = live ? "capture" : "run";
+  // One defaults list for both verbs, applied before --config and the flags.
+  const api::Setting defaults[] = {
+      {api::FindKey("system.strategy"), "mmfs_pkt", "default strategy"},
+      {api::FindKey("queries.add"), "counter,flows,application", "default queries"}};
+  PipelineBuilder builder;
+  api::ApplySettings(builder, defaults);
+  if (flags.Has("config")) {
+    api::ApplySettings(builder, api::ReadConfigFile(flags.Get("config")));
   }
-  // "Set this knob" = the flag was passed, or there is no config file to
-  // defer to (then the CLI defaults fill in).
-  const auto overrides = [&](const char* key) { return !have_config || flags.Has(key); };
+  api::ApplySettings(builder, flags.settings());
 
-  if (flags.Has("queries") || file_config.queries.empty()) {
-    file_config.queries = SplitCsv(flags.Get("queries", "counter,flows,application"));
-  }
-  const std::vector<std::string>& queries = file_config.queries;
-  if (overrides("oracle")) {
-    file_config.oracle = flags.Get("oracle", "model") == "measured"
-                             ? core::OracleKind::kMeasured
-                             : core::OracleKind::kModel;
-  }
-  const core::OracleKind oracle = file_config.oracle;
-
-  PipelineBuilder builder = PipelineBuilder::FromConfig(file_config);
-  if (overrides("bin-us")) {
-    builder.TimeBin(flags.GetU64("bin-us", 100'000));
-  }
-  if (overrides("shedder")) {
-    const std::string shedder = flags.Get("shedder", "predictive");
-    builder.Shedder(shedder == "reactive" ? core::ShedderKind::kReactive
-                    : shedder == "none"   ? core::ShedderKind::kNoShed
-                                          : core::ShedderKind::kPredictive);
-  }
-  if (overrides("strategy")) {
-    const std::string strategy = flags.Get("strategy", "pkt");
-    builder.Strategy(strategy == "eq"    ? shed::StrategyKind::kEqSrates
-                     : strategy == "cpu" ? shed::StrategyKind::kMmfsCpu
-                                         : shed::StrategyKind::kMmfsPkt);
-  }
-  if (flags.Has("custom") || !have_config) {
-    builder.CustomShedding(flags.Has("custom"));
-  }
-  if (overrides("threads")) {
-    builder.Threads(flags.GetU64("threads", 0));
-  }
-  if (overrides("shards")) {
-    // Intra-query sharding: split one query's bin batch across the worker
-    // pool (only effective with --threads > 0); results are bit-identical at
-    // any shard count.
-    builder.MaxShardsPerQuery(flags.GetU64("shards", 1));
-  }
-
-  // Capacity: --k provisions a fraction of the measured demand. A config
-  // file's explicit cycles_per_bin wins unless --k is passed.
+  trace::Trace t;
   const double k = flags.GetDouble("k", 0.5);
-  double capacity = builder.config().cycles_per_bin;
-  if (overrides("k") || capacity <= 0.0) {
-    const double demand =
-        core::MeasureMeanDemand(queries, t, oracle, builder.config().time_bin_us);
-    capacity = std::max(1.0, demand * (1.0 - k));
-    builder.CyclesPerBin(capacity);
-  }
-
-  // Sinks go through the builder so the rt layer (retry/quarantine) can wrap
-  // them when --sink-retries is passed.
-  if (flags.Has("csv")) {
-    builder.CsvTo(flags.Get("csv"));
-  }
-  if (flags.Has("jsonl")) {
-    builder.JsonlTo(flags.Get("jsonl"));
-  }
-
-  // Overload-protection knobs (src/rt).
-  if (flags.Has("deadline")) {
-    builder.Deadline(flags.GetDouble("deadline", 0.9));
-  }
-  if (flags.Has("ingest-cap")) {
-    const std::string policy = flags.Get("ingest-policy", "drop-newest");
-    builder.IngestCap(flags.GetU64("ingest-cap", 0),
-                      policy == "block"         ? rt::OverflowPolicy::kBlock
-                      : policy == "drop-oldest" ? rt::OverflowPolicy::kDropOldest
-                                                : rt::OverflowPolicy::kDropNewest);
-  }
-  if (flags.Has("fault-plan")) {
-    builder.InjectFaults(rt::FaultPlan::Parse(flags.Get("fault-plan")));
-  }
-  if (flags.Has("sink-retries")) {
-    rt::RetryPolicy retry;
-    retry.max_retries = static_cast<size_t>(flags.GetU64("sink-retries", retry.max_retries));
-    builder.SinkRetry(retry);
-  }
-  if (flags.Has("checkpoint")) {
-    builder.CheckpointTo(flags.Get("checkpoint"));
-    if (flags.Has("checkpoint-every")) {
-      builder.CheckpointEvery(flags.GetU64("checkpoint-every", 0));
+  if (live) {
+    capture::CaptureConfig capture_config;
+    if (flags.Has("listen-udp")) {
+      capture_config.sources.push_back(capture::SourceSpec::Udp(PortFlag(flags, "listen-udp")));
+    }
+    if (flags.Has("listen-tcp")) {
+      capture_config.sources.push_back(capture::SourceSpec::Tcp(PortFlag(flags, "listen-tcp")));
+    }
+    if (flags.Has("follow-pcap")) {
+      capture_config.sources.push_back(capture::SourceSpec::PcapFile(flags.Get("follow-pcap")));
+    }
+    if (capture_config.sources.empty()) {
+      throw ConfigError("at least one of --listen-udp / --listen-tcp / --follow-pcap required");
+    }
+    capture_config.slots = flags.GetU64("slots", capture_config.slots);
+    capture_config.snap_bytes =
+        static_cast<uint32_t>(flags.GetU64("snap", capture_config.snap_bytes));
+    capture_config.queue_capacity = flags.GetU64("queue", capture_config.queue_capacity);
+    if (flags.Has("overflow")) {
+      capture_config.overflow = api::ParseOverflowPolicy("--overflow", flags.Get("overflow"));
+    }
+    capture_config.late_slack_us = flags.GetU64("late-slack-us", capture_config.late_slack_us);
+    // Live capture has no trace to measure demand against, so capacity is an
+    // absolute cycle budget: --capacity, or the config file's cycles_per_bin.
+    if (builder.config().cycles_per_bin <= 0.0) {
+      throw ConfigError("--capacity CYCLES required (or a config file with cycles_per_bin)");
+    }
+    builder.CaptureFrom(capture_config);
+  } else {
+    if (flags.positional().empty()) {
+      throw ConfigError("trace file required");
+    }
+    t = trace::LoadTrace(flags.positional()[0]);
+    // --k provisions a fraction of the measured demand; an explicit
+    // --capacity or config-file cycles_per_bin wins unless --k is passed.
+    if (flags.Has("k") || builder.config().cycles_per_bin <= 0.0) {
+      const double demand = core::MeasureMeanDemand(builder.query_names(), t, builder.oracle(),
+                                                    builder.config().time_bin_us);
+      builder.CyclesPerBin(std::max(1.0, demand * (1.0 - k)));
     }
   }
-
-  // Observability surfaces (src/obs): both are one-way — spans and scrapes
-  // never feed back into shedding decisions, so results stay bit-identical.
-  if (flags.Has("trace-out")) {
+  const std::string trace_out = flags.Get("trace-out");
+  if (!trace_out.empty()) {
     builder.Tracing();
   }
-  if (flags.Has("serve")) {
-    builder.ServeOn(static_cast<uint16_t>(flags.GetU64("serve", 0)));
+
+  // Install the handlers before any listener opens so an early signal is
+  // never lost. No SA_RESTART for the stop signals: they must break the wait
+  // loop's sleep; SIGUSR1 keeps trace-file reads transparent to it.
+  if (live) {
+    OnSignal(SIGINT, RequestStop, 0);
+    OnSignal(SIGTERM, RequestStop, 0);
+  }
+  const std::string metrics_out = flags.Get("metrics-out");
+  if (!metrics_out.empty()) {
+    OnSignal(SIGUSR1, RequestMetricsDump, SA_RESTART);
   }
 
   std::unique_ptr<Pipeline> pipeline;
   uint64_t resume_us = 0;
-  if (flags.Has("restore") && flags.Has("checkpoint")) {
-    pipeline = builder.RestoreOrBuild(flags.Get("checkpoint"));
-    if (pipeline->next_bin() > 0) {
-      resume_us = pipeline->next_bin() * pipeline->time_bin_us();
+  if (flags.Switch("restore")) {
+    const std::string checkpoint = flags.Get("checkpoint");
+    if (checkpoint.empty()) {
+      throw ConfigError("--restore needs --checkpoint FILE");
+    }
+    pipeline = builder.RestoreOrBuild(checkpoint);
+    resume_us = pipeline->next_bin() * pipeline->time_bin_us();
+    if (resume_us > 0) {
       std::fprintf(stderr, "run: restored %s, resuming at bin %llu (t=%.1f s)\n",
-                   flags.Get("checkpoint").c_str(),
-                   static_cast<unsigned long long>(pipeline->next_bin()),
+                   checkpoint.c_str(), static_cast<unsigned long long>(pipeline->next_bin()),
                    static_cast<double>(resume_us) * 1e-6);
-      // Builder sinks only attach on fresh builds; re-add them so the
-      // resumed run keeps streaming rows (without the rt retry wrapper).
-      if (flags.Has("csv")) {
-        pipeline->AddObserver(std::make_unique<CsvBinSink>(flags.Get("csv")));
-      }
-      if (flags.Has("jsonl")) {
-        pipeline->AddObserver(std::make_unique<JsonlBinSink>(flags.Get("jsonl")));
-      }
     }
   } else {
     pipeline = builder.BuildUnique();
   }
 
-  const std::string metrics_out = flags.Get("metrics-out");
-  if (!metrics_out.empty()) {
-    // Async-signal-safety: the handler only stores to a volatile
-    // sig_atomic_t — no stdio, allocation or locks run in signal context;
-    // the dump itself happens on the main loop between Push calls.
-    // SA_RESTART keeps trace-file reads transparent to the interruption.
-    struct sigaction action = {};
-    sigemptyset(&action.sa_mask);
-    action.sa_handler = RequestMetricsDump;
-    action.sa_flags = SA_RESTART;
-    sigaction(SIGUSR1, &action, nullptr);
+  // Wrappers parse the "capturing" and "serving" lines to find bound ports
+  // (port 0 binds an ephemeral one), so keep their shape stable.
+  if (const capture::CaptureLoop* loop = pipeline->capture(); loop != nullptr) {
+    for (size_t i = 0; i < loop->num_sources(); ++i) {
+      const capture::SourceSpec& spec = loop->config().sources[i];
+      if (spec.kind == capture::SourceSpec::Kind::kPcapFile) {
+        std::printf("capturing pcap://%s\n", spec.path.c_str());
+      } else {
+        std::printf("capturing %s://127.0.0.1:%u\n", capture::SourceKindName(spec.kind),
+                    loop->port(i));
+      }
+    }
   }
-
-  if (flags.Has("serve")) {
-    // Wrappers parse this line to find the bound port (--serve 0 binds an
-    // ephemeral one), so keep its shape stable.
+  if (pipeline->serve_port() != 0) {
     std::printf("serving http://127.0.0.1:%u (/metrics /healthz /stats /trace)\n",
                 pipeline->serve_port());
   }
-  std::printf("running %zu queries at overload K=%.2f (capacity %.3g cycles/bin, %s)\n\n",
-              queries.size(), k, capacity,
-              oracle == core::OracleKind::kMeasured ? "measured cycles" : "model cycles");
+  const double capacity = builder.config().cycles_per_bin;
+  if (live) {
+    std::printf("running %zu queries (capacity %.3g cycles/bin); stop with SIGINT/SIGTERM\n\n",
+                pipeline->num_queries(), capacity);
+  } else {
+    std::printf("running %zu queries at overload K=%.2f (capacity %.3g cycles/bin, %s)\n\n",
+                pipeline->num_queries(), k, capacity,
+                builder.oracle() == core::OracleKind::kMeasured ? "measured cycles"
+                                                                : "model cycles");
+  }
   // Progress marker for wrappers (stdout is block-buffered when piped): the
-  // banner doubles as "the SIGUSR1 handler is installed, the run is live".
+  // banner doubles as "the signal handlers are installed, the run is live".
   std::fflush(stdout);
-  for (const net::PacketRecord& packet : t.packets) {
-    if (packet.ts_us < resume_us) {
-      continue;  // bins the restored checkpoint already covers
-    }
+
+  const auto poll_metrics_dump = [&] {
     if (g_metrics_dump_requested != 0 && !metrics_out.empty()) {
       g_metrics_dump_requested = 0;
       DumpMetrics(*pipeline, metrics_out);
-      std::fprintf(stderr, "run: metrics dumped to %s (SIGUSR1)\n", metrics_out.c_str());
+      std::fprintf(stderr, "%s: metrics dumped to %s (SIGUSR1)\n", verb, metrics_out.c_str());
     }
-    pipeline->Push(net::Packet::View(packet));
+  };
+  if (live) {
+    const double duration_s = flags.GetDouble("duration", 0.0);
+    const std::shared_ptr<rt::Clock> clock = rt::DefaultClock();
+    const uint64_t start_us = clock->NowUs();
+    while (g_stop_requested == 0 &&
+           (duration_s <= 0.0 ||
+            static_cast<double>(clock->NowUs() - start_us) < duration_s * 1e6)) {
+      poll_metrics_dump();
+      clock->SleepUs(50'000);
+    }
+  } else {
+    for (const net::PacketRecord& packet : t.packets) {
+      if (packet.ts_us < resume_us) {
+        continue;  // bins the restored checkpoint already covers
+      }
+      poll_metrics_dump();
+      pipeline->Push(net::Packet::View(packet));
+    }
   }
-  pipeline->Finish();
+  pipeline->Finish();  // stops capture, drains the ring, closes the last bin
   if (!metrics_out.empty()) {
     DumpMetrics(*pipeline, metrics_out);
   }
-  if (flags.Has("trace-out")) {
-    pipeline->DumpTrace(flags.Get("trace-out"));
+  if (!trace_out.empty()) {
+    pipeline->DumpTrace(trace_out);
   }
 
+  if (live) {
+    const capture::CaptureStats cs = pipeline->capture_stats();
+    std::printf("capture: %llu frames (%llu bytes), %llu decoded packets, %llu truncated\n",
+                static_cast<unsigned long long>(cs.frames),
+                static_cast<unsigned long long>(cs.bytes),
+                static_cast<unsigned long long>(cs.packets),
+                static_cast<unsigned long long>(cs.truncated));
+    std::printf(
+        "capture drops: %llu total (%llu queue, %llu no-slot, %llu late, %llu decode)\n",
+        static_cast<unsigned long long>(cs.dropped()),
+        static_cast<unsigned long long>(cs.dropped_queue),
+        static_cast<unsigned long long>(cs.dropped_no_slot),
+        static_cast<unsigned long long>(cs.dropped_late),
+        static_cast<unsigned long long>(cs.dropped_decode));
+  }
   PrintResults(*pipeline);
-  if (flags.Has("deadline") || flags.Has("ingest-cap") || flags.Has("checkpoint")) {
-    const api::PipelineStats stats = pipeline->Stats();
+  const api::PipelineStats stats = pipeline->Stats();
+  if (pipeline->governor() != nullptr || stats.ingest_dropped > 0 || stats.checkpoints > 0) {
     std::printf(
         "rt: %llu deadline misses, degradation level %d, %llu ingest drops, "
         "%llu checkpoints\n",
@@ -535,214 +532,13 @@ int CmdRun(const Flags& flags) {
         static_cast<unsigned long long>(stats.ingest_dropped),
         static_cast<unsigned long long>(stats.checkpoints));
   }
-  if (flags.Has("csv")) {
-    std::printf("per-bin log written to %s\n", flags.Get("csv").c_str());
-  }
-  if (flags.Has("jsonl")) {
-    std::printf("per-bin log written to %s\n", flags.Get("jsonl").c_str());
-  }
-  if (flags.Has("trace-out")) {
-    std::printf("trace (Chrome trace-event JSON) written to %s\n",
-                flags.Get("trace-out").c_str());
-  }
-  if (!metrics_out.empty()) {
-    std::printf("metrics (Prometheus text format) written to %s\n", metrics_out.c_str());
-  }
-  return 0;
-}
-
-// shedmon capture: the same pipeline as `run`, fed by live sources instead
-// of a saved trace. The capture consumer thread drives Push/AdvanceTime; this
-// thread only waits for a signal, a --duration expiry, or a SIGUSR1 dump.
-int CmdCapture(const Flags& flags) {
-  capture::CaptureConfig capture_config;
-  if (flags.Has("listen-udp")) {
-    capture_config.sources.push_back(
-        capture::SourceSpec::Udp(static_cast<uint16_t>(flags.GetU64("listen-udp", 0))));
-  }
-  if (flags.Has("listen-tcp")) {
-    capture_config.sources.push_back(
-        capture::SourceSpec::Tcp(static_cast<uint16_t>(flags.GetU64("listen-tcp", 0))));
-  }
-  if (flags.Has("follow-pcap")) {
-    capture_config.sources.push_back(capture::SourceSpec::PcapFile(flags.Get("follow-pcap")));
-  }
-  if (capture_config.sources.empty()) {
-    std::fprintf(stderr,
-                 "capture: at least one of --listen-udp / --listen-tcp / "
-                 "--follow-pcap required\n");
-    return 2;
-  }
-  capture_config.slots = flags.GetU64("slots", capture_config.slots);
-  capture_config.snap_bytes =
-      static_cast<uint32_t>(flags.GetU64("snap", capture_config.snap_bytes));
-  capture_config.queue_capacity = flags.GetU64("queue", capture_config.queue_capacity);
-  const std::string overflow = flags.Get("overflow", "block");
-  capture_config.overflow = overflow == "drop-newest"   ? rt::OverflowPolicy::kDropNewest
-                            : overflow == "drop-oldest" ? rt::OverflowPolicy::kDropOldest
-                                                        : rt::OverflowPolicy::kBlock;
-  capture_config.late_slack_us = flags.GetU64("late-slack-us", capture_config.late_slack_us);
-
-  const bool have_config = flags.Has("config");
-  api::FileConfig file_config;
-  if (have_config) {
-    file_config = api::ParseConfigFile(flags.Get("config"));
-  }
-  if (flags.Has("queries") || file_config.queries.empty()) {
-    file_config.queries = SplitCsv(flags.Get("queries", "counter,flows,application"));
-  }
-
-  PipelineBuilder builder = PipelineBuilder::FromConfig(file_config);
-  if (!have_config || flags.Has("bin-us")) {
-    builder.TimeBin(flags.GetU64("bin-us", 100'000));
-  }
-  // Live capture has no trace to measure demand against, so capacity is an
-  // absolute cycle budget: --capacity, or the config file's cycles_per_bin.
-  if (flags.Has("capacity")) {
-    builder.CyclesPerBin(flags.GetDouble("capacity", 0.0));
-  } else if (builder.config().cycles_per_bin <= 0.0) {
-    std::fprintf(stderr,
-                 "capture: --capacity CYCLES required (or a config file with "
-                 "cycles_per_bin)\n");
-    return 2;
-  }
-  if (flags.Has("shedder")) {
-    const std::string shedder = flags.Get("shedder", "predictive");
-    builder.Shedder(shedder == "reactive" ? core::ShedderKind::kReactive
-                    : shedder == "none"   ? core::ShedderKind::kNoShed
-                                          : core::ShedderKind::kPredictive);
-  }
-  if (flags.Has("strategy")) {
-    const std::string strategy = flags.Get("strategy", "pkt");
-    builder.Strategy(strategy == "eq"    ? shed::StrategyKind::kEqSrates
-                     : strategy == "cpu" ? shed::StrategyKind::kMmfsCpu
-                                         : shed::StrategyKind::kMmfsPkt);
-  }
-  if (flags.Has("custom")) {
-    builder.CustomShedding(true);
-  }
-  if (flags.Has("threads")) {
-    builder.Threads(flags.GetU64("threads", 0));
-  }
-  if (flags.Has("shards")) {
-    builder.MaxShardsPerQuery(flags.GetU64("shards", 1));
-  }
-  if (flags.Has("csv")) {
-    builder.CsvTo(flags.Get("csv"));
-  }
-  if (flags.Has("jsonl")) {
-    builder.JsonlTo(flags.Get("jsonl"));
-  }
-  if (flags.Has("deadline")) {
-    builder.Deadline(flags.GetDouble("deadline", 0.9));
-  }
-  if (flags.Has("ingest-cap")) {
-    const std::string policy = flags.Get("ingest-policy", "drop-newest");
-    builder.IngestCap(flags.GetU64("ingest-cap", 0),
-                      policy == "block"         ? rt::OverflowPolicy::kBlock
-                      : policy == "drop-oldest" ? rt::OverflowPolicy::kDropOldest
-                                                : rt::OverflowPolicy::kDropNewest);
-  }
-  if (flags.Has("trace-out")) {
-    builder.Tracing();
-  }
-  if (flags.Has("serve")) {
-    builder.ServeOn(static_cast<uint16_t>(flags.GetU64("serve", 0)));
-  }
-  builder.CaptureFrom(capture_config);
-
-  // Install the stop handler before the listeners open so an early signal is
-  // never lost; same flag-only async-signal discipline as SIGUSR1.
-  struct sigaction stop_action = {};
-  sigemptyset(&stop_action.sa_mask);
-  stop_action.sa_handler = RequestStop;
-  stop_action.sa_flags = 0;  // no SA_RESTART: break the wait loop's sleep
-  sigaction(SIGINT, &stop_action, nullptr);
-  sigaction(SIGTERM, &stop_action, nullptr);
-  const std::string metrics_out = flags.Get("metrics-out");
-  if (!metrics_out.empty()) {
-    struct sigaction action = {};
-    sigemptyset(&action.sa_mask);
-    action.sa_handler = RequestMetricsDump;
-    action.sa_flags = SA_RESTART;
-    sigaction(SIGUSR1, &action, nullptr);
-  }
-
-  std::unique_ptr<Pipeline> pipeline = builder.BuildUnique();
-
-  // Wrappers parse these lines to find bound ports (--listen-udp 0 binds an
-  // ephemeral one), so keep their shape stable.
-  const capture::CaptureLoop* loop = pipeline->capture();
-  for (size_t i = 0; i < loop->num_sources(); ++i) {
-    const capture::SourceSpec& spec = loop->config().sources[i];
-    switch (spec.kind) {
-      case capture::SourceSpec::Kind::kUdp:
-        std::printf("capturing udp://127.0.0.1:%u\n", loop->port(i));
-        break;
-      case capture::SourceSpec::Kind::kTcp:
-        std::printf("capturing tcp://127.0.0.1:%u\n", loop->port(i));
-        break;
-      case capture::SourceSpec::Kind::kPcapFile:
-        std::printf("capturing pcap://%s\n", spec.path.c_str());
-        break;
+  for (const char* sink : {"csv", "jsonl"}) {
+    if (flags.Has(sink)) {
+      std::printf("per-bin log written to %s\n", flags.Get(sink).c_str());
     }
   }
-  if (flags.Has("serve")) {
-    std::printf("serving http://127.0.0.1:%u (/metrics /healthz /stats /trace)\n",
-                pipeline->serve_port());
-  }
-  std::printf("running %zu queries (capacity %.3g cycles/bin); stop with SIGINT/SIGTERM\n\n",
-              pipeline->num_queries(), builder.config().cycles_per_bin);
-  std::fflush(stdout);
-
-  // The capture threads do all the work; wait here for a stop reason.
-  const double duration_s = flags.GetDouble("duration", 0.0);
-  const std::shared_ptr<rt::Clock> clock = rt::DefaultClock();
-  const uint64_t start_us = clock->NowUs();
-  while (g_stop_requested == 0) {
-    if (duration_s > 0.0 &&
-        static_cast<double>(clock->NowUs() - start_us) >= duration_s * 1e6) {
-      break;
-    }
-    if (g_metrics_dump_requested != 0 && !metrics_out.empty()) {
-      g_metrics_dump_requested = 0;
-      DumpMetrics(*pipeline, metrics_out);
-      std::fprintf(stderr, "capture: metrics dumped to %s (SIGUSR1)\n", metrics_out.c_str());
-    }
-    clock->SleepUs(50'000);
-  }
-
-  pipeline->Finish();  // stops capture, drains the ring, closes the last bin
-  if (!metrics_out.empty()) {
-    DumpMetrics(*pipeline, metrics_out);
-  }
-  if (flags.Has("trace-out")) {
-    pipeline->DumpTrace(flags.Get("trace-out"));
-  }
-
-  const capture::CaptureStats cs = pipeline->capture_stats();
-  std::printf("capture: %llu frames (%llu bytes), %llu decoded packets, %llu truncated\n",
-              static_cast<unsigned long long>(cs.frames),
-              static_cast<unsigned long long>(cs.bytes),
-              static_cast<unsigned long long>(cs.packets),
-              static_cast<unsigned long long>(cs.truncated));
-  std::printf(
-      "capture drops: %llu total (%llu queue, %llu no-slot, %llu late, %llu decode)\n",
-      static_cast<unsigned long long>(cs.dropped()),
-      static_cast<unsigned long long>(cs.dropped_queue),
-      static_cast<unsigned long long>(cs.dropped_no_slot),
-      static_cast<unsigned long long>(cs.dropped_late),
-      static_cast<unsigned long long>(cs.dropped_decode));
-  PrintResults(*pipeline);
-  if (flags.Has("csv")) {
-    std::printf("per-bin log written to %s\n", flags.Get("csv").c_str());
-  }
-  if (flags.Has("jsonl")) {
-    std::printf("per-bin log written to %s\n", flags.Get("jsonl").c_str());
-  }
-  if (flags.Has("trace-out")) {
-    std::printf("trace (Chrome trace-event JSON) written to %s\n",
-                flags.Get("trace-out").c_str());
+  if (!trace_out.empty()) {
+    std::printf("trace (Chrome trace-event JSON) written to %s\n", trace_out.c_str());
   }
   if (!metrics_out.empty()) {
     std::printf("metrics (Prometheus text format) written to %s\n", metrics_out.c_str());
@@ -802,39 +598,39 @@ int CmdQueries() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::vector<Verb> verbs = {
+      {"generate", CmdGenerate,
+       {"preset", "duration", "seed", "flows-per-s", "burstiness", "out", "pcap"}, {}, false},
+      {"info", CmdInfo, {}, {}, false},
+      {"export-pcap", CmdExportPcap, {"snaplen"}, {}, false},
+      {"inject-ddos", CmdInjectDdos,
+       {"out", "start", "duration", "pps", "on-off", "target-ip", "seed"}, {}, false},
+      {"run", [](const Flags& flags) { return CmdPipeline(flags, false); },
+       {"config", "k", "metrics-out", "trace-out"}, {"restore"}, true},
+      {"capture", [](const Flags& flags) { return CmdPipeline(flags, true); },
+       {"config", "metrics-out", "trace-out", "duration", "listen-udp", "listen-tcp",
+        "follow-pcap", "slots", "snap", "queue", "overflow", "late-slack-us"},
+       {}, true},
+      {"replay", CmdReplay, {"udp", "tcp", "pps"}, {}, false},
+      {"queries", [](const Flags&) { return CmdQueries(); }, {}, {}, false},
+  };
   if (argc < 2) {
     return Usage();
   }
   const std::string command = argv[1];
-  const Flags flags(argc, argv, 2);
+  const auto verb = std::find_if(verbs.begin(), verbs.end(),
+                                 [&](const Verb& v) { return v.name == command; });
+  if (verb == verbs.end()) {
+    return Usage();
+  }
   try {
-    if (command == "generate") {
-      return CmdGenerate(flags);
-    }
-    if (command == "info") {
-      return CmdInfo(flags);
-    }
-    if (command == "export-pcap") {
-      return CmdExportPcap(flags);
-    }
-    if (command == "inject-ddos") {
-      return CmdInjectDdos(flags);
-    }
-    if (command == "run") {
-      return CmdRun(flags);
-    }
-    if (command == "capture") {
-      return CmdCapture(flags);
-    }
-    if (command == "replay") {
-      return CmdReplay(flags);
-    }
-    if (command == "queries") {
-      return CmdQueries();
-    }
+    return verb->run(Flags(argc, argv, *verb));
+  } catch (const ConfigError& e) {
+    // A rejected flag, key or value: the operator's to fix, like bad usage.
+    std::fprintf(stderr, "shedmon %s: %s\n", command.c_str(), e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "shedmon %s: %s\n", command.c_str(), e.what());
     return 1;
   }
-  return Usage();
 }
