@@ -485,13 +485,14 @@ BENCHMARK(BM_PipelinePacketsShards)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Capture ingest: copied vs pinned payloads
+// Capture ingest: payload bytes copied into the open bin
 // ---------------------------------------------------------------------------
 
-// One giant open bin so the loop measures Push/PushPinned alone — no bin
-// closes, no query work. The copied_bytes_per_packet counter is the measurable
-// form of the capture front-end's zero-copy claim: the pinned path must report
-// 0.0 while the classic arena-copy path reports the mean payload size.
+// One giant open bin so the loop measures Push alone — no bin closes, no
+// query work. This is the capture front-end's per-packet ingest cost: the
+// consumer pushes every decoded frame's payload bytes, which the pipeline
+// copies into its arena, so copied_bytes_per_packet reports the mean payload
+// size.
 std::unique_ptr<api::Pipeline> IngestOnlyPipeline() {
   core::SystemConfig config;
   config.shedder = core::ShedderKind::kNoShed;
@@ -502,7 +503,7 @@ std::unique_ptr<api::Pipeline> IngestOnlyPipeline() {
   return builder.BuildUnique();
 }
 
-void RunCaptureIngest(benchmark::State& state, bool pinned) {
+void BM_CaptureIngestCopy(benchmark::State& state) {
   const trace::Trace& trace = SharedTrace();
   // Materialize every payload once up front; the bench then measures only
   // the ingest boundary, the same shape as capture slots feeding the
@@ -526,11 +527,7 @@ void RunCaptureIngest(benchmark::State& state, bool pinned) {
     const net::PacketRecord& rec = trace.packets[i];
     net::Packet packet{&rec, payloads[i].empty() ? nullptr : payloads[i].data(),
                        rec.payload_len};
-    if (pinned) {
-      pipeline->PushPinned(packet);
-    } else {
-      pipeline->Push(packet);
-    }
+    pipeline->Push(packet);
     payload_bytes += rec.payload_len;
     ++pushes;
     if (++i == trace.packets.size()) {
@@ -555,11 +552,7 @@ void RunCaptureIngest(benchmark::State& state, bool pinned) {
       pushes > 0 ? static_cast<double>(copied) / static_cast<double>(pushes) : 0.0;
 }
 
-void BM_CaptureIngestCopy(benchmark::State& state) { RunCaptureIngest(state, false); }
 BENCHMARK(BM_CaptureIngestCopy);
-
-void BM_CaptureIngestPinned(benchmark::State& state) { RunCaptureIngest(state, true); }
-BENCHMARK(BM_CaptureIngestPinned);
 
 }  // namespace
 

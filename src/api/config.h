@@ -56,7 +56,7 @@ class ConfigError : public std::invalid_argument {
 //   [rt]
 //   deadline          --deadline          number: per-bin budget as a bin fraction
 //   ingest_cap        --ingest-cap        unsigned: open-bin record bound
-//   ingest_policy     --ingest-policy     block | drop-newest | drop-oldest
+//   ingest_policy     --ingest-policy     drop-newest | drop-oldest
 //   fault_plan        --fault-plan        rt::FaultPlan spec, comma-separated
 //   sink_retries      --sink-retries      unsigned
 //   checkpoint        --checkpoint        checkpoint file path

@@ -37,7 +37,7 @@ class PipelineIngestSink final : public capture::IngestSink {
  public:
   explicit PipelineIngestSink(Pipeline* pipeline) : pipeline_(pipeline) {}
 
-  void PushPinned(const net::Packet& packet) override { pipeline_->PushPinned(packet); }
+  void Push(const net::Packet& packet) override { pipeline_->Push(packet); }
   void AdvanceTime(uint64_t target_us) override { pipeline_->AdvanceTime(target_us); }
   uint64_t NextBin() const override { return pipeline_->next_bin(); }
   uint64_t OpenBinStartUs() const override {
@@ -237,6 +237,7 @@ PipelineBuilder& PipelineBuilder::CaptureFrom(capture::CaptureConfig config) {
 }
 
 std::unique_ptr<Pipeline> PipelineBuilder::RestoreOrBuild(const std::string& path) const {
+  Validate();  // the builder's options are attached to a restored pipeline too
   std::unique_ptr<Pipeline> pipeline;
   std::ifstream in(path, std::ios::binary);
   if (in) {
@@ -317,6 +318,11 @@ void PipelineBuilder::Validate() const {
         throw ConfigError("CaptureFrom: pcap source needs a path");
       }
     }
+  }
+  if (ingest_cap_ > 0 && ingest_policy_ == rt::OverflowPolicy::kBlock) {
+    throw ConfigError(
+        "ingest_policy (--ingest-policy) block: Push cannot block on a full open bin, because "
+        "only the pushing thread can close it; use drop-newest or drop-oldest");
   }
   if (checkpoint_every_ > 0 && checkpoint_path_.empty()) {
     throw ConfigError("CheckpointEvery without CheckpointTo: no checkpoint path set");
@@ -559,12 +565,6 @@ void Pipeline::Push(const net::Packet& packet) {
   AppendRecord(record, packet.payload);
 }
 
-void Pipeline::PushPinned(const net::Packet& packet) {
-  net::PacketRecord record = *packet.rec;
-  record.payload_len = packet.payload_len;
-  AppendRecord(record, packet.payload, /*pin_payload=*/true);
-}
-
 void Pipeline::Push(std::span<const net::Packet> packets) {
   for (const net::Packet& packet : packets) {
     Push(packet);
@@ -577,8 +577,7 @@ void Pipeline::Push(const trace::Trace& trace) {
   }
 }
 
-void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes,
-                            bool pin_payload) {
+void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes) {
   EnsureOpen("Push");
   const uint64_t bin = record.ts_us / bin_us_;
   if (bin < open_bin_) {
@@ -588,35 +587,22 @@ void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payl
     FlushThrough(bin);
   }
   if (ingest_cap_ > 0 && open_records() >= ingest_cap_) {
-    switch (ingest_policy_) {
-      case rt::OverflowPolicy::kDropNewest:
-        ++ingest_dropped_;
-        if (m_ingest_dropped_ != nullptr) {
-          m_ingest_dropped_->Increment();
-        }
-        return;
-      case rt::OverflowPolicy::kDropOldest:
-        // Evict by advancing the head; the evicted payload bytes idle in the
-        // arena until the bin closes (see the ingest_head_ comment).
-        wire_bytes_ -= records_[ingest_head_].wire_len;
-        ++ingest_head_;
-        ++ingest_dropped_;
-        if (m_ingest_dropped_ != nullptr) {
-          m_ingest_dropped_->Increment();
-        }
-        break;
-      case rt::OverflowPolicy::kBlock:
-        // Backpressure at a synchronous facade is Push's own synchrony: the
-        // caller is already blocked for the duration of the call, so a full
-        // buffer simply keeps absorbing (i.e. the cap is advisory here).
-        break;
+    ++ingest_dropped_;
+    if (m_ingest_dropped_ != nullptr) {
+      m_ingest_dropped_->Increment();
     }
+    // Validate() admits only the two drop policies.
+    if (ingest_policy_ == rt::OverflowPolicy::kDropNewest) {
+      return;
+    }
+    // kDropOldest evicts by advancing the head; the evicted payload bytes
+    // idle in the arena until the bin closes (see the ingest_head_ comment).
+    wire_bytes_ -= records_[ingest_head_].wire_len;
+    ++ingest_head_;
   }
   records_.push_back(record);
-  const bool pin = pin_payload && payload_bytes != nullptr && record.payload_len > 0;
-  pinned_.push_back(pin ? payload_bytes : nullptr);
   payload_offsets_.push_back(arena_.size());
-  if (record.payload_len > 0 && !pin) {
+  if (record.payload_len > 0) {
     arena_.resize(arena_.size() + record.payload_len);
     uint8_t* dst = arena_.data() + payload_offsets_.back();
     if (payload_bytes != nullptr) {
@@ -653,11 +639,7 @@ void Pipeline::CloseOpenBin() {
     net::Packet packet;
     packet.rec = &records_[i];
     packet.payload_len = records_[i].payload_len;
-    // Pinned payloads alias the producer's buffer (capture slots, alive
-    // until this bin closes); everything else lives in the arena.
-    packet.payload = records_[i].payload_len == 0 ? nullptr
-                     : pinned_[i] != nullptr      ? pinned_[i]
-                                                  : arena_.data() + payload_offsets_[i];
+    packet.payload = records_[i].payload_len == 0 ? nullptr : arena_.data() + payload_offsets_[i];
     batch_.packets.push_back(packet);
   }
 
@@ -690,7 +672,6 @@ void Pipeline::CloseOpenBin() {
   records_.clear();
   payload_offsets_.clear();
   arena_.clear();
-  pinned_.clear();
   ingest_head_ = 0;
   wire_bytes_ = 0;
   ++bins_processed_;

@@ -75,9 +75,9 @@ struct PipelineStats {
   // Live-capture front-end tallies (all zero without CaptureFrom).
   uint64_t capture_packets = 0;  // frames decoded and pushed by the capture loop
   uint64_t capture_dropped = 0;  // capture-side losses (queue/slot/late/decode)
-  // Payload bytes memcpy'd out of caller buffers at ingestion. The pinned
-  // capture path keeps this at zero — the measurable form of "zero
-  // per-packet copies between the wire and the query batch".
+  // Payload bytes memcpy'd out of caller buffers into the open bin's arena
+  // at ingestion (Push with payload bytes, including every captured frame;
+  // materialized payloads are not copies).
   uint64_t ingest_copied_bytes = 0;
 };
 
@@ -192,11 +192,12 @@ class PipelineBuilder {
   // ---- Live capture (src/capture) -----------------------------------------
   // Attaches the live capture front-end: Build() opens the configured
   // sources (UDP/TCP listeners, pcap file follow) and starts a consumer
-  // thread that decodes frames in pre-allocated slots and pushes pinned
-  // packet views into the pipeline — zero per-packet payload copies — while
-  // driving AdvanceTime from the capture clock (the pipeline's rt clock
-  // unless the capture config injects its own). Build() throws ConfigError
-  // when a listener cannot bind or a pcap file cannot be opened.
+  // thread that decodes frames in pre-allocated slots and Pushes each one
+  // into the pipeline (the payload is copied into the open bin, freeing the
+  // slot at once) while driving AdvanceTime from the capture clock (the
+  // pipeline's rt clock unless the capture config injects its own). Build()
+  // throws ConfigError when a listener cannot bind or a pcap file cannot be
+  // opened.
   PipelineBuilder& CaptureFrom(capture::CaptureConfig config);
 
   // ---- Real-time robustness (src/rt) --------------------------------------
@@ -213,11 +214,12 @@ class PipelineBuilder {
   // steady-clock rt::SystemClock.
   PipelineBuilder& RtClock(std::shared_ptr<rt::Clock> clock);
   // Bounds the open-bin ingest buffer to `max_records` packets. kDropNewest
-  // rejects arrivals while full; kDropOldest evicts the oldest buffered
-  // record; kBlock (the default policy) means backpressure — which at this
-  // synchronous facade is simply Push's own synchrony, i.e. unbounded. 0
-  // disables (the default). Drops are tallied in PipelineStats and
-  // shedmon_rt_ingest_dropped_total, never in BinLog packet fields.
+  // (the default policy) rejects arrivals while full; kDropOldest evicts the
+  // oldest buffered record. kBlock is rejected by Validate(): the thread
+  // that pushes is the one that would have to close the bin, so a full bin
+  // can never drain by waiting. 0 disables (the default). Drops are tallied
+  // in PipelineStats and shedmon_rt_ingest_dropped_total, never in BinLog
+  // packet fields.
   PipelineBuilder& IngestCap(size_t max_records,
                              rt::OverflowPolicy policy = rt::OverflowPolicy::kDropNewest);
   // Attaches a seeded deterministic fault plan (see rt::FaultPlan) injected
@@ -239,7 +241,7 @@ class PipelineBuilder {
   // though the atomic checkpoint writer makes that exceedingly unlikely)
   // falls back to building fresh from this builder's configuration. The
   // sinks, event log and rt/obs options above are attached to the restored
-  // pipeline either way.
+  // pipeline either way, so the builder is validated like Build() first.
   std::unique_ptr<Pipeline> RestoreOrBuild(const std::string& path) const;
 
   const core::SystemConfig& config() const { return config_; }
@@ -368,14 +370,6 @@ class Pipeline {
   void Push(std::span<const net::Packet> packets);
   // Convenience: pushes a whole time-sorted trace record by record.
   void Push(const trace::Trace& trace);
-
-  // Zero-copy variant for callers that guarantee packet.payload stays valid
-  // until the packet's bin has closed (the capture front-end's slot
-  // contract). The record is still copied; only the payload bytes are
-  // borrowed instead of landing in the arena. A null payload with
-  // payload_len > 0 falls back to deterministic materialization, exactly
-  // like Push.
-  void PushPinned(const net::Packet& packet);
 
   // Declares that the clock reached `ts_us`: closes every bin that ends at
   // or before it (empty bins included) without pushing a packet. This is how
@@ -513,10 +507,7 @@ class Pipeline {
                        std::unique_ptr<query::Query> reference);
   // Appends one record to the open bin, closing earlier bins first; null
   // payload bytes mean "materialize deterministically from the record".
-  // pin_payload borrows the payload bytes instead of copying them into the
-  // arena (PushPinned's contract: they outlive the bin).
-  void AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes,
-                    bool pin_payload = false);
+  void AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes);
   // Closes bins until `bin_index` is the open one.
   void FlushThrough(uint64_t bin_index);
   // Processes the open bin's packets (possibly none), advances the reference
@@ -553,9 +544,6 @@ class Pipeline {
   std::vector<net::PacketRecord> records_;
   std::vector<size_t> payload_offsets_;
   std::vector<uint8_t> arena_;
-  // Parallel to records_: a non-null entry is a borrowed (pinned) payload
-  // view that replaces the arena bytes for that record (PushPinned).
-  std::vector<const uint8_t*> pinned_;
   size_t ingest_head_ = 0;
   uint64_t wire_bytes_ = 0;
   trace::Batch batch_;  // reused scratch; views point into records_/arena_
@@ -609,8 +597,7 @@ class Pipeline {
   std::atomic<obs::Tracer*> tracer_view_{nullptr};
   // Capture front-end, declared just before server_ so destruction stops
   // the HTTP endpoint first, then drains capture, and only then tears down
-  // the state both of them read. The loop (and thus slot memory backing any
-  // still-pinned payload views) outlives every open bin.
+  // the state both of them read.
   std::unique_ptr<capture::IngestSink> capture_sink_;
   std::unique_ptr<capture::CaptureLoop> capture_;
   std::unique_ptr<obs::ObsServer> server_;

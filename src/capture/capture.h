@@ -17,13 +17,15 @@ namespace shedmon::capture {
 
 // Live capture front-end: socket/file sources fill pre-allocated slots, a
 // ring of slot indices carries them to one consumer thread, and the consumer
-// decodes each Ethernet frame in place and pushes a *pinned* packet view into
-// the pipeline — zero per-packet payload copies between the wire and the
-// query batch. The consumer also drives the pipeline clock (AdvanceTime)
-// from an injectable rt::Clock, so bins close on wall time even when the
-// sources go quiet; with a ManualClock the wall contribution is zero and
-// binning is driven purely by embedded timestamps, which makes the whole
-// path bit-identical to an offline replay of the same records.
+// decodes each Ethernet frame in place and pushes it into the pipeline,
+// which copies the payload into the open bin's arena like any other Push.
+// A slot recycles as soon as its frame is pushed, so a bin of any size never
+// holds capture memory and never stalls the sources. The consumer also
+// drives the pipeline clock (AdvanceTime) from an injectable rt::Clock, so
+// bins close on wall time even when the sources go quiet; with a ManualClock
+// the wall contribution is zero and binning is driven purely by embedded
+// timestamps, which makes the whole path bit-identical to an offline replay
+// of the same records.
 
 // Replay framing. A datagram or stream record may carry the original trace
 // timestamp so live binning reproduces the offline one exactly. Big-endian.
@@ -77,8 +79,9 @@ struct CaptureConfig {
   std::vector<SourceSpec> sources;
 
   // Slot ring geometry. snap_bytes is the per-slot capture length; frames
-  // longer than it are truncated (and counted), like a pcap snaplen.
-  size_t slots = 2048;
+  // longer than it are truncated (and counted), like a pcap snaplen. The
+  // slot pool is derived, not configured: queue_capacity slots for the ring,
+  // one per source being filled and one being decoded.
   uint32_t snap_bytes = 2048;
   size_t queue_capacity = 1024;
   rt::OverflowPolicy overflow = rt::OverflowPolicy::kBlock;
@@ -105,9 +108,9 @@ class IngestSink {
  public:
   virtual ~IngestSink() = default;
 
-  // Push a packet whose payload pointer stays valid until the packet's bin
-  // closes (the capture loop guarantees slot lifetime; see CaptureLoop).
-  virtual void PushPinned(const net::Packet& packet) = 0;
+  // Push a packet (api::Pipeline::Push); the payload bytes are copied, so
+  // the slot they came from may be reused as soon as the call returns.
+  virtual void Push(const net::Packet& packet) = 0;
 
   // Close every bin strictly before target_us (api::Pipeline::AdvanceTime).
   virtual void AdvanceTime(uint64_t target_us) = 0;
@@ -141,9 +144,7 @@ struct CaptureShared;
 // Owns the sources, the slot pool/ring, and the consumer thread. Single-shot:
 // Start once, Stop once (idempotent). Stop is a clean drain — sources are
 // stopped and joined first, then the ring is closed and the consumer
-// processes everything already captured before exiting. Slot memory lives as
-// long as the loop object, so payload views pinned into a still-open
-// pipeline bin remain valid until the owner calls Pipeline::Finish.
+// processes everything already captured before exiting.
 class CaptureLoop {
  public:
   // `metrics` and `tracer` may be null. Throws std::invalid_argument on a

@@ -1,7 +1,6 @@
 #include "src/capture/capture.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -53,7 +52,7 @@ void CaptureLoop::Start() {
   if (running_ || stopped_) {
     throw std::logic_error("CaptureLoop::Start: single-shot; already started");
   }
-  shared_ = std::make_unique<CaptureShared>(config_.slots, config_.snap_bytes,
+  shared_ = std::make_unique<CaptureShared>(config_.sources.size(), config_.snap_bytes,
                                             config_.queue_capacity, config_.overflow);
   if (metrics_ != nullptr) {
     CaptureCounters& c = shared_->counters;
@@ -157,19 +156,6 @@ void CaptureLoop::ConsumerLoop() {
   uint64_t anchor_wall_us = 0;
   uint64_t advanced_us = 0;
 
-  // Slots pinned into the pipeline's open bin, oldest first, tagged with the
-  // bin they entered. A slot recycles only once its bin has closed — that is
-  // the zero-copy contract: the batch's payload views alias slot memory.
-  std::deque<std::pair<uint64_t, uint32_t>> inflight;
-
-  const auto release_completed = [&] {
-    const uint64_t next_bin = sink_->NextBin();
-    while (!inflight.empty() && inflight.front().first < next_bin) {
-      shared_->pool.Release(inflight.front().second);
-      inflight.pop_front();
-    }
-  };
-
   const auto advance_wall = [&] {
     if (!have_anchor) {
       return;
@@ -181,7 +167,6 @@ void CaptureLoop::ConsumerLoop() {
     if (target > advanced_us) {
       advanced_us = target;
       sink_->AdvanceTime(target);
-      release_completed();
     }
   };
 
@@ -193,7 +178,6 @@ void CaptureLoop::ConsumerLoop() {
     if (status != net::FrameDecodeStatus::kOk) {
       CaptureCounters::Bump(shared_->counters.dropped_decode,
                             shared_->counters.m_dropped_decode);
-      shared_->pool.Release(index);
       return;
     }
     uint64_t ts_us;
@@ -208,8 +192,8 @@ void CaptureLoop::ConsumerLoop() {
       ts_us = 0;
     }
     decoded.rec.ts_us = ts_us;
-    // Pin only bytes that exist: a snaplen-truncated payload shrinks the
-    // record, it never yields a view past the captured data.
+    // Copy only bytes that exist: a snaplen-truncated payload shrinks the
+    // record, it never reads past the captured data.
     decoded.rec.payload_len = decoded.payload_captured;
     if (!have_anchor) {
       have_anchor = true;
@@ -218,14 +202,10 @@ void CaptureLoop::ConsumerLoop() {
     }
     if (ts_us < sink_->OpenBinStartUs()) {
       CaptureCounters::Bump(shared_->counters.dropped_late, shared_->counters.m_dropped_late);
-      shared_->pool.Release(index);
       return;
     }
-    const net::Packet packet{&decoded.rec, decoded.payload, decoded.payload_captured};
-    sink_->PushPinned(packet);
+    sink_->Push(net::Packet{&decoded.rec, decoded.payload, decoded.payload_captured});
     CaptureCounters::Bump(shared_->counters.packets, shared_->counters.m_packets);
-    inflight.emplace_back(sink_->NextBin(), index);
-    release_completed();
   };
 
   for (;;) {
@@ -242,14 +222,13 @@ void CaptureLoop::ConsumerLoop() {
       obs::Span span(tracer_, obs::Stage::kCapture, static_cast<uint32_t>(sink_->NextBin()));
       do {
         handle_slot(*index);
+        // Push copied the payload, so the slot is free again at once.
+        shared_->pool.Release(*index);
         index = shared_->ring.TryPop();
       } while (index.has_value());
     }
     advance_wall();
   }
-  // Exiting with slots still inflight is correct: their payload views live
-  // in the pipeline's open bin, and slot memory persists until the loop
-  // object is destroyed (after Pipeline::Finish closes that bin).
 }
 
 }  // namespace shedmon::capture

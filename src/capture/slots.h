@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -10,10 +11,10 @@
 
 namespace shedmon::capture {
 
-// One pre-allocated capture buffer. A source fills `bytes` once per frame
-// and the consumer pins the decoded payload view straight out of it, so a
-// packet's payload bytes are written exactly once between the socket and
-// the query batch. The slot index (not the slot) travels through the ring.
+// One pre-allocated capture buffer. A source fills `bytes` once per frame,
+// the consumer decodes the frame in place and pushes it (the pipeline copies
+// the payload into its open bin), then the slot goes straight back to the
+// pool. The slot index (not the slot) travels through the ring.
 struct CaptureSlot {
   std::vector<uint8_t> bytes;
   uint32_t frame_off = 0;  // where the Ethernet frame starts inside bytes
@@ -82,10 +83,17 @@ struct CaptureCounters {
 
 // Everything the source threads and the consumer thread share: the slot
 // pool, the filled-slot ring, and the counters. Owned by CaptureLoop.
+//
+// A slot is in use only while it sits in the ring, while a source fills it
+// (at most one per source) or while the consumer decodes it (one), so a pool
+// of queue_capacity + sources + 1 slots can always serve an acquire (a
+// zero queue_capacity means a one-slot ring, as in rt::BoundedQueue).
 struct CaptureShared {
-  CaptureShared(size_t slots, uint32_t snap_bytes, size_t queue_capacity,
+  CaptureShared(size_t sources, uint32_t snap_bytes, size_t queue_capacity,
                 rt::OverflowPolicy policy)
-      : pool(slots, snap_bytes), ring(queue_capacity, policy), overflow(policy) {}
+      : pool(std::max<size_t>(queue_capacity, 1) + sources + 1, snap_bytes),
+        ring(queue_capacity, policy),
+        overflow(policy) {}
 
   SlotPool pool;
   rt::BoundedQueue<uint32_t> ring;

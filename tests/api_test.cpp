@@ -737,6 +737,21 @@ TEST(PipelineValidation, RejectsUnwritableSinkPathsBeforeBuildingASystem) {
   EXPECT_THROW(api::PipelineBuilder().AddQuery("no-such-query").Validate(), ConfigError);
 }
 
+TEST(PipelineValidation, RejectsABlockingIngestCap) {
+  // Push cannot wait for a full open bin to drain: the pushing thread is the
+  // one that closes it. Only the drop policies bound the bin.
+  const auto with_cap = [](size_t cap, rt::OverflowPolicy policy) {
+    return api::PipelineBuilder().AddQuery("counter").IngestCap(cap, policy);
+  };
+  EXPECT_THROW(with_cap(10, rt::OverflowPolicy::kBlock).Validate(), ConfigError);
+  EXPECT_THROW(with_cap(10, rt::OverflowPolicy::kBlock).Build(), ConfigError);
+  const std::string missing = ::testing::TempDir() + "shedmon_api_test_no_checkpoint.bin";
+  EXPECT_THROW(with_cap(10, rt::OverflowPolicy::kBlock).RestoreOrBuild(missing), ConfigError);
+  EXPECT_NO_THROW(with_cap(0, rt::OverflowPolicy::kBlock).Validate());  // no cap, no policy
+  EXPECT_NO_THROW(with_cap(10, rt::OverflowPolicy::kDropNewest).Validate());
+  EXPECT_NO_THROW(with_cap(10, rt::OverflowPolicy::kDropOldest).Validate());
+}
+
 // ---------------------------------------------------------------------------
 // Declarative roster, config files, Stats, metrics, event log
 // ---------------------------------------------------------------------------

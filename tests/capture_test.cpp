@@ -1,9 +1,10 @@
 // Live capture suite (src/capture): socket and pcap-follow sources must feed
-// the pipeline through pre-allocated slots with zero per-packet payload
-// copies, and — with an injected ManualClock freezing the wall-time
-// contribution — produce BinLogs bit-identical to an offline replay of the
-// same records, at every (threads x shards) combination. Protocol errors,
-// truncation and overload are counted, never crashed on.
+// the pipeline through pre-allocated slots that recycle as soon as each
+// frame is pushed, and — with an injected ManualClock freezing the
+// wall-time contribution — produce BinLogs bit-identical to an offline
+// replay of the same records, at every (threads x shards) combination and
+// for bins of any size. Protocol errors, truncation and overload are
+// counted, never crashed on.
 
 #include <gtest/gtest.h>
 
@@ -56,6 +57,16 @@ const trace::Trace& CaptureTrace() {
     return generated;
   }();
   return t;
+}
+
+// Payload bytes a lossless capture of `t` pushes: every decoded frame's
+// payload, which the pipeline copies into its open bin.
+uint64_t PayloadBytes(const trace::Trace& t) {
+  uint64_t bytes = 0;
+  for (const net::PacketRecord& rec : t.packets) {
+    bytes += rec.payload_len;
+  }
+  return bytes;
 }
 
 const std::vector<std::string>& CaptureQueries() {
@@ -165,8 +176,8 @@ TEST(Capture, TcpReplayIsBitIdenticalToOfflineAtEveryThreadAndShardCount) {
       EXPECT_EQ(stats.dropped(), 0u);
       EXPECT_EQ(stats.truncated, 0u);
       ExpectBinLogsIdentical(GoldenLog(), pipeline->log());
-      // Zero per-packet ingest copies: every payload was pinned slot memory.
-      EXPECT_EQ(pipeline->Stats().ingest_copied_bytes, 0u);
+      // Each captured payload is copied exactly once, out of its slot.
+      EXPECT_EQ(pipeline->Stats().ingest_copied_bytes, PayloadBytes(CaptureTrace()));
       EXPECT_EQ(pipeline->Stats().capture_packets, expected);
     }
   }
@@ -189,7 +200,42 @@ TEST(Capture, UdpReplayMatchesOfflineReplay) {
   }
   EXPECT_EQ(stats.dropped(), 0u);
   ExpectBinLogsIdentical(GoldenLog(), pipeline->log());
-  EXPECT_EQ(pipeline->Stats().ingest_copied_bytes, 0u);
+  EXPECT_EQ(pipeline->Stats().ingest_copied_bytes, PayloadBytes(CaptureTrace()));
+}
+
+TEST(Capture, BinLargerThanTheSlotPoolCompletesUnderAFrozenClock) {
+  // One 100 ms bin of 10,000 packets, far more than the shipping defaults'
+  // ring holds. Under a ManualClock no bin closes before Finish, so capture
+  // completes only if each slot recycles as soon as its frame is pushed.
+  constexpr size_t kPackets = 10'000;
+  const std::vector<net::PacketRecord>& records = CaptureTrace().packets;
+  trace::Trace big;
+  big.spec = CaptureTrace().spec;
+  for (size_t i = 0; i < kPackets; ++i) {
+    net::PacketRecord rec = records[i % records.size()];
+    rec.ts_us = i * 10;
+    big.packets.push_back(rec);
+  }
+  auto offline = Builder(0, 1).BuildUnique();
+  offline->Push(big);
+  offline->Finish();
+  ASSERT_EQ(offline->log().size(), 1u);
+
+  auto pipeline = BuildLive(0, 1, capture::SourceSpec::Tcp(0));
+  const uint16_t port = pipeline->capture()->port(0);
+  ASSERT_GT(port, 0);
+  // The sender runs on its own thread and the wait is bounded, so a capture
+  // that stalls fails here instead of hanging: Finish stops the source,
+  // which cuts the connection and lets the sender return.
+  size_t sent = 0;
+  std::thread sender([&] { sent = capture::ReplayTraceTcp(big, port); });
+  const bool drained = WaitUntil([&] { return pipeline->capture_stats().packets >= kPackets; });
+  pipeline->Finish();
+  sender.join();
+  ASSERT_TRUE(drained) << "stalled at " << pipeline->capture_stats().packets << "/" << kPackets;
+  EXPECT_EQ(sent, kPackets);
+  EXPECT_EQ(pipeline->capture_stats().dropped(), 0u);
+  ExpectBinLogsIdentical(offline->log(), pipeline->log());
 }
 
 TEST(Capture, PcapFollowTailsAGrowingFile) {
@@ -430,51 +476,6 @@ TEST(Capture, MetricsAndSpansCoverTheCaptureStage) {
     saw_capture_span = saw_capture_span || span.stage == obs::Stage::kCapture;
   }
   EXPECT_TRUE(saw_capture_span);
-}
-
-// ---------------------------------------------------------------------------
-// PushPinned (the zero-copy ingest contract, without sockets)
-// ---------------------------------------------------------------------------
-
-TEST(Capture, PushPinnedBorrowsPayloadAndCopiesNothing) {
-  auto pinned_pipeline = Builder(0, 1).BuildUnique();
-  auto copied_pipeline = Builder(0, 1).BuildUnique();
-
-  // Stable payload storage: PushPinned's contract is that these bytes
-  // outlive the bin, which a vector declared before the loop satisfies.
-  std::vector<std::vector<uint8_t>> storage;
-  storage.reserve(CaptureTrace().packets.size());
-  for (const net::PacketRecord& rec : CaptureTrace().packets) {
-    storage.emplace_back(rec.payload_len);
-    if (rec.payload_len > 0) {
-      trace::MaterializePayload(rec, storage.back().data());
-    }
-    net::Packet packet;
-    packet.rec = &rec;
-    packet.payload = rec.payload_len > 0 ? storage.back().data() : nullptr;
-    packet.payload_len = rec.payload_len;
-    pinned_pipeline->PushPinned(packet);
-    copied_pipeline->Push(packet);
-  }
-  pinned_pipeline->Finish();
-  copied_pipeline->Finish();
-
-  // Same packets, same results; only the copy accounting differs.
-  ExpectBinLogsIdentical(copied_pipeline->log(), pinned_pipeline->log());
-  EXPECT_EQ(pinned_pipeline->Stats().ingest_copied_bytes, 0u);
-  EXPECT_GT(copied_pipeline->Stats().ingest_copied_bytes, 0u);
-}
-
-TEST(Capture, PushPinnedWithNullPayloadFallsBackToMaterialization) {
-  auto pinned_pipeline = Builder(0, 1).BuildUnique();
-  auto classic_pipeline = Builder(0, 1).BuildUnique();
-  for (const net::PacketRecord& rec : CaptureTrace().packets) {
-    pinned_pipeline->PushPinned(net::Packet::View(rec));
-    classic_pipeline->Push(net::Packet::View(rec));
-  }
-  pinned_pipeline->Finish();
-  classic_pipeline->Finish();
-  ExpectBinLogsIdentical(classic_pipeline->log(), pinned_pipeline->log());
 }
 
 }  // namespace

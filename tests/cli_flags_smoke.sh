@@ -44,9 +44,13 @@ expect_rejected() {
 expect_rejected --strategy "$CLI" run t.smt --strategy typo
 expect_rejected --shedder "$CLI" run t.smt --shedder bogus
 expect_rejected --ingest-policy "$CLI" run t.smt --ingest-cap 10 --ingest-policy dropp-oldest
+# A capped open bin cannot block: the pushing thread is the one that closes it.
+expect_rejected --ingest-policy "$CLI" run t.smt --ingest-cap 10 --ingest-policy block
 expect_rejected --oracle "$CLI" run t.smt --oracle measurd
 expect_rejected --thread "$CLI" run t.smt --thread 4
 expect_rejected --k "$CLI" run t.smt --k 0.5x
 expect_rejected --overflow "$CLI" capture --listen-udp 0 --capacity 5e6 --overflow x
+# The slot pool is derived from --queue and the source count.
+expect_rejected --slots "$CLI" capture --listen-udp 0 --capacity 5e6 --slots 8
 
 echo "cli flags smoke: OK"

@@ -152,7 +152,7 @@ int Usage() {
       "              [--on-off S] [--target-ip HEX]\n"
       "  run         FILE [--k 0.5] [--restore] [pipeline flags]\n"
       "  capture     --listen-udp PORT | --listen-tcp PORT | --follow-pcap FILE\n"
-      "              --capacity CYCLES [--duration S] [--slots N] [--snap BYTES]\n"
+      "              --capacity CYCLES [--duration S] [--snap BYTES]\n"
       "              [--queue N] [--overflow block|drop-newest|drop-oldest]\n"
       "              [--late-slack-us N] [pipeline flags]\n"
       "  replay      FILE --udp PORT | --tcp PORT [--pps N]\n"
@@ -171,7 +171,7 @@ int Usage() {
       "  --deadline F              per-bin wall-clock budget of F x the bin;\n"
       "                            overruns climb a degradation ladder\n"
       "  --ingest-cap N            bound the open bin at N records; --ingest-policy\n"
-      "                            block|drop-newest (default)|drop-oldest\n"
+      "                            drop-newest (default)|drop-oldest\n"
       "  --fault-plan SPEC         fault injection: 'seed=7,stall_bin=3:80000'\n"
       "  --sink-retries N          retry failed sink writes, then quarantine\n"
       "  --checkpoint FILE         crash-safe snapshots every --checkpoint-every\n"
@@ -380,7 +380,6 @@ int CmdPipeline(const Flags& flags, bool live) {
     if (capture_config.sources.empty()) {
       throw ConfigError("at least one of --listen-udp / --listen-tcp / --follow-pcap required");
     }
-    capture_config.slots = flags.GetU64("slots", capture_config.slots);
     capture_config.snap_bytes =
         static_cast<uint32_t>(flags.GetU64("snap", capture_config.snap_bytes));
     capture_config.queue_capacity = flags.GetU64("queue", capture_config.queue_capacity);
@@ -609,7 +608,7 @@ int main(int argc, char** argv) {
        {"config", "k", "metrics-out", "trace-out"}, {"restore"}, true},
       {"capture", [](const Flags& flags) { return CmdPipeline(flags, true); },
        {"config", "metrics-out", "trace-out", "duration", "listen-udp", "listen-tcp",
-        "follow-pcap", "slots", "snap", "queue", "overflow", "late-slack-us"},
+        "follow-pcap", "snap", "queue", "overflow", "late-slack-us"},
        {}, true},
       {"replay", CmdReplay, {"udp", "tcp", "pps"}, {}, false},
       {"queries", [](const Flags&) { return CmdQueries(); }, {}, {}, false},
