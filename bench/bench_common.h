@@ -4,7 +4,9 @@
 // table or figure of the thesis (see DESIGN.md §5) and prints the same rows
 // or series the paper reports, scaled to seconds of synthetic traffic.
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -41,28 +43,49 @@ struct BenchArgs {
   size_t threads = 0;
   size_t shards = 0;
 
+  // Any other argument, or a value that is not a whole number, prints usage
+  // and exits 2: `--oracle measured` must not silently run the model oracle.
   static BenchArgs Parse(int argc, char** argv) {
+    const auto usage = [&](std::FILE* out) {
+      std::fprintf(out,
+                   "usage: %s [--quick] [--seed=N] [--oracle=model|measured] [--threads=N] "
+                   "[--shards=N]\n",
+                   argv[0]);
+    };
+    const auto reject = [&](const std::string& arg) {
+      std::fprintf(stderr, "%s: bad argument '%s'\n", argv[0], arg.c_str());
+      usage(stderr);
+      std::exit(2);
+    };
+    const auto number = [&](const std::string& arg, size_t prefix) {
+      uint64_t value = 0;
+      const char* end = arg.data() + arg.size();
+      const auto [ptr, ec] = std::from_chars(arg.data() + prefix, end, value);
+      if (ec != std::errc() || ptr != end) {
+        reject(arg);
+      }
+      return value;
+    };
     BenchArgs args;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--quick") {
         args.quick = true;
       } else if (arg.rfind("--seed=", 0) == 0) {
-        args.seed_offset = std::stoull(arg.substr(7));
+        args.seed_offset = number(arg, 7);
       } else if (arg.rfind("--threads=", 0) == 0) {
-        args.threads = std::stoull(arg.substr(10));
+        args.threads = number(arg, 10);
       } else if (arg.rfind("--shards=", 0) == 0) {
-        args.shards = std::stoull(arg.substr(9));
+        args.shards = number(arg, 9);
       } else if (arg == "--oracle=measured") {
         args.oracle = core::OracleKind::kMeasured;
       } else if (arg == "--oracle=model") {
         args.oracle = core::OracleKind::kModel;
       } else if (arg == "--help" || arg == "-h") {
-        std::printf(
-            "usage: %s [--quick] [--seed=N] [--oracle=model|measured] [--threads=N] "
-            "[--shards=N]\n",
-            argv[0]);
+        usage(stdout);
         std::exit(0);
+      } else {
+        reject(arg);
       }
     }
     return args;

@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const auto& name : query::AllQueryNames()) {
     auto q = query::MakeQuery(name);
+    // The model oracle keys each query's work baseline by address, and this
+    // query may sit where the previous, destroyed one lived.
+    oracle->OnQueryAdded(q.get());
     trace::Batcher batcher(trace, 100'000);
     trace::Batch batch;
     double total = 0.0;

@@ -30,6 +30,9 @@ int main(int argc, char** argv) {
     for (const auto& method : {Method{"packet sampling", 0}, Method{"flow sampling", 1},
                                Method{"custom method", 2}}) {
       auto q = query::MakeQuery("p2p-detector");
+      // The model oracle keys each query's work baseline by address, and the
+      // queries of one method may sit where the previous method's lived.
+      oracle->OnQueryAdded(q.get());
       shed::PacketSampler pkt_sampler(41 + args.seed_offset);
       shed::FlowSampler flow_sampler(42 + args.seed_offset);
 
@@ -40,6 +43,7 @@ int main(int argc, char** argv) {
       size_t in_interval = 0;
       // Estimate the full cost with a shadow instance for the expected line.
       auto shadow = query::MakeQuery("p2p-detector");
+      oracle->OnQueryAdded(shadow.get());
       while (batcher.Next(batch)) {
         {
           query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};

@@ -58,6 +58,9 @@ inline PredictionRun RunPredictionExperiment(const trace::Trace& trace,
                                              size_t warmup_batches = 10) {
   PredictionRun run;
   auto query = query::MakeQuery(query_name);
+  // The model oracle keys each query's work baseline by address, and this
+  // query may sit where an earlier, destroyed one lived.
+  oracle.OnQueryAdded(query.get());
   auto predictor = predict::MakePredictor(config);
   features::FeatureExtractor extractor;
 

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "src/features/extractor.h"
+#include "src/predict/predictors.h"
 #include "src/query/queries.h"
 #include "src/util/stats.h"
 
@@ -51,9 +52,16 @@ double MeasureMeanDemand(const std::vector<std::string>& names, const trace::Tra
   }
 
   // The demand of a no-shedding bin also includes the prediction subsystem:
-  // one shared extraction plus a per-query re-extraction and model fit
-  // (Alg. 1). Measure one real extraction and scale it.
+  // one shared extraction plus, per query, a re-extraction and an FCBF + MLR
+  // refit over the history window (Alg. 1). Measure one real extraction and
+  // scale it. Run each query's refit for real, as the pipeline does, so a
+  // wall-measuring oracle charges what a bin pays for it.
   features::FeatureExtractor extractor;
+  const predict::PredictorConfig predictor_config;
+  std::vector<std::unique_ptr<predict::CostPredictor>> predictors;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    predictors.push_back(predict::MakePredictor(predictor_config));
+  }
 
   trace::Batcher batcher(trace, bin_us);
   trace::Batch batch;
@@ -61,17 +69,21 @@ double MeasureMeanDemand(const std::vector<std::string>& names, const trace::Tra
   std::vector<size_t> bins(queries.size(), 0);
   while (batcher.Next(batch)) {
     double bin_cycles = 0.0;
+    features::FeatureVector features{};
     WorkHint extract_hint{nullptr, &batch.packets, 0.0};
     const double extract = oracle->Run(WorkKind::kFeatureExtraction, extract_hint,
-                                       [&] { (void)extractor.Extract(batch.packets); });
+                                       [&] { features = extractor.Extract(batch.packets); });
     bin_cycles += extract * static_cast<double>(1 + queries.size());
     for (size_t q = 0; q < queries.size(); ++q) {
       query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
       WorkHint hint{queries[q].get(), &batch.packets, 0.0};
-      bin_cycles +=
+      const double used =
           oracle->Run(WorkKind::kQuery, hint, [&] { queries[q]->ProcessBatch(in); });
-      WorkHint fit_hint{queries[q].get(), nullptr, 60.0};
-      bin_cycles += oracle->Run(WorkKind::kFcbfMlr, fit_hint, [] {});
+      bin_cycles += used;
+      WorkHint fit_hint{queries[q].get(), nullptr,
+                        static_cast<double>(predictor_config.history)};
+      bin_cycles += oracle->Run(WorkKind::kFcbfMlr, fit_hint,
+                                [&] { predictors[q]->Observe(features, used); });
       if (++bins[q] >= queries[q]->interval_bins()) {
         queries[q]->EndInterval();
         bins[q] = 0;

@@ -45,7 +45,7 @@ constexpr double kTraceByte = 1.6;
 constexpr double kPatternPkt = 30.0;
 constexpr double kPatternByte = 2.6;
 constexpr double kP2pUpdate = 250.0;   // per-packet flow-state update
-constexpr double kP2pScanByte = 1.0;   // payload inspection
+constexpr double kP2pScanByte = 1.0;   // per inspected prefix byte, all signatures
 constexpr double kP2pInsert = 900.0;   // new flow entry
 constexpr double kP2pDecidedLookup = 25.0;  // custom method: counted only
 constexpr double kP2pRejected = 5.0;        // custom method: hash test only
@@ -685,7 +685,7 @@ std::unique_ptr<ShardState> PatternSearchQuery::ForkShard() const {
 void PatternSearchQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
                                       size_t end) const {
   auto& s = static_cast<PatternShard&>(shard);
-  const size_t m = matcher_.pattern().size();
+  const size_t m = matcher_.needle().size();
   // The offset walk below runs from packet 0 in every shard (O(packets) adds
   // per shard before its range starts); that is dwarfed by the byte scan a
   // shard then does, so no prefix-sum cache is kept.
@@ -755,9 +755,10 @@ P2pDetectorQuery::P2pDetectorQuery(size_t interval_bins)
 void P2pDetectorQuery::Inspect(const net::Packet& pkt, FlowState& state) {
   if (pkt.payload_len > 0) {
     const size_t scan = std::min<size_t>(pkt.payload_len, 256);
-    // One multi-pattern scan pass over the inspected prefix.
+    // The model charges the inspected prefix once, however many signatures
+    // are tested against it.
     ChargeWork(work::kP2pScanByte * static_cast<double>(scan));
-    for (const BoyerMoore& sig : signatures_) {
+    for (const Searcher& sig : signatures_) {
       if (sig.Contains(pkt.payload, scan)) {
         // [121, 83]-style detection needs the protocol exchange, not a lone
         // match: the signature must be confirmed on both early stream

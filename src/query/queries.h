@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "src/net/packet.h"
-#include "src/query/boyer_moore.h"
 #include "src/query/query.h"
+#include "src/query/search.h"
 #include "src/sketch/bitmap.h"
 #include "src/sketch/h3.h"
 #include "src/util/rng.h"
@@ -232,7 +232,7 @@ class TraceQuery : public Query {
 };
 
 // ---------------------------------------------------------------------------
-// pattern-search — Boyer-Moore byte-sequence search in payloads ([23]).
+// pattern-search — exact byte-sequence search in payloads (query::Searcher).
 // Cost ~ bytes scanned. Accuracy: fraction of packets processed.
 // ---------------------------------------------------------------------------
 class PatternSearchQuery : public Query, public ShardableQuery {
@@ -260,7 +260,7 @@ class PatternSearchQuery : public Query, public ShardableQuery {
   void OnEndInterval(size_t interval_index) override;
 
  private:
-  BoyerMoore matcher_;
+  Searcher matcher_;
   double cur_matches_ = 0.0;
   std::vector<double> snaps_;
 };
@@ -304,7 +304,7 @@ class P2pDetectorQuery : public Query {
 
   std::unordered_map<net::FiveTuple, FlowState, net::FiveTupleHash> table_;
   sketch::H3Hash admit_hash_;
-  std::vector<BoyerMoore> signatures_;
+  std::vector<Searcher> signatures_;
   std::vector<std::set<net::FiveTuple>> snaps_;
 };
 

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "src/query/accuracy.h"
-#include "src/query/boyer_moore.h"
 #include "src/query/queries.h"
 #include "src/trace/batch.h"
 #include "src/trace/generator.h"
@@ -15,69 +17,130 @@
 namespace shedmon::query {
 namespace {
 
-// ------------------------------------------------------------ Boyer-Moore --
+// --------------------------------------------------------------- Searcher --
 
-TEST(BoyerMooreTest, FindsPatternAtEveryPosition) {
-  const BoyerMoore bm("needle");
-  const std::string hay = "xxneedlexx";
-  EXPECT_EQ(bm.Find(reinterpret_cast<const uint8_t*>(hay.data()), hay.size()), 2u);
-  const std::string front = "needle.....";
-  EXPECT_EQ(bm.Find(reinterpret_cast<const uint8_t*>(front.data()), front.size()), 0u);
-  const std::string back = ".....needle";
-  EXPECT_EQ(bm.Find(reinterpret_cast<const uint8_t*>(back.data()), back.size()), 5u);
+size_t StdSearch(const uint8_t* text, size_t len, const std::string& needle) {
+  const auto* n = reinterpret_cast<const uint8_t*>(needle.data());
+  const uint8_t* it = std::search(text, text + len, n, n + needle.size());
+  return it == text + len ? Searcher::kNpos : static_cast<size_t>(it - text);
 }
 
-TEST(BoyerMooreTest, MissesAbsentPattern) {
-  const BoyerMoore bm("needle");
-  const std::string hay = "haystack without the n-word";
-  EXPECT_EQ(bm.Find(reinterpret_cast<const uint8_t*>(hay.data()), hay.size()),
-            BoyerMoore::kNpos);
+// Needles of every length 1..32 over {a, b, NUL, 0xff}, self-overlapping
+// ones whose candidates cluster, and the real payload signatures.
+std::vector<std::string> PropertyNeedles() {
+  std::vector<std::string> needles = {
+      "a",  std::string(1, '\0'), "ab", "aa", "abab", "aabaab", std::string(31, 'a'),
+      "abababababababababababababababab", std::string("a\0a\0a", 5), "HTTP/1.1",
+      std::string(trace::HttpSignature()), std::string(trace::BittorrentSignature()),
+      std::string(trace::GnutellaSignature()), std::string(trace::EdonkeySignature())};
+  const std::string alphabet("ab\0\xff", 4);
+  util::Rng rng(17);
+  for (size_t m = 1; m <= 32; ++m) {
+    std::string needle(m, ' ');
+    for (auto& c : needle) {
+      c = alphabet[rng.NextBelow(alphabet.size())];
+    }
+    needles.push_back(needle);
+  }
+  return needles;
 }
 
-TEST(BoyerMooreTest, TextShorterThanPattern) {
-  const BoyerMoore bm("longpattern");
-  const std::string hay = "short";
-  EXPECT_EQ(bm.Find(reinterpret_cast<const uint8_t*>(hay.data()), hay.size()),
-            BoyerMoore::kNpos);
+// A haystack of exactly `len` bytes (so ASan flags any read past the end)
+// drawn from the needle's own bytes plus one foreign byte, with the needle
+// planted at a random offset half the time.
+std::vector<uint8_t> Haystack(const std::string& needle, size_t len, util::Rng& rng) {
+  std::string alphabet = needle + '\x7f';
+  std::vector<uint8_t> hay(len);
+  for (auto& b : hay) {
+    b = static_cast<uint8_t>(alphabet[rng.NextBelow(alphabet.size())]);
+  }
+  if (len >= needle.size() && rng.NextBelow(2) == 0) {
+    const size_t at = rng.NextBelow(len - needle.size() + 1);
+    std::memcpy(hay.data() + at, needle.data(), needle.size());
+  }
+  return hay;
 }
 
-TEST(BoyerMooreTest, RepeatedSuffixPatterns) {
-  // Good-suffix-rule stress: repetitive pattern and text.
+size_t Find(const Searcher& searcher, const std::string& hay) {
+  return searcher.Find(reinterpret_cast<const uint8_t*>(hay.data()), hay.size());
+}
+
+TEST(SearcherTest, FindsPatternAtEveryPosition) {
+  const Searcher searcher("needle");
+  EXPECT_EQ(Find(searcher, "xxneedlexx"), 2u);
+  EXPECT_EQ(Find(searcher, "needle....."), 0u);
+  EXPECT_EQ(Find(searcher, ".....needle"), 5u);
+  // Past the first 16-byte block, and ending on the last byte of a block.
+  EXPECT_EQ(Find(searcher, std::string(20, '.') + "needle"), 20u);
+  EXPECT_EQ(Find(searcher, std::string(26, '.') + "needle"), 26u);
+}
+
+TEST(SearcherTest, MissesAbsentPattern) {
+  const Searcher searcher("needle");
+  EXPECT_EQ(Find(searcher, "haystack without the n-word"), Searcher::kNpos);
+  EXPECT_FALSE(searcher.Contains(nullptr, 0));
+}
+
+TEST(SearcherTest, TextShorterThanPattern) {
+  const Searcher searcher("longpattern");
+  EXPECT_EQ(Find(searcher, "short"), Searcher::kNpos);
+  EXPECT_EQ(Find(searcher, "longpatter"), Searcher::kNpos);
+}
+
+TEST(SearcherTest, RepeatedSuffixPatterns) {
   // "aabaabababab": first "abab" starts at index 4, overlapping at 6 and 8.
-  const BoyerMoore bm("abab");
+  const Searcher searcher("abab");
   const std::string hay = "aabaabababab";
-  EXPECT_EQ(bm.Find(reinterpret_cast<const uint8_t*>(hay.data()), hay.size()), 4u);
-  EXPECT_EQ(bm.CountOccurrences(reinterpret_cast<const uint8_t*>(hay.data()), hay.size()), 3u);
+  std::vector<size_t> starts;
+  for (size_t from = 0; from < hay.size();) {
+    const size_t at = Find(searcher, hay.substr(from));
+    if (at == Searcher::kNpos) {
+      break;
+    }
+    starts.push_back(from + at);
+    from += at + 1;
+  }
+  EXPECT_EQ(starts, (std::vector<size_t>{4, 6, 8}));
 }
 
-TEST(BoyerMooreTest, BinaryPatternWithNulBytes) {
-  const BoyerMoore bm(std::string("\xe3\x00\x01", 3));
+TEST(SearcherTest, BinaryPatternWithNulBytes) {
+  const Searcher searcher(std::string("\xe3\x00\x01", 3));
   const uint8_t text[] = {0x10, 0xe3, 0x00, 0x01, 0x20};
-  EXPECT_EQ(bm.Find(text, sizeof(text)), 1u);
+  EXPECT_EQ(searcher.Find(text, sizeof(text)), 1u);
 }
 
-TEST(BoyerMooreTest, EmptyPatternRejected) {
-  EXPECT_THROW(BoyerMoore(""), std::invalid_argument);
+TEST(SearcherTest, EmptyNeedleRejected) {
+  EXPECT_THROW(Searcher(""), std::invalid_argument);
 }
 
-TEST(BoyerMooreTest, MatchesBruteForceOnRandomInput) {
+// Every haystack length 0..80 and every start offset into it, so each needle
+// meets the block loop and the scalar tail at every boundary between them.
+TEST(SearcherTest, MatchesStdSearchAtEveryLengthAndOffset) {
   util::Rng rng(41);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string text(200, ' ');
-    for (auto& c : text) {
-      c = static_cast<char>('a' + rng.NextBelow(4));
+  for (const std::string& needle : PropertyNeedles()) {
+    const Searcher searcher(needle);
+    for (size_t len = 0; len <= 80; ++len) {
+      const std::vector<uint8_t> hay = Haystack(needle, len, rng);
+      for (size_t start = 0; start <= len; ++start) {
+        const uint8_t* text = hay.data() + start;
+        ASSERT_EQ(searcher.Find(text, len - start), StdSearch(text, len - start, needle))
+            << "needle size " << needle.size() << ", len " << len << ", start " << start;
+      }
     }
-    std::string pat(1 + rng.NextBelow(6), ' ');
-    for (auto& c : pat) {
-      c = static_cast<char>('a' + rng.NextBelow(4));
-    }
-    const BoyerMoore bm(pat);
-    const size_t expected = text.find(pat);
-    const size_t got = bm.Find(reinterpret_cast<const uint8_t*>(text.data()), text.size());
-    if (expected == std::string::npos) {
-      EXPECT_EQ(got, BoyerMoore::kNpos) << pat << " in " << text;
-    } else {
-      EXPECT_EQ(got, expected) << pat << " in " << text;
+  }
+}
+
+TEST(SearcherTest, MatchesStdSearchOnLongHaystacks) {
+  util::Rng rng(43);
+  for (const std::string& needle : PropertyNeedles()) {
+    const Searcher searcher(needle);
+    for (const size_t len : {256u, 1460u, 4099u}) {
+      const std::vector<uint8_t> hay = Haystack(needle, len, rng);
+      for (size_t start = 0; start < 17; ++start) {
+        const uint8_t* text = hay.data() + start;
+        ASSERT_EQ(searcher.Find(text, len - start), StdSearch(text, len - start, needle))
+            << "needle size " << needle.size() << ", len " << len << ", start " << start;
+      }
     }
   }
 }
