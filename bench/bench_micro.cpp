@@ -197,6 +197,50 @@ void BM_FcbfSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_FcbfSelection);
 
+// (features, cycles) of the consecutive 100 ms bins of a seeded Abilene
+// trace, costed like the model oracle's "flows" query; the extractor starts
+// a new 1 s measurement interval every ten bins, as a query's engine does.
+const std::vector<std::pair<features::FeatureVector, double>>& AbileneBins() {
+  static const auto bins = [] {
+    trace::TraceSpec spec = trace::Abilene();
+    spec.duration_s = 20.0;
+    const trace::Trace trace = trace::TraceGenerator(spec).Generate();
+    features::FeatureExtractor extractor;
+    const core::ModelCostOracle oracle;
+    trace::Batcher batcher(trace, 100'000);
+    trace::Batch batch;
+    std::vector<std::pair<features::FeatureVector, double>> out;
+    while (batcher.Next(batch)) {
+      if (out.size() % 10 == 0) {
+        extractor.StartInterval();
+      }
+      out.emplace_back(extractor.Extract(batch.packets),
+                       oracle.QueryCost("flows", batch.packets));
+    }
+    return out;
+  }();
+  return bins;
+}
+
+// One Observe (FCBF + MLR refit) and Predict over a 60-bin window of real
+// traffic features. Unlike BM_FcbfSelection's independent uniform columns,
+// about half the columns clear the 0.6 relevance bar here, so the
+// redundancy phase runs as it does in the pipeline.
+void BM_MlrRefitTrafficWindow(benchmark::State& state) {
+  const auto& bins = AbileneBins();
+  predict::MlrPredictor predictor;
+  size_t i = 0;
+  for (; i < predict::MlrPredictor::Config().history; ++i) {
+    predictor.Observe(bins[i].first, bins[i].second);
+  }
+  for (auto _ : state) {
+    const auto& [f, cycles] = bins[i++ % bins.size()];
+    predictor.Observe(f, cycles);
+    benchmark::DoNotOptimize(predictor.Predict(f));
+  }
+}
+BENCHMARK(BM_MlrRefitTrafficWindow);
+
 void BM_PacketSampler(benchmark::State& state) {
   shed::PacketSampler sampler(6);
   const auto& packets = SharedBatch().packets;

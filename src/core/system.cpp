@@ -141,7 +141,8 @@ query::Query& MonitoringSystem::AddQuery(std::unique_ptr<query::Query> query,
       std::move(query), config,
       predict::PredictionEngine(config_.predictor, config_.extractor),
       shed::PacketSampler(rng_.NextU64()), shed::FlowSampler(rng_.NextU64()),
-      shed::EnforcementPolicy(config_.enforcement), 0, 0.0, {}});
+      shed::EnforcementPolicy(config_.enforcement), 0, 0.0, nullptr, nullptr, nullptr, nullptr,
+      {}});
   queries_.push_back(std::move(runtime));
   // Baseline the oracle's per-query bookkeeping: a no-op for fresh
   // instances, and what keeps a re-registered veteran instance charged only

@@ -1,5 +1,6 @@
 #include "src/predict/linalg.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,31 +8,44 @@ namespace shedmon::predict {
 
 LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<double>& y,
                                         double rcond) {
-  LeastSquaresResult result;
-  const size_t p = a.cols();
-  if (p == 0 || a.rows() == 0) {
-    return result;
+  if (a.cols() == 0 || a.rows() == 0) {
+    return {};
   }
   if (y.size() != a.rows()) {
     throw std::invalid_argument("SolveLeastSquaresSvd: y size mismatch");
   }
+  SvdSolver solver;
+  solver.Reset(a.rows(), a.cols());
+  std::copy(a.data(), a.data() + a.rows() * a.cols(), solver.design());
+  std::copy(y.begin(), y.end(), solver.response());
+  return solver.Solve(rcond);
+}
 
+void SvdSolver::Reset(size_t rows, size_t cols) {
   // Work on W = A padded with zero rows up to max(rows, cols); padding does
   // not change the normal equations, and one-sided Jacobi wants n >= p.
-  const size_t n = a.rows() < p ? p : a.rows();
-  std::vector<double> w(n * p, 0.0);
-  for (size_t r = 0; r < a.rows(); ++r) {
-    for (size_t c = 0; c < p; ++c) {
-      w[r * p + c] = a.At(r, c);
-    }
+  rows_ = rows == 0 ? 0 : std::max(rows, cols);
+  cols_ = cols;
+  w_.assign(rows_ * cols_, 0.0);
+  y_.assign(rows_, 0.0);
+}
+
+const LeastSquaresResult& SvdSolver::Solve(double rcond) {
+  LeastSquaresResult& result = result_;
+  result.coef.clear();
+  result.rank = 0;
+  result.ok = false;
+  const size_t n = rows_;
+  const size_t p = cols_;
+  if (p == 0 || n == 0) {
+    return result;
   }
-  std::vector<double> yy(n, 0.0);
-  for (size_t r = 0; r < a.rows(); ++r) {
-    yy[r] = y[r];
-  }
+  std::vector<double>& w = w_;
+  const std::vector<double>& yy = y_;
 
   // V accumulates the right singular vectors (p x p, row-major).
-  std::vector<double> v(p * p, 0.0);
+  std::vector<double>& v = v_;
+  v.assign(p * p, 0.0);
   for (size_t i = 0; i < p; ++i) {
     v[i * p + i] = 1.0;
   }
@@ -52,9 +66,18 @@ LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<doubl
     bool rotated = false;
     for (size_t i = 0; i + 1 < p; ++i) {
       for (size_t j = i + 1; j < p; ++j) {
-        const double alpha = col_dot(i, i);
-        const double beta = col_dot(j, j);
-        const double gamma = col_dot(i, j);
+        // The pair's three dot products in one pass over the rows: three
+        // independent sums, each still added row by row in order.
+        double alpha = 0.0;
+        double beta = 0.0;
+        double gamma = 0.0;
+        for (size_t r = 0; r < n; ++r) {
+          const double wi = w[r * p + i];
+          const double wj = w[r * p + j];
+          alpha += wi * wi;
+          beta += wj * wj;
+          gamma += wi * wj;
+        }
         if (std::abs(gamma) <= kOrthTol * std::sqrt(alpha * beta) || gamma == 0.0) {
           continue;
         }
@@ -84,7 +107,8 @@ LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<doubl
   }
 
   // Singular values are the column norms of the rotated W.
-  std::vector<double> sv(p, 0.0);
+  std::vector<double>& sv = sv_;
+  sv.assign(p, 0.0);
   double sv_max = 0.0;
   for (size_t i = 0; i < p; ++i) {
     sv[i] = std::sqrt(col_dot(i, i));

@@ -14,6 +14,7 @@ class Matrix {
 
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
+  const double* data() const { return data_.data(); }
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -37,5 +38,26 @@ struct LeastSquaresResult {
 // below rcond * max_sv are truncated, yielding the minimum-norm solution.
 LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<double>& y,
                                         double rcond = 1e-10);
+
+// The same solver over buffers it keeps between solves, so refitting a model
+// of a steady shape allocates nothing once warm. Reset() sizes and zeroes the
+// row-major design and the response for the caller to fill; Solve()
+// overwrites the design.
+class SvdSolver {
+ public:
+  void Reset(size_t rows, size_t cols);
+  double* design() { return w_.data(); }
+  double* response() { return y_.data(); }
+  const LeastSquaresResult& Solve(double rcond);
+
+ private:
+  size_t rows_ = 0;  // max(data rows, cols): zero rows pad an underdetermined fit
+  size_t cols_ = 0;
+  std::vector<double> w_;
+  std::vector<double> y_;
+  std::vector<double> v_;
+  std::vector<double> sv_;
+  LeastSquaresResult result_;
+};
 
 }  // namespace shedmon::predict

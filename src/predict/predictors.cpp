@@ -62,26 +62,38 @@ MlrPredictor::MlrPredictor() : MlrPredictor(Config()) {}
 
 MlrPredictor::MlrPredictor(const Config& config) : config_(config) {}
 
+std::pair<RowRun, RowRun> MlrPredictor::Window() const {
+  constexpr size_t kCols = features::kNumFeatures;
+  const size_t n = y_.size();
+  return {{x_.data() + head_ * kCols, y_.data() + head_, n - head_},
+          {x_.data(), y_.data(), head_}};
+}
+
+void MlrPredictor::Push(const features::FeatureVector& f, double cycles) {
+  if (y_.size() < config_.history) {
+    x_.insert(x_.end(), f.begin(), f.end());
+    y_.push_back(cycles);
+    return;
+  }
+  if (config_.history == 0) {
+    return;
+  }
+  std::copy(f.begin(), f.end(), x_.begin() + static_cast<std::ptrdiff_t>(head_ * f.size()));
+  y_[head_] = cycles;
+  head_ = (head_ + 1) % config_.history;
+}
+
 void MlrPredictor::Refit() {
   model_valid_ = false;
-  const size_t n = window_.size();
+  const size_t n = y_.size();
   if (n < config_.min_history) {
     return;
   }
 
-  // FCBF over the full 42-feature matrix.
-  Matrix x(n, features::kNumFeatures);
-  std::vector<double> y(n);
-  size_t r = 0;
-  for (const auto& [f, cycles] : window_) {
-    for (int c = 0; c < features::kNumFeatures; ++c) {
-      x.At(r, static_cast<size_t>(c)) = f[static_cast<size_t>(c)];
-    }
-    y[r] = cycles;
-    ++r;
-  }
-  const FcbfResult fcbf = SelectFeatures(x, y, config_.fcbf_threshold);
-  last_selected_ = fcbf.selected;
+  // FCBF over the full 42-feature window.
+  constexpr size_t kCols = features::kNumFeatures;
+  const auto [older, newer] = Window();
+  last_selected_ = fcbf_.Select(older, newer, kCols, kCols, config_.fcbf_threshold).selected;
   for (int idx : last_selected_) {
     ++selection_counts_[idx];
   }
@@ -90,36 +102,32 @@ void MlrPredictor::Refit() {
   // columns are standardized first so the singular-value truncation acts on
   // comparable scales; near-collinear feature combinations then fall below
   // rcond and are dropped from the fit instead of producing huge canceling
-  // coefficients that explode out of sample.
+  // coefficients that explode out of sample. FCBF already summed each
+  // column's mean and centred square, so the scales cost no window pass.
   const size_t p = last_selected_.size();
-  col_mean_.assign(p, 0.0);
-  col_scale_.assign(p, 1.0);
+  col_mean_.resize(p);
+  col_scale_.resize(p);
   for (size_t c = 0; c < p; ++c) {
-    double mean = 0.0;
-    for (size_t row = 0; row < n; ++row) {
-      mean += x.At(row, static_cast<size_t>(last_selected_[c]));
-    }
-    mean /= static_cast<double>(n);
-    double var = 0.0;
-    for (size_t row = 0; row < n; ++row) {
-      const double d = x.At(row, static_cast<size_t>(last_selected_[c])) - mean;
-      var += d * d;
-    }
-    col_mean_[c] = mean;
-    col_scale_[c] = std::sqrt(var / static_cast<double>(n));
+    const auto sel = static_cast<size_t>(last_selected_[c]);
+    col_mean_[c] = fcbf_.mean()[sel];
+    col_scale_[c] = std::sqrt(fcbf_.sum_sq()[sel] / static_cast<double>(n));
     if (col_scale_[c] <= 1e-12) {
       col_scale_[c] = 1.0;  // constant column: contributes via the intercept
     }
   }
-  Matrix design(n, p + 1);
-  for (size_t row = 0; row < n; ++row) {
-    design.At(row, 0) = 1.0;
+  solver_.Reset(n, p + 1);
+  double* design = solver_.design();
+  double* response = solver_.response();
+  ForEachRow(older, newer, kCols, [&](const double* x, double cycles) {
+    design[0] = 1.0;
     for (size_t c = 0; c < p; ++c) {
-      design.At(row, c + 1) =
-          (x.At(row, static_cast<size_t>(last_selected_[c])) - col_mean_[c]) / col_scale_[c];
+      design[c + 1] =
+          (x[static_cast<size_t>(last_selected_[c])] - col_mean_[c]) / col_scale_[c];
     }
-  }
-  const LeastSquaresResult ls = SolveLeastSquaresSvd(design, y, config_.svd_rcond);
+    design += p + 1;
+    *response++ = cycles;
+  });
+  const LeastSquaresResult& ls = solver_.Solve(config_.svd_rcond);
   if (!ls.ok) {
     return;
   }
@@ -130,14 +138,14 @@ void MlrPredictor::Refit() {
 double MlrPredictor::Predict(const features::FeatureVector& f) {
   if (!model_valid_) {
     // Cold start: mean of whatever history exists.
-    if (window_.empty()) {
+    if (y_.empty()) {
       return 0.0;
     }
     double sum = 0.0;
-    for (const auto& [feat, cycles] : window_) {
-      sum += cycles;
-    }
-    return sum / static_cast<double>(window_.size());
+    const auto [older, newer] = Window();
+    ForEachRow(older, newer, features::kNumFeatures,
+               [&](const double* /*x*/, double cycles) { sum += cycles; });
+    return sum / static_cast<double>(y_.size());
   }
   double pred = coef_[0];
   for (size_t c = 0; c < last_selected_.size(); ++c) {
@@ -165,18 +173,7 @@ void MlrPredictor::Observe(const features::FeatureVector& f, double cycles) {
       consecutive_outliers_ = 0;
     }
   }
-  window_.emplace_back(f, cycles);
-  while (window_.size() > config_.history) {
-    window_.pop_front();
-  }
-  Refit();
-}
-
-void MlrPredictor::AmendLastObservation(double cycles) {
-  if (window_.empty()) {
-    return;
-  }
-  window_.back().second = cycles;
+  Push(f, cycles);
   Refit();
 }
 
@@ -230,13 +227,14 @@ void SlrPredictor::LoadState(obs::SnapshotReader& r) {
 
 void MlrPredictor::SaveState(obs::SnapshotWriter& w) const {
   w.Str(name());
-  w.U64(window_.size());
-  for (const auto& [f, cycles] : window_) {
-    for (const double v : f) {
-      w.F64(v);
+  w.U64(y_.size());
+  const auto [older, newer] = Window();
+  ForEachRow(older, newer, features::kNumFeatures, [&](const double* x, double cycles) {
+    for (int c = 0; c < features::kNumFeatures; ++c) {
+      w.F64(x[c]);
     }
     w.F64(cycles);
-  }
+  });
   w.I64(consecutive_outliers_);
   w.U64(selection_counts_.size());
   for (const auto& [feature, count] : selection_counts_) {
@@ -247,15 +245,21 @@ void MlrPredictor::SaveState(obs::SnapshotWriter& w) const {
 
 void MlrPredictor::LoadState(obs::SnapshotReader& r) {
   CheckTag(r, name());
-  window_.clear();
+  x_.clear();
+  y_.clear();
+  head_ = 0;
   const uint64_t n = r.U64();
+  if (n > config_.history) {
+    throw obs::SnapshotError("predictor window of " + std::to_string(n) +
+                             " rows exceeds its history of " +
+                             std::to_string(config_.history));
+  }
   for (uint64_t i = 0; i < n; ++i) {
     features::FeatureVector f{};
     for (double& v : f) {
       v = r.F64();
     }
-    const double cycles = r.F64();
-    window_.emplace_back(f, cycles);
+    Push(f, r.F64());
   }
   const int64_t outliers = r.I64();
   // The fit is a pure function of the window; recompute it instead of

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/features/features.h"
@@ -100,16 +101,12 @@ class MlrPredictor : public CostPredictor {
   double Predict(const features::FeatureVector& f) override;
   void Observe(const features::FeatureVector& f, double cycles) override;
   std::string_view name() const override { return "mlr+fcbf"; }
-  size_t history_size() const override { return window_.size(); }
+  size_t history_size() const override { return y_.size(); }
 
   // Features used by the most recent fit (after FCBF), for Table 3.2.
   const std::vector<int>& last_selected() const { return last_selected_; }
   // How often each feature has been selected across the run.
   const std::map<int, size_t>& selection_counts() const { return selection_counts_; }
-
-  // Replaces the most recent observation's response value; the system uses
-  // this to scrub context-switch-corrupted measurements (§3.2.4).
-  void AmendLastObservation(double cycles);
 
   // Saves the observation window plus scrub/selection bookkeeping; the fit
   // itself (coefficients, selected features) is recomputed deterministically
@@ -119,10 +116,21 @@ class MlrPredictor : public CostPredictor {
   void LoadState(obs::SnapshotReader& r) override;
 
  private:
+  // The window's rows, oldest first: the ring from head_ on, then its start.
+  std::pair<RowRun, RowRun> Window() const;
+  void Push(const features::FeatureVector& f, double cycles);
   void Refit();
 
   Config config_;
-  std::deque<std::pair<features::FeatureVector, double>> window_;
+  // The observation window, a ring of up to config_.history rows that the
+  // fit reads in place: row i's features are x_[i * kNumFeatures, ...) and
+  // its cycles y_[i]. Rows append in order until the ring is full; from then
+  // on head_ is the oldest row and the next one to be overwritten.
+  std::vector<double> x_;
+  std::vector<double> y_;
+  size_t head_ = 0;
+  FcbfKernel fcbf_;
+  SvdSolver solver_;
   std::vector<int> last_selected_;
   std::vector<double> coef_;      // intercept followed by per-selected weights
   std::vector<double> col_mean_;  // standardization of the selected columns

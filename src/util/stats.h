@@ -49,4 +49,9 @@ double RelativeError(double estimate, double actual);
 // series is (numerically) constant.
 double PearsonCorrelation(const std::vector<double>& x, const std::vector<double>& y);
 
+// The last step of PearsonCorrelation: the coefficient from the centred sums
+// sxy = sum dx*dy, sxx = sum dx^2, syy = sum dy^2; 0 when either series is
+// (numerically) constant.
+double CorrelationFromSums(double sxy, double sxx, double syy);
+
 }  // namespace shedmon::util

@@ -1,13 +1,29 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <deque>
+#include <map>
+#include <sstream>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "src/core/cost.h"
+#include "src/features/extractor.h"
 #include "src/features/features.h"
+#include "src/obs/snapshot.h"
 #include "src/predict/engine.h"
 #include "src/predict/fcbf.h"
 #include "src/predict/linalg.h"
 #include "src/predict/predictors.h"
+#include "src/trace/batch.h"
+#include "src/trace/generator.h"
+#include "src/trace/spec.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 
@@ -309,18 +325,126 @@ TEST(MlrPredictorTest, ColdStartReturnsHistoryMean) {
   EXPECT_NEAR(p.Predict(MakeFeatures(100, 1000, 5)), 5000.0, 1e-6);
 }
 
-TEST(MlrPredictorTest, AmendLastObservationScrubsCorruption) {
+// The cycles column of an MlrPredictor's saved window, oldest first: the
+// observations as the regression sees them, after scrubbing.
+std::vector<double> SavedCycles(const MlrPredictor& p) {
+  std::stringstream stream;
+  obs::SnapshotWriter w(stream);
+  p.SaveState(w);
+  obs::SnapshotReader r(stream);
+  EXPECT_EQ(r.Str(), "mlr+fcbf");
+  std::vector<double> cycles(r.U64());
+  for (double& c : cycles) {
+    for (int i = 0; i < features::kNumFeatures; ++i) {
+      r.F64();
+    }
+    c = r.F64();
+  }
+  return cycles;
+}
+
+MlrPredictor TrainedOnPacketCost(uint64_t seed) {
   MlrPredictor p;
-  util::Rng rng(23);
+  util::Rng rng(seed);
   for (int i = 0; i < 40; ++i) {
     const double pkts = 100.0 + rng.NextDouble() * 100.0;
     p.Observe(MakeFeatures(pkts, pkts * 10, 5), 40.0 * pkts);
   }
-  // A "context switch" corrupts the last measurement with a huge value.
-  p.Observe(MakeFeatures(150, 1500, 5), 1e9);
-  p.AmendLastObservation(40.0 * 150.0);
-  const double pred = p.Predict(MakeFeatures(150, 1500, 5));
-  EXPECT_NEAR(pred, 6000.0, 600.0);
+  return p;
+}
+
+TEST(MlrPredictorTest, ScrubReplacesIsolatedOutlierWithPrediction) {
+  MlrPredictor p = TrainedOnPacketCost(23);
+  // A "context switch" inflates one measurement far beyond 8x the model.
+  const auto f = MakeFeatures(150, 1500, 5);
+  const double expected = p.Predict(f);
+  ASSERT_NEAR(expected, 6000.0, 600.0);
+  p.Observe(f, 1e9);
+  EXPECT_EQ(SavedCycles(p).back(), expected);
+  EXPECT_NEAR(p.Predict(f), 6000.0, 600.0);
+
+  // Deflated readings are scrubbed too.
+  const double expected_low = p.Predict(f);
+  p.Observe(f, expected_low / 100.0);
+  EXPECT_EQ(SavedCycles(p).back(), expected_low);
+
+  // A reading within the factor is kept as measured.
+  p.Observe(f, 7000.0);
+  EXPECT_EQ(SavedCycles(p).back(), 7000.0);
+}
+
+TEST(MlrPredictorTest, ThirdConsecutiveOutlierIsAcceptedAsRegimeChange) {
+  MlrPredictor p = TrainedOnPacketCost(29);
+  const auto f = MakeFeatures(150, 1500, 5);
+  std::vector<double> expected;
+  for (int i = 0; i < 3; ++i) {
+    expected.push_back(p.Predict(f));
+    p.Observe(f, 20.0 * 40.0 * 150.0);
+  }
+  const std::vector<double> saved = SavedCycles(p);
+  ASSERT_GE(saved.size(), 3u);
+  const size_t n = saved.size();
+  EXPECT_EQ(saved[n - 3], expected[0]);  // isolated so far: scrubbed
+  EXPECT_EQ(saved[n - 2], expected[1]);
+  EXPECT_EQ(saved[n - 1], 20.0 * 40.0 * 150.0);  // persistent: a real change
+  // The run is over, so the next outlier is scrubbed again.
+  const double next = p.Predict(f);
+  p.Observe(f, 1e12);
+  EXPECT_EQ(SavedCycles(p).back(), next);
+}
+
+TEST(MlrPredictorTest, RestoreMidRingReplaysIdentically) {
+  // Save once the window has wrapped, so the ring's oldest row is not at
+  // the start of its storage, and check the restored predictor carries on
+  // bit-identically.
+  MlrPredictor::Config cfg;
+  cfg.history = 30;
+  MlrPredictor a(cfg);
+  util::Rng rng(31);
+  auto next = [&] {
+    const double pkts = 100.0 + rng.NextDouble() * 300.0;
+    const double flows = 5.0 + rng.NextDouble() * 50.0;
+    return std::make_pair(MakeFeatures(pkts, pkts * 9, flows), 30.0 * pkts + 80.0 * flows);
+  };
+  for (int i = 0; i < 47; ++i) {
+    const auto [f, c] = next();
+    a.Observe(f, c);
+  }
+  std::stringstream stream;
+  obs::SnapshotWriter w(stream);
+  a.SaveState(w);
+  const std::string saved = stream.str();
+  MlrPredictor b(cfg);
+  obs::SnapshotReader r(stream);
+  b.LoadState(r);
+  std::stringstream again;
+  obs::SnapshotWriter w2(again);
+  b.SaveState(w2);
+  EXPECT_EQ(again.str(), saved);
+  for (int i = 0; i < 40; ++i) {
+    const auto [f, c] = next();
+    ASSERT_EQ(std::bit_cast<uint64_t>(a.Predict(f)), std::bit_cast<uint64_t>(b.Predict(f)));
+    a.Observe(f, c);
+    b.Observe(f, c);
+  }
+  EXPECT_EQ(a.selection_counts(), b.selection_counts());
+}
+
+TEST(MlrPredictorTest, LoadRejectsWindowLongerThanHistory) {
+  MlrPredictor::Config big;
+  big.history = 60;
+  MlrPredictor a(big);
+  for (int i = 0; i < 40; ++i) {
+    a.Observe(MakeFeatures(100 + i, 1000, 5), 4000.0 + i);
+  }
+  std::stringstream stream;
+  obs::SnapshotWriter w(stream);
+  a.SaveState(w);
+  MlrPredictor::Config small;
+  small.history = 30;
+  MlrPredictor b(small);
+  obs::SnapshotReader r(stream);
+  EXPECT_THROW(b.LoadState(r), obs::SnapshotError);
 }
 
 TEST(MlrPredictorTest, SlidingWindowForgetsOldRegime) {
@@ -391,6 +515,517 @@ TEST_P(MlrHistorySweep, StationaryErrorStaysSmall) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Histories, MlrHistorySweep, ::testing::Values(10, 30, 60, 120));
+
+// ---------------------------------------------------------------------------
+// Bit-exactness of the single-pass fit. `reference` is the fit as it stood
+// before FcbfKernel and SvdSolver: FCBF through util::PearsonCorrelation on
+// copied columns, per-column standardization passes, and a solver that
+// recomputes every dot product. The kernel promises the same arithmetic, so
+// everything it produces must match this copy bit for bit.
+
+namespace reference {
+
+FcbfResult SelectFeatures(const Matrix& x, const std::vector<double>& y, double threshold) {
+  FcbfResult result;
+  const size_t p = x.cols();
+  result.relevance.assign(p, 0.0);
+  if (p == 0 || x.rows() < 2) {
+    return result;
+  }
+  std::vector<std::vector<double>> cols(p, std::vector<double>(x.rows()));
+  for (size_t c = 0; c < p; ++c) {
+    for (size_t r = 0; r < x.rows(); ++r) {
+      cols[c][r] = x.At(r, c);
+    }
+    result.relevance[c] = std::abs(util::PearsonCorrelation(cols[c], y));
+  }
+  std::vector<int> ranked;
+  for (size_t c = 0; c < p; ++c) {
+    if (result.relevance[c] >= threshold && result.relevance[c] > 0.0) {
+      ranked.push_back(static_cast<int>(c));
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+    return result.relevance[static_cast<size_t>(a)] > result.relevance[static_cast<size_t>(b)];
+  });
+  if (ranked.empty()) {
+    const auto best = std::max_element(result.relevance.begin(), result.relevance.end());
+    if (*best > 0.0) {
+      result.selected.push_back(static_cast<int>(best - result.relevance.begin()));
+    }
+    return result;
+  }
+  std::vector<bool> removed(ranked.size(), false);
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    if (removed[i]) {
+      continue;
+    }
+    const auto fi = static_cast<size_t>(ranked[i]);
+    for (size_t j = i + 1; j < ranked.size(); ++j) {
+      if (removed[j]) {
+        continue;
+      }
+      const auto fj = static_cast<size_t>(ranked[j]);
+      if (std::abs(util::PearsonCorrelation(cols[fi], cols[fj])) >= result.relevance[fj]) {
+        removed[j] = true;
+      }
+    }
+  }
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    if (!removed[i]) {
+      result.selected.push_back(ranked[i]);
+    }
+  }
+  return result;
+}
+
+LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<double>& y,
+                                        double rcond) {
+  LeastSquaresResult result;
+  const size_t p = a.cols();
+  if (p == 0 || a.rows() == 0) {
+    return result;
+  }
+  const size_t n = std::max(a.rows(), p);
+  std::vector<double> w(n * p, 0.0);
+  std::vector<double> yy(n, 0.0);
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t c = 0; c < p; ++c) {
+      w[r * p + c] = a.At(r, c);
+    }
+    yy[r] = y[r];
+  }
+  std::vector<double> v(p * p, 0.0);
+  for (size_t i = 0; i < p; ++i) {
+    v[i * p + i] = 1.0;
+  }
+  auto col_dot = [&](size_t i, size_t j) {
+    double s = 0.0;
+    for (size_t r = 0; r < n; ++r) {
+      s += w[r * p + i] * w[r * p + j];
+    }
+    return s;
+  };
+  for (int sweep = 0; sweep < 40; ++sweep) {
+    bool rotated = false;
+    for (size_t i = 0; i + 1 < p; ++i) {
+      for (size_t j = i + 1; j < p; ++j) {
+        const double alpha = col_dot(i, i);
+        const double beta = col_dot(j, j);
+        const double gamma = col_dot(i, j);
+        if (std::abs(gamma) <= 1e-13 * std::sqrt(alpha * beta) || gamma == 0.0) {
+          continue;
+        }
+        rotated = true;
+        const double zeta = (beta - alpha) / (2.0 * gamma);
+        const double t = (zeta >= 0.0 ? 1.0 : -1.0) /
+                         (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
+        const double c = 1.0 / std::sqrt(1.0 + t * t);
+        const double s = c * t;
+        for (size_t r = 0; r < n; ++r) {
+          const double wi = w[r * p + i];
+          const double wj = w[r * p + j];
+          w[r * p + i] = c * wi - s * wj;
+          w[r * p + j] = s * wi + c * wj;
+        }
+        for (size_t r = 0; r < p; ++r) {
+          const double vi = v[r * p + i];
+          const double vj = v[r * p + j];
+          v[r * p + i] = c * vi - s * vj;
+          v[r * p + j] = s * vi + c * vj;
+        }
+      }
+    }
+    if (!rotated) {
+      break;
+    }
+  }
+  std::vector<double> sv(p, 0.0);
+  double sv_max = 0.0;
+  for (size_t i = 0; i < p; ++i) {
+    sv[i] = std::sqrt(col_dot(i, i));
+    sv_max = std::max(sv_max, sv[i]);
+  }
+  const double cutoff = sv_max * rcond;
+  result.coef.assign(p, 0.0);
+  for (size_t i = 0; i < p; ++i) {
+    if (sv[i] <= cutoff || sv[i] == 0.0) {
+      continue;
+    }
+    ++result.rank;
+    double uy = 0.0;
+    for (size_t r = 0; r < n; ++r) {
+      uy += w[r * p + i] * yy[r];
+    }
+    const double scale = uy / (sv[i] * sv[i]);
+    for (size_t c = 0; c < p; ++c) {
+      result.coef[c] += v[c * p + i] * scale;
+    }
+  }
+  result.ok = result.rank > 0;
+  return result;
+}
+
+// MlrPredictor over a deque window, refitting from a fresh matrix copy.
+class Mlr {
+ public:
+  explicit Mlr(const MlrPredictor::Config& config) : config_(config) {}
+
+  double Predict(const FeatureVector& f) const {
+    if (!model_valid_) {
+      if (window_.empty()) {
+        return 0.0;
+      }
+      double sum = 0.0;
+      for (const auto& [feat, cycles] : window_) {
+        sum += cycles;
+      }
+      return sum / static_cast<double>(window_.size());
+    }
+    double pred = coef_[0];
+    for (size_t c = 0; c < selected_.size(); ++c) {
+      pred += coef_[c + 1] *
+              (f[static_cast<size_t>(selected_[c])] - col_mean_[c]) / col_scale_[c];
+    }
+    return std::max(0.0, pred);
+  }
+
+  void Observe(const FeatureVector& f, double cycles) {
+    if (config_.scrub_factor > 0.0 && model_valid_) {
+      const double expected = Predict(f);
+      const bool out_of_range =
+          expected > 0.0 && (cycles > expected * config_.scrub_factor ||
+                             cycles < expected / config_.scrub_factor);
+      if (out_of_range && consecutive_outliers_ < 2) {
+        ++consecutive_outliers_;
+        ++scrubbed_;
+        cycles = expected;
+      } else {
+        consecutive_outliers_ = 0;
+      }
+    }
+    window_.emplace_back(f, cycles);
+    while (window_.size() > config_.history) {
+      window_.pop_front();
+    }
+    Refit();
+  }
+
+  // MlrPredictor::SaveState's byte layout.
+  std::string Saved() const {
+    std::stringstream stream;
+    obs::SnapshotWriter w(stream);
+    w.Str("mlr+fcbf");
+    w.U64(window_.size());
+    for (const auto& [f, cycles] : window_) {
+      for (const double v : f) {
+        w.F64(v);
+      }
+      w.F64(cycles);
+    }
+    w.I64(consecutive_outliers_);
+    w.U64(selection_counts_.size());
+    for (const auto& [feature, count] : selection_counts_) {
+      w.I64(feature);
+      w.U64(count);
+    }
+    return stream.str();
+  }
+
+  Matrix WindowMatrix() const {
+    Matrix x(window_.size(), features::kNumFeatures);
+    for (size_t r = 0; r < window_.size(); ++r) {
+      for (size_t c = 0; c < x.cols(); ++c) {
+        x.At(r, c) = window_[r].first[c];
+      }
+    }
+    return x;
+  }
+  std::vector<double> WindowCycles() const {
+    std::vector<double> y;
+    for (const auto& [f, cycles] : window_) {
+      y.push_back(cycles);
+    }
+    return y;
+  }
+
+  const std::vector<int>& last_selected() const { return selected_; }
+  const std::map<int, size_t>& selection_counts() const { return selection_counts_; }
+  size_t scrubbed() const { return scrubbed_; }
+
+ private:
+  void Refit() {
+    model_valid_ = false;
+    const size_t n = window_.size();
+    if (n < config_.min_history) {
+      return;
+    }
+    const Matrix x = WindowMatrix();
+    const std::vector<double> y = WindowCycles();
+    selected_ = reference::SelectFeatures(x, y, config_.fcbf_threshold).selected;
+    for (int idx : selected_) {
+      ++selection_counts_[idx];
+    }
+    const size_t p = selected_.size();
+    col_mean_.assign(p, 0.0);
+    col_scale_.assign(p, 1.0);
+    for (size_t c = 0; c < p; ++c) {
+      const auto col = static_cast<size_t>(selected_[c]);
+      double mean = 0.0;
+      for (size_t row = 0; row < n; ++row) {
+        mean += x.At(row, col);
+      }
+      mean /= static_cast<double>(n);
+      double var = 0.0;
+      for (size_t row = 0; row < n; ++row) {
+        const double d = x.At(row, col) - mean;
+        var += d * d;
+      }
+      col_mean_[c] = mean;
+      col_scale_[c] = std::sqrt(var / static_cast<double>(n));
+      if (col_scale_[c] <= 1e-12) {
+        col_scale_[c] = 1.0;
+      }
+    }
+    Matrix design(n, p + 1);
+    for (size_t row = 0; row < n; ++row) {
+      design.At(row, 0) = 1.0;
+      for (size_t c = 0; c < p; ++c) {
+        design.At(row, c + 1) =
+            (x.At(row, static_cast<size_t>(selected_[c])) - col_mean_[c]) / col_scale_[c];
+      }
+    }
+    const LeastSquaresResult ls = reference::SolveLeastSquaresSvd(design, y, config_.svd_rcond);
+    if (!ls.ok) {
+      return;
+    }
+    coef_ = ls.coef;
+    model_valid_ = true;
+  }
+
+  MlrPredictor::Config config_;
+  std::deque<std::pair<FeatureVector, double>> window_;
+  std::vector<int> selected_;
+  std::vector<double> coef_;
+  std::vector<double> col_mean_;
+  std::vector<double> col_scale_;
+  int consecutive_outliers_ = 0;
+  bool model_valid_ = false;
+  std::map<int, size_t> selection_counts_;
+  size_t scrubbed_ = 0;
+};
+
+}  // namespace reference
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(Svd, SolverMatchesReferenceBitwise) {
+  // Widths 1-8, square, tall and underdetermined shapes, and duplicated
+  // columns that leave the system rank-deficient.
+  util::Rng rng(41);
+  SvdSolver solver;
+  for (size_t p = 1; p <= 8; ++p) {
+    for (const size_t rows : {size_t{1}, size_t{3}, p, size_t{60}}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        Matrix a(rows, p);
+        std::vector<double> y(rows);
+        for (size_t r = 0; r < rows; ++r) {
+          for (size_t c = 0; c < p; ++c) {
+            a.At(r, c) = (trial % 3 == 2 && c > 0) ? a.At(r, 0) * 3.0
+                         : c == 0 && trial % 2 == 1 ? 1.0
+                                                     : rng.NextGaussian() * 50.0;
+          }
+          y[r] = rng.NextGaussian() * 1e4;
+        }
+        for (const double rcond : {1e-10, 1e-3}) {
+          const LeastSquaresResult want = reference::SolveLeastSquaresSvd(a, y, rcond);
+          const LeastSquaresResult got = SolveLeastSquaresSvd(a, y, rcond);
+          solver.Reset(rows, p);
+          std::copy(a.data(), a.data() + rows * p, solver.design());
+          std::copy(y.begin(), y.end(), solver.response());
+          const LeastSquaresResult& reused = solver.Solve(rcond);
+          ASSERT_EQ(got.ok, want.ok) << "p=" << p << " rows=" << rows;
+          EXPECT_EQ(got.rank, want.rank);
+          EXPECT_TRUE(SameBits(got.coef, want.coef)) << "p=" << p << " rows=" << rows;
+          EXPECT_EQ(reused.rank, want.rank);
+          EXPECT_TRUE(SameBits(reused.coef, want.coef)) << "p=" << p << " rows=" << rows;
+        }
+      }
+    }
+  }
+}
+
+enum class WindowKind { kRandom, kCollinear, kConstant, kAbilene, kUpcI };
+
+std::string KindName(WindowKind kind) {
+  switch (kind) {
+    case WindowKind::kRandom:
+      return "Random";
+    case WindowKind::kCollinear:
+      return "Collinear";
+    case WindowKind::kConstant:
+      return "Constant";
+    case WindowKind::kAbilene:
+      return "Abilene";
+    case WindowKind::kUpcI:
+      return "UpcI";
+  }
+  return "?";
+}
+
+struct Observation {
+  FeatureVector f;
+  double cycles;
+};
+
+constexpr size_t kExactnessSteps = 240;
+
+// Features of consecutive 100 ms bins of a seeded trace, costed like the
+// model oracle's `query`.
+std::vector<Observation> TraceObservations(trace::TraceSpec spec, const std::string& query) {
+  spec.duration_s = static_cast<double>(kExactnessSteps) / 10.0;
+  spec.seed = 104729;
+  const trace::Trace trace = trace::TraceGenerator(spec).Generate();
+  features::FeatureExtractor extractor;
+  const core::ModelCostOracle oracle;
+  trace::Batcher batcher(trace, 100'000);
+  trace::Batch batch;
+  std::vector<Observation> out;
+  while (batcher.Next(batch) && out.size() < kExactnessSteps) {
+    if (out.size() % 10 == 0) {
+      extractor.StartInterval();
+    }
+    out.push_back({extractor.Extract(batch.packets), oracle.QueryCost(query, batch.packets)});
+  }
+  return out;
+}
+
+std::vector<Observation> MakeObservations(WindowKind kind) {
+  if (kind == WindowKind::kAbilene) {
+    return TraceObservations(trace::Abilene(), "flows");
+  }
+  if (kind == WindowKind::kUpcI) {
+    return TraceObservations(trace::UpcI(), "p2p-detector");
+  }
+  util::Rng rng(static_cast<uint64_t>(kind) + 101);
+  std::vector<Observation> out(kExactnessSteps);
+  for (size_t i = 0; i < out.size(); ++i) {
+    FeatureVector& f = out[i].f;
+    double& y = out[i].cycles;
+    const double b0 = 100.0 + rng.NextDouble() * 900.0;
+    const double b1 = rng.NextDouble() * 50.0;
+    const double b2 = rng.NextGaussian() * 10.0;
+    for (size_t c = 0; c < f.size(); ++c) {
+      switch (kind) {
+        case WindowKind::kRandom:
+          f[c] = rng.NextDouble() * 100.0 * static_cast<double>(c + 1);
+          break;
+        case WindowKind::kCollinear: {
+          // Exact copies (tied relevance) and scaled copies of three bases.
+          const double base = c % 3 == 0 ? b0 : c % 3 == 1 ? b1 : b2;
+          f[c] = c % 6 < 3 ? base : base * (static_cast<double>(c) - 20.5);
+          break;
+        }
+        default:
+          // Every other column constant (zero for some), the rest noisy
+          // copies of the bases.
+          f[c] = c % 2 == 0 ? (c % 4 == 0 ? 0.0 : 7.0)
+                            : (c % 3 == 0 ? b0 : b1) + rng.NextGaussian();
+          break;
+      }
+    }
+    y = kind == WindowKind::kRandom ? 3.0 * f[0] + 2.0 * f[5] + rng.NextGaussian() * 200.0
+                                    : 40.0 * b0 + 300.0 * b1 + rng.NextGaussian() * 100.0;
+    if (kind == WindowKind::kConstant && i >= 90 && i < 150) {
+      y = 5000.0;  // a flat response: every relevance is zero
+    }
+  }
+  return out;
+}
+
+// Isolated spikes and dips, plus one three-reading burst, so the scrub
+// decisions (replace, or accept the third) are compared too.
+void InjectOutliers(std::vector<Observation>& obs) {
+  for (size_t i = 37; i < obs.size(); i += 37) {
+    obs[i].cycles *= (i / 37) % 2 == 0 ? 25.0 : 0.02;
+  }
+  for (size_t i = 160; i < 163 && i < obs.size(); ++i) {
+    obs[i].cycles *= 30.0;
+  }
+}
+
+class FitBitExactness
+    : public ::testing::TestWithParam<std::tuple<WindowKind, size_t, double>> {};
+
+TEST_P(FitBitExactness, MatchesReferenceOverSlidingWindow) {
+  const WindowKind kind = std::get<0>(GetParam());
+  const size_t history = std::get<1>(GetParam());
+  const double threshold = std::get<2>(GetParam());
+  std::vector<Observation> obs = MakeObservations(kind);
+  ASSERT_EQ(obs.size(), kExactnessSteps);
+  InjectOutliers(obs);
+
+  MlrPredictor::Config cfg;
+  cfg.history = history;
+  cfg.fcbf_threshold = threshold;
+  MlrPredictor mlr(cfg);
+  reference::Mlr want(cfg);
+  size_t redundancy_fits = 0;
+  for (size_t i = 0; i < obs.size(); ++i) {
+    const auto& [f, cycles] = obs[i];
+    const FeatureVector& probe = obs[(i + 1) % obs.size()].f;
+    ASSERT_EQ(Bits(mlr.Predict(probe)), Bits(want.Predict(probe))) << "step " << i;
+    mlr.Observe(f, cycles);
+    want.Observe(f, cycles);
+    ASSERT_EQ(mlr.last_selected(), want.last_selected()) << "step " << i;
+    ASSERT_EQ(Bits(mlr.Predict(f)), Bits(want.Predict(f))) << "step " << i;
+    FeatureVector doubled = probe;
+    for (double& v : doubled) {
+      v *= 2.0;
+    }
+    ASSERT_EQ(Bits(mlr.Predict(doubled)), Bits(want.Predict(doubled))) << "step " << i;
+
+    // The window (scrub decisions included), outlier run and selection
+    // counts, in the unchanged snapshot layout.
+    std::stringstream stream;
+    obs::SnapshotWriter w(stream);
+    mlr.SaveState(w);
+    ASSERT_EQ(stream.str(), want.Saved()) << "step " << i;
+
+    // The dense entry point over the same window.
+    const Matrix x = want.WindowMatrix();
+    const std::vector<double> y = want.WindowCycles();
+    const FcbfResult got = SelectFeatures(x, y, threshold);
+    const FcbfResult ref = reference::SelectFeatures(x, y, threshold);
+    ASSERT_EQ(got.selected, ref.selected) << "step " << i;
+    ASSERT_TRUE(SameBits(got.relevance, ref.relevance)) << "step " << i;
+    redundancy_fits +=
+        std::count_if(ref.relevance.begin(), ref.relevance.end(),
+                      [&](double r) { return r >= threshold && r > 0.0; }) >= 2;
+  }
+  EXPECT_GT(want.scrubbed(), 0u);
+  if (kind != WindowKind::kRandom) {
+    EXPECT_GT(redundancy_fits, 0u) << "the redundancy phase never ran";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Windows, FitBitExactness,
+    ::testing::Combine(::testing::Values(WindowKind::kRandom, WindowKind::kCollinear,
+                                         WindowKind::kConstant, WindowKind::kAbilene,
+                                         WindowKind::kUpcI),
+                       ::testing::Values(size_t{5}, size_t{30}, size_t{60}, size_t{120}),
+                       ::testing::Values(0.6, 0.2)),
+    [](const auto& info) {
+      return KindName(std::get<0>(info.param)) + "_h" +
+             std::to_string(std::get<1>(info.param)) + "_t" +
+             std::to_string(static_cast<int>(std::get<2>(info.param) * 10));
+    });
 
 }  // namespace
 }  // namespace shedmon::predict

@@ -26,13 +26,16 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from make_bench_baseline import condense  # noqa: E402
 
 # Benchmarks whose throughput the paper's "deterministic worst-case cost"
-# argument leans on (§3.2.1) plus the whole-pipeline runs; prefix-matched so
+# argument leans on (§3.2.1), the per-query cost-model fit that runs once per
+# query per bin, plus the whole-pipeline runs; prefix-matched so
 # parameterized variants (e.g. BM_PipelinePacketsThreads/threads:4) count.
 HOT_PATH = (
     "BM_H3Hash",
     "BM_FusedAggregateHash",
     "BM_MultiResBitmapInsert",
     "BM_FeatureExtraction",
+    "BM_MlrFitAndPredict",
+    "BM_FcbfSelection",
     "BM_PacketSampler",
     "BM_FlowSampler",
     "BM_BoyerMoore",
