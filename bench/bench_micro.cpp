@@ -11,7 +11,9 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "src/api/pipeline.h"
 #include "src/core/cost.h"
 #include "src/core/system.h"
+#include "src/exec/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/features/extractor.h"
 #include "src/predict/fcbf.h"
@@ -354,6 +357,35 @@ void BM_MmfsAllocation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MmfsAllocation)->Arg(8)->Arg(64);
+
+// One fork-join wave of the ten standard queries on a two-worker pool, the
+// shape of the overload-payload workload's per-bin waves. Task i spins for a
+// time proportional to query i's measured cost (`bench_fig2_2_query_cost
+// --quick --oracle=measured`, "x cheapest", in query::AllQueryNames order),
+// so the wave carries Fig 2.2's ~46x cost spread. It measures the fork-join's
+// dispatch and load balance, not query code: ~130k dependent multiply-adds.
+void BM_ParallelForWave(benchmark::State& state) {
+  static constexpr double kRelativeCost[] = {4.2, 9.2, 1.0, 9.2, 1.2, 20.7, 45.8, 6.4, 6.6, 27.5};
+  constexpr size_t kTasks = std::size(kRelativeCost);
+  constexpr double kSpinsPerUnit = 1000.0;
+  exec::ThreadPool pool(2);
+  std::vector<uint64_t> results(kTasks);
+  const std::function<void(size_t)> task = [&results](size_t i) {
+    uint64_t x = i + 1;
+    const auto spins = static_cast<uint64_t>(kRelativeCost[i] * kSpinsPerUnit);
+    for (uint64_t s = 0; s < spins; ++s) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+    }
+    results[i] = x;
+  };
+  for (auto _ : state) {
+    pool.ParallelFor(0, kTasks, 1, task);
+    benchmark::DoNotOptimize(results.data());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+// Wall-clock: the workers do most of the spinning.
+BENCHMARK(BM_ParallelForWave)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 // Whole-pipeline throughput: batching, prediction-stage extraction, shedding
 // and two standard queries over the shared trace, under the deterministic

@@ -652,11 +652,28 @@ void Pipeline::CloseOpenBin() {
     if (governor_ != nullptr) {
       system_->SetDegradation(governor_->Begin());
     }
+    // With a pool, the reference replay (§2.2.1) starts before the system's
+    // waves and overlaps them: it reads only batch_ and each slot's own
+    // reference, never the system or its oracle, so BinLogs and accuracies
+    // cannot move. If ProcessBatch throws, the Job's destructor stops the
+    // unclaimed replays and waits out the running ones before batch_ dies.
+    exec::ThreadPool* pool = slots_.size() > 1 ? system_->pool() : nullptr;
+    exec::ThreadPool::Job references =
+        pool == nullptr
+            ? exec::ThreadPool::Job()
+            : pool->Start(0, slots_.size(), 1, [this](size_t i) { ReplayReference(i); });
     system_->ProcessBatch(batch_);
     UpdateTallies(system_->log().back());
     {
+      // With a pool this span is the reference time the close still waits for.
       obs::Span ref_span(tracer_.get(), obs::Stage::kReference, bin);
-      RunReferences();
+      if (references.empty()) {
+        for (size_t i = 0; i < slots_.size(); ++i) {
+          ReplayReference(i);
+        }
+      } else {
+        references.Join();
+      }
     }
     if (governor_ != nullptr) {
       governor_->End(bin_us_, open_bin_);
@@ -680,26 +697,15 @@ void Pipeline::CloseOpenBin() {
   RefreshStats();
 }
 
-void Pipeline::RunReferences() {
-  const query::BatchInput in{batch_.packets, batch_.start_us, batch_.duration_us, 1.0};
-  const auto run_one = [&](size_t i) {
-    Slot& slot = slots_[i];
-    if (slot.reference == nullptr) {
-      return;
-    }
-    slot.reference->ProcessBatch(in);
-    if (++slot.ref_bins_in_interval >= slot.reference->interval_bins()) {
-      slot.reference->EndInterval();
-      slot.ref_bins_in_interval = 0;
-    }
-  };
-  exec::ThreadPool* pool = system_->pool();
-  if (pool != nullptr && slots_.size() > 1) {
-    pool->ParallelFor(0, slots_.size(), 1, run_one);
-  } else {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      run_one(i);
-    }
+void Pipeline::ReplayReference(size_t i) {
+  Slot& slot = slots_[i];
+  if (slot.reference == nullptr) {
+    return;
+  }
+  slot.reference->ProcessBatch({batch_.packets, batch_.start_us, batch_.duration_us, 1.0});
+  if (++slot.ref_bins_in_interval >= slot.reference->interval_bins()) {
+    slot.reference->EndInterval();
+    slot.ref_bins_in_interval = 0;
   }
 }
 

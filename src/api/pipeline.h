@@ -513,7 +513,10 @@ class Pipeline {
   // Processes the open bin's packets (possibly none), advances the reference
   // instances, and fires the observers.
   void CloseOpenBin();
-  void RunReferences();
+  // Advances slot i's reference instance over the closing bin's full batch.
+  // Reads only batch_ and slots_[i], so CloseOpenBin may replay different
+  // slots concurrently with each other and with the system's waves.
+  void ReplayReference(size_t i);
   void NotifyObservers();
   void EnsureOpen(std::string_view op) const;
   void UpdateTallies(const core::BinLog& log);

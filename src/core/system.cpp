@@ -83,11 +83,12 @@ void MonitoringSystem::InitInstruments() {
     exec::PoolMetricsHooks hooks;
     hooks.queue_depth =
         &reg.GetGauge("shedmon_exec_queue_depth", {}, "Tasks waiting in the pool queue");
-    hooks.tasks_total =
-        &reg.GetCounter("shedmon_exec_tasks_total", {}, "Tasks executed by pool workers");
+    hooks.tasks_total = &reg.GetCounter(
+        "shedmon_exec_tasks_total", {},
+        "Fork-join helper drains run by pool workers (not the caller's own chunks)");
     hooks.task_seconds =
         &reg.GetHistogram("shedmon_exec_task_seconds", {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0}, {},
-                          "Per-task wall time in seconds");
+                          "Wall time of one helper drain in seconds");
     pool_->SetMetrics(hooks);
     executor_.SetMetrics(
         &reg.GetHistogram("shedmon_exec_wave_seconds", {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0}, {},

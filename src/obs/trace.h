@@ -36,7 +36,8 @@ enum class Stage : uint8_t {
   kQuery,            // one per-query execution task (wave 1)
   kShard,            // one shard-unit task (waves 2/3)
   kMerge,            // ordered merge replay on the coordinator
-  kReference,        // reference (unsampled) instance execution
+  kReference,        // reference (unsampled) replay the bin close waits for:
+                     // all of it when serial, the join when it overlaps waves
   kSink,             // one sink write (CSV/JSONL row)
   kCheckpoint,       // crash-safe checkpoint write
   kDegrade,          // rt ladder transition (instant event)

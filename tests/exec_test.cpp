@@ -7,13 +7,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
+#include <future>
+#include <latch>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -112,13 +116,90 @@ TEST(ThreadPoolTest, ParallelForGrainBeyondRangeNeverMakesEmptyChunks) {
 }
 
 TEST(ThreadPoolTest, ParallelForOnOneWorkerPoolDoesNotDeadlock) {
-  // An external caller runs the first chunk itself and the single worker
-  // drains the rest. (Calling ParallelFor from a worker of the same pool is
-  // outside the contract — see the header.)
+  // The caller and the single worker's helper claim chunks from one counter
+  // until it is drained; neither waits for the other to start.
   exec::ThreadPool pool(1);
   std::atomic<int> sum{0};
   pool.ParallelFor(0, 100, 7, [&](size_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 4950);
+}
+
+// Parks every worker of `pool` on `gate` and returns once all of them are
+// parked, so queued fork-join helpers cannot start until the gate opens.
+std::vector<std::future<void>> ParkWorkers(exec::ThreadPool& pool,
+                                           const std::shared_future<void>& gate) {
+  // Shared, so a worker still inside count_down never touches a dead latch.
+  auto parked = std::make_shared<std::latch>(static_cast<std::ptrdiff_t>(pool.num_threads()));
+  std::vector<std::future<void>> blockers;
+  for (size_t w = 0; w < pool.num_threads(); ++w) {
+    blockers.push_back(pool.Submit([parked, gate] {
+      parked->count_down();
+      gate.wait();
+    }));
+  }
+  parked->wait();
+  return blockers;
+}
+
+TEST(ThreadPoolTest, CallerDrainsWholeRangeWhileEveryWorkerIsBlocked) {
+  // The join waits for chunks to finish, not for helpers to start: with both
+  // workers parked until after ParallelFor returns, the caller runs every
+  // chunk itself. The helpers run later, find the counter drained and return.
+  exec::ThreadPool pool(2);
+  std::promise<void> open;
+  const std::shared_future<void> gate = open.get_future().share();
+  std::vector<std::future<void>> blockers = ParkWorkers(pool, gate);
+
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(50, 0);
+  bool all_on_caller = true;
+  pool.ParallelFor(0, hits.size(), 1, [&](size_t i) {
+    ++hits[i];
+    all_on_caller = all_on_caller && std::this_thread::get_id() == caller;
+  });
+  EXPECT_TRUE(all_on_caller);
+  EXPECT_EQ(hits, std::vector<int>(50, 1));
+
+  open.set_value();
+  for (auto& blocker : blockers) {
+    blocker.get();
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForFromInsideAOneWorkerPoolTaskCompletes) {
+  // The only worker is the caller here, so it drains its own fork-join.
+  exec::ThreadPool pool(1);
+  auto future = pool.Submit([&pool] {
+    std::atomic<int> sum{0};
+    pool.ParallelFor(0, 100, 1, [&](size_t i) { sum.fetch_add(static_cast<int>(i)); });
+    return sum.load();
+  });
+  EXPECT_EQ(future.get(), 4950);
+}
+
+TEST(ThreadPoolTest, UnjoinedJobSkipsUnclaimedChunksOnDestruction) {
+  // Destroying a started Job without Join stops the chunks no helper has
+  // claimed yet: with the only worker parked, none of them runs, and the
+  // helper that starts afterwards finds nothing left to run.
+  exec::ThreadPool pool(1);
+  std::promise<void> open;
+  const std::shared_future<void> gate = open.get_future().share();
+  std::vector<std::future<void>> blockers = ParkWorkers(pool, gate);
+
+  std::atomic<int> calls{0};
+  {
+    exec::ThreadPool::Job job = pool.Start(0, 10, 1, [&](size_t) { calls.fetch_add(1); });
+    EXPECT_FALSE(job.empty());
+  }
+  open.set_value();
+  blockers.front().get();
+  EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);  // the helper ran before this
+  EXPECT_EQ(calls.load(), 0);
+
+  exec::ThreadPool::Job joined = pool.Start(0, 10, 1, [&](size_t) { calls.fetch_add(1); });
+  joined.Join();
+  EXPECT_TRUE(joined.empty());
+  EXPECT_EQ(calls.load(), 10);
 }
 
 TEST(ThreadPoolTest, ParallelForRethrowsFirstIterationError) {
@@ -377,7 +458,8 @@ TEST_P(ParallelEquivalence, BinLogsAndAccuraciesBitIdenticalToSerial) {
 
 // threads 0 (inline) x shards > 1 proves the builder rejects sharding
 // without a pool; threads > 0 x shards {2, 8} exercises real (query, shard)
-// fan-out, including shard counts past the pool width.
+// fan-out, including shard counts past the pool width. threads 1 makes the
+// bin's reference replay and the system's waves contend for one worker.
 INSTANTIATE_TEST_SUITE_P(
     ShedderByThreadsAndShards, ParallelEquivalence,
     ::testing::Combine(
@@ -392,11 +474,74 @@ INSTANTIATE_TEST_SUITE_P(
                             shed::StrategyKind::kEqSrates, 0.5, false},
             EquivalenceCase{"no_shed", core::ShedderKind::kNoShed,
                             shed::StrategyKind::kEqSrates, 0.5, false}),
-        ::testing::Values(0, 2, 4), ::testing::Values(1, 2, 8)),
+        ::testing::Values(0, 1, 2, 4), ::testing::Values(1, 2, 8)),
     [](const auto& info) {
       return std::get<0>(info.param).label + "_t" + std::to_string(std::get<1>(info.param)) +
              "_s" + std::to_string(std::get<2>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// A throwing query while the reference replay overlaps the waves
+// ---------------------------------------------------------------------------
+
+// Throws from OnBatch on its `throw_at`-th batch.
+class ThrowingQuery : public query::Query {
+ public:
+  explicit ThrowingQuery(size_t throw_at) : Query("throwing-query", 10), throw_at_(throw_at) {}
+
+ protected:
+  void OnBatch(const query::BatchInput& in) override {
+    if (++batches_ == throw_at_) {
+      throw std::runtime_error("query failed");
+    }
+    ChargeWork(static_cast<double>(in.packets.size()));
+  }
+  void OnEndInterval(size_t) override {}
+
+ private:
+  size_t throw_at_;
+  size_t batches_ = 0;
+};
+
+// A reference instance that stays busy for a while on every batch and
+// counts how many of its replays are running right now.
+class SlowReference : public query::Query {
+ public:
+  explicit SlowReference(std::atomic<int>* in_flight)
+      : Query("throwing-query", 10), in_flight_(in_flight) {}
+
+ protected:
+  void OnBatch(const query::BatchInput& in) override {
+    in_flight_->fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ChargeWork(static_cast<double>(in.packets.size()));
+    in_flight_->fetch_sub(1);
+  }
+  void OnEndInterval(size_t) override {}
+
+ private:
+  std::atomic<int>* in_flight_;
+};
+
+TEST(ReferenceOverlap, ThrowingQueryRethrowsAfterTheReplayJoined) {
+  // The reference replay starts before the system's waves. When a query
+  // throws mid-wave, Push must rethrow only after every replay that had
+  // started has finished: none may still be reading the closing bin.
+  std::atomic<int> in_flight{0};
+  auto pipeline = PipelineBuilder()
+                      .Oracle(core::OracleKind::kModel)
+                      .Threads(2)
+                      .TrackAccuracy(true)
+                      .AddQuery("counter")
+                      .AddQuery("flows")
+                      .AddQuery("pattern-search")
+                      .BuildUnique();
+  pipeline->AddQuery(std::make_unique<ThrowingQuery>(3), {},
+                     std::make_unique<SlowReference>(&in_flight));
+  EXPECT_THROW(pipeline->Push(EquivalenceTrace()), std::runtime_error);
+  EXPECT_EQ(in_flight.load(), 0);
+  EXPECT_EQ(pipeline->log().size(), 2u);  // the failing bin logged nothing
+}
 
 // ---------------------------------------------------------------------------
 // Sharded determinism (ROADMAP gap: oracle behavior under threads + shards)
