@@ -601,10 +601,10 @@ void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payl
     ++ingest_head_;
   }
   records_.push_back(record);
-  payload_offsets_.push_back(arena_.size());
   if (record.payload_len > 0) {
-    arena_.resize(arena_.size() + record.payload_len);
-    uint8_t* dst = arena_.data() + payload_offsets_.back();
+    const size_t offset = arena_.size();
+    arena_.resize(offset + record.payload_len);
+    uint8_t* dst = arena_.data() + offset;
     if (payload_bytes != nullptr) {
       std::copy_n(payload_bytes, record.payload_len, dst);
       ingest_copied_bytes_ += record.payload_len;
@@ -635,11 +635,17 @@ void Pipeline::CloseOpenBin() {
   batch_.wire_bytes = wire_bytes_;
   batch_.packets.clear();
   batch_.packets.reserve(open_records());
+  // Evicted records still hold their arena bytes, so the offsets count them.
+  size_t offset = 0;
+  for (size_t i = 0; i < ingest_head_; ++i) {
+    offset += records_[i].payload_len;
+  }
   for (size_t i = ingest_head_; i < records_.size(); ++i) {
     net::Packet packet;
     packet.rec = &records_[i];
     packet.payload_len = records_[i].payload_len;
-    packet.payload = records_[i].payload_len == 0 ? nullptr : arena_.data() + payload_offsets_[i];
+    packet.payload = packet.payload_len == 0 ? nullptr : arena_.data() + offset;
+    offset += packet.payload_len;
     batch_.packets.push_back(packet);
   }
 
@@ -658,10 +664,14 @@ void Pipeline::CloseOpenBin() {
     // cannot move. If ProcessBatch throws, the Job's destructor stops the
     // unclaimed replays and waits out the running ones before batch_ dies.
     exec::ThreadPool* pool = slots_.size() > 1 ? system_->pool() : nullptr;
-    exec::ThreadPool::Job references =
-        pool == nullptr
-            ? exec::ThreadPool::Job()
-            : pool->Start(0, slots_.size(), 1, [this](size_t i) { ReplayReference(i); });
+    exec::ThreadPool::Job references = [&] {
+      if (pool == nullptr) {
+        return exec::ThreadPool::Job();
+      }
+      // Queuing the helpers is reference work the close pays for too.
+      obs::Span start_span(tracer_.get(), obs::Stage::kReference, bin);
+      return pool->Start(0, slots_.size(), 1, [this](size_t i) { ReplayReference(i); });
+    }();
     system_->ProcessBatch(batch_);
     UpdateTallies(system_->log().back());
     {
@@ -687,7 +697,6 @@ void Pipeline::CloseOpenBin() {
 
   batch_.packets.clear();
   records_.clear();
-  payload_offsets_.clear();
   arena_.clear();
   ingest_head_ = 0;
   wire_bytes_ = 0;

@@ -536,16 +536,17 @@ class Pipeline {
   std::vector<Slot> slots_;
   uint64_t next_id_ = 1;
 
-  // Open-bin assembler: records and payload bytes accumulate in push order;
-  // Packet views are fixed up against the final buffer addresses when the
-  // bin closes, so mid-bin reallocation is harmless. With a bounded ingest
-  // buffer, ingest_head_ indexes the oldest record still alive: kDropOldest
-  // evicts by advancing it (the evicted payload bytes idle in the arena
-  // until the bin closes), so records_[ingest_head_..] is the open bin.
+  // Open-bin assembler: records and payload bytes accumulate in push order,
+  // so record i's payload starts at the sum of payload_len over
+  // records_[0..i); Packet views are fixed up against the final buffer
+  // addresses when the bin closes, so mid-bin reallocation is harmless. With
+  // a bounded ingest buffer, ingest_head_ indexes the oldest record still
+  // alive: kDropOldest evicts by advancing it (the evicted records and their
+  // payload bytes idle until the bin closes, keeping the offsets valid), so
+  // records_[ingest_head_..] is the open bin.
   uint64_t bin_us_;
   uint64_t open_bin_ = 0;
   std::vector<net::PacketRecord> records_;
-  std::vector<size_t> payload_offsets_;
   std::vector<uint8_t> arena_;
   size_t ingest_head_ = 0;
   uint64_t wire_bytes_ = 0;

@@ -142,8 +142,7 @@ query::Query& MonitoringSystem::AddQuery(std::unique_ptr<query::Query> query,
       std::move(query), config,
       predict::PredictionEngine(config_.predictor, config_.extractor),
       shed::PacketSampler(rng_.NextU64()), shed::FlowSampler(rng_.NextU64()),
-      shed::EnforcementPolicy(config_.enforcement), 0, 0.0, nullptr, nullptr, nullptr, nullptr,
-      {}});
+      shed::EnforcementPolicy(config_.enforcement), 0, nullptr, nullptr, nullptr, nullptr, {}});
   queries_.push_back(std::move(runtime));
   // Baseline the oracle's per-query bookkeeping: a no-op for fresh
   // instances, and what keeps a re-registered veteran instance charged only
@@ -423,7 +422,6 @@ void MonitoringSystem::ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& ba
   // Drop the sampled view before the batch (and its payload arena) can be
   // recycled; the buffer keeps its capacity for the next bin.
   qr.sample_buf.clear();
-  qr.last_cycles = used;
   result.used = used;
 }
 
@@ -452,30 +450,23 @@ void MonitoringSystem::RunShardWaves(const trace::Batch& batch, std::vector<Quer
   // Each task is TSC-timed so wall-measuring oracles can charge this work
   // at the query's merge (the model oracle ignores the timings).
   executor_.SetTraceStage(obs::Stage::kShard);
-  executor_.Run(
-      tasks.size(),
-      [&](size_t t) {
-        const ShardTask& task = tasks[t];
-        QueryRuntime& qr = *queries_[task.query];
-        QueryExec& e = ex[task.query];
-        query::BatchInput in{*e.packets, batch.start_us, batch.duration_us, e.rate};
-        const util::CycleTimer timer;
-        qr.query->shardable()->OnShardBatch(*e.states[task.shard], in,
-                                            e.ranges[task.shard].begin,
-                                            e.ranges[task.shard].end);
-        e.shard_cycles[task.shard] = static_cast<double>(timer.Elapsed());
-      },
-      nullptr);
+  executor_.Run(tasks.size(), [&](size_t t) {
+    const ShardTask& task = tasks[t];
+    QueryRuntime& qr = *queries_[task.query];
+    QueryExec& e = ex[task.query];
+    query::BatchInput in{*e.packets, batch.start_us, batch.duration_us, e.rate};
+    const util::CycleTimer timer;
+    qr.query->shardable()->OnShardBatch(*e.states[task.shard], in, e.ranges[task.shard].begin,
+                                        e.ranges[task.shard].end);
+    e.shard_cycles[task.shard] = static_cast<double>(timer.Elapsed());
+  });
   // Wave 3: fold the partials (per query, in shard-index order) and finish
   // the per-query pipeline; only the sharded queries have work left.
   executor_.SetTraceStage(obs::Stage::kQuery);
-  executor_.Run(
-      sharded.size(),
-      [&](size_t i) {
-        const size_t q = sharded[i];
-        ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
-      },
-      nullptr);
+  executor_.Run(sharded.size(), [&](size_t i) {
+    const size_t q = sharded[i];
+    ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
+  });
 }
 
 MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& qr,
@@ -519,7 +510,6 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& 
 
   result.unsampled = static_cast<double>(batch.size()) * (1.0 - rate) /
                      std::max<double>(1.0, static_cast<double>(queries_.size()));
-  qr.last_cycles = used;
   result.used = used;
   return result;
 }
@@ -599,17 +589,10 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
   }
 
   // Phase 4 (lines 10-16): shed and execute. Pre-execution bookkeeping
-  // (penalty ticks, warm-up probes, rate finalization, charge-slot
-  // reservation) stays on the coordinating thread in registration order so
-  // the reserved cost sequence matches the serial schedule; per-query work
-  // then fans out over the pool and merges back in the same order.
-  struct QueryPlan {
-    bool execute = false;
-    bool custom = false;
-    uint64_t base_seq = 0;
-  };
+  // (penalty ticks, warm-up probes, rate finalization) stays on the
+  // coordinating thread in registration order; ExecuteBin then reserves the
+  // charge slots, fans the queries out and folds them back in that order.
   std::vector<QueryPlan> plan(n);
-  std::vector<QueryTaskResult> results(n);
   for (size_t q = 0; q < n; ++q) {
     QueryRuntime& qr = *queries_[q];
     if (config_.enable_custom_shedding && qr.enforcement.InPenalty()) {
@@ -626,10 +609,8 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
     }
     log.rate[q] = alloc.rate[q];
     log.disabled[q] = alloc.disabled[q];
-    if (alloc.disabled[q] || alloc.rate[q] <= kEps) {
-      continue;
-    }
-    plan[q].execute = true;
+    plan[q].rate = alloc.rate[q];
+    plan[q].execute = !alloc.disabled[q] && alloc.rate[q] > kEps;
     // Custom shedding is only delegated once the query's cost model is warm:
     // the system needs a trustworthy full-cost prediction before it can
     // verify that the query honours its budget (§6.1.1). Until then the
@@ -638,66 +619,15 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
     plan[q].custom = config_.enable_custom_shedding && qr.config.allow_custom_shedding &&
                      qr.query->supports_custom_shedding() &&
                      qr.engine.predictor().history_size() >= config_.warmup_observations;
-    plan[q].base_seq = oracle_->ReserveSequence(
-        plan[q].custom ? PlanCustomOracleCalls(alloc.rate[q])
-                       : PlanOracleCalls(alloc.rate[q], /*update_history=*/true,
-                                         /*has_shared_features=*/true));
+    plan[q].expected = alloc.rate[q] * pred[q];
   }
-
-  // Wave 1: the whole per-query pipeline for unsharded queries, and the
-  // sampling/extraction pre-phase (plus the shard plan) for queries whose
-  // batch splits further. Waves 2/3 (RunShardWaves) then run the (query,
-  // shard) ranges and the ordered per-query merges; the BinLog fold below
-  // replays registration order on the coordinator exactly as before.
-  std::vector<QueryExec> ex(n);
-  double used_total = 0.0;
-  double expected_total = 0.0;
-  double measured_ls = 0.0;
-  executor_.Run(
-      n,
-      [&](size_t q) {
-        if (!plan[q].execute) {
-          return;
-        }
-        QueryRuntime& qr = *queries_[q];
-        if (plan[q].custom) {
-          results[q] = ExecuteCustom(qr, batch, alloc.rate[q], alloc.rate[q] * pred[q],
-                                     plan[q].base_seq);
-          return;
-        }
-        ExecuteQueryPre(qr, batch, alloc.rate[q], /*update_history=*/true, &f_full,
-                        plan[q].base_seq, ex[q], results[q]);
-        if (!ex[q].sharded()) {
-          ExecuteQueryPost(qr, batch, ex[q], results[q]);
-        }
-      },
-      nullptr);
-  RunShardWaves(batch, ex, results);
-  for (size_t q = 0; q < n; ++q) {
-    if (!plan[q].execute) {
-      log.packets_unsampled += static_cast<double>(batch.size()) /
-                               std::max<double>(1.0, static_cast<double>(n));
-      queries_[q]->last_cycles = 0.0;
-      continue;
-    }
-    const QueryTaskResult& r = results[q];
-    const double ls_before = log.ls_cycles;
-    for (size_t c = 0; c < r.num_charges; ++c) {
-      (r.charges[c].ls ? log.ls_cycles : log.ps_cycles) += r.charges[c].cycles;
-    }
-    measured_ls += log.ls_cycles - ls_before;
-    log.packets_unsampled += r.unsampled;
-    log.per_query_cycles[q] = r.used;
-    used_total += r.used;
-    expected_total += alloc.rate[q] * pred[q];
-  }
-  log.query_cycles = used_total;
+  const BinTotals totals = ExecuteBin(batch, plan, &f_full, /*update_history=*/true, log);
 
   // Phase 5 (line 17 + §4.3): smoothers for the next bin.
-  if (used_total > kEps && expected_total > kEps) {
-    error_ewma_.Update(std::max(0.0, 1.0 - expected_total / used_total));
+  if (totals.used > kEps && totals.expected > kEps) {
+    error_ewma_.Update(std::max(0.0, 1.0 - totals.expected / totals.used));
   }
-  ls_ewma_.Update(measured_ls);
+  ls_ewma_.Update(totals.measured_ls);
   ps_ewma_.Update(log.ps_cycles);
 }
 
@@ -714,86 +644,91 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
   }
   log.overload = reactive_rate_ < 1.0 - kEps;
 
-  const size_t n = queries_.size();
   // The deadline ladder applies on top of the reactive controller exactly as
   // it does on the predictive allocation: scale the granted rates, then
   // truncate the lowest-priority queries. The controller's own state
   // (reactive_rate_) deliberately stays unscaled so recovery after the
   // governor steps down starts from the controller's view, not the ladder's.
-  std::vector<double> rates(n, reactive_rate_);
-  std::vector<bool> disabled(n, false);
-  ApplyDegradation(rates, disabled);
-
-  std::vector<uint64_t> base_seq(n);
-  for (size_t q = 0; q < n; ++q) {
-    log.rate[q] = rates[q];
-    log.disabled[q] = disabled[q];
-    if (disabled[q]) {
-      continue;
-    }
-    base_seq[q] = oracle_->ReserveSequence(PlanOracleCalls(
-        rates[q], /*update_history=*/false, /*has_shared_features=*/false));
-  }
-  std::vector<QueryTaskResult> results(n);
-  std::vector<QueryExec> ex(n);
-  double used_total = 0.0;
-  executor_.Run(
-      n,
-      [&](size_t q) {
-        if (disabled[q]) {
-          return;
-        }
-        ExecuteQueryPre(*queries_[q], batch, rates[q],
-                        /*update_history=*/false, nullptr, base_seq[q], ex[q], results[q]);
-        if (!ex[q].sharded()) {
-          ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
-        }
-      },
-      nullptr);
-  RunShardWaves(batch, ex, results);
-  for (size_t q = 0; q < n; ++q) {
-    const QueryTaskResult& r = results[q];
-    for (size_t c = 0; c < r.num_charges; ++c) {
-      (r.charges[c].ls ? log.ls_cycles : log.ps_cycles) += r.charges[c].cycles;
-    }
-    log.packets_unsampled += r.unsampled;
-    log.per_query_cycles[q] = r.used;
-    used_total += r.used;
+  std::fill(log.rate.begin(), log.rate.end(), reactive_rate_);
+  ApplyDegradation(log.rate, log.disabled);
+  std::vector<QueryPlan> plan(queries_.size());
+  for (size_t q = 0; q < plan.size(); ++q) {
+    plan[q].rate = log.rate[q];
+    plan[q].execute = !log.disabled[q] && log.rate[q] > kEps;
   }
   // Reactive systems skip the prediction subsystem: no history upkeep.
-  log.ps_cycles = 0.0;
-  log.query_cycles = used_total;
-  reactive_consumed_prev_ = used_total + log.ls_cycles;
+  const BinTotals totals = ExecuteBin(batch, plan, nullptr, /*update_history=*/false, log);
+  reactive_consumed_prev_ = totals.used + log.ls_cycles;
 }
 
 void MonitoringSystem::RunNoShed(const trace::Batch& batch, BinLog& log) {
   log.avail_cycles = std::max(0.0, capacity_ - log.como_cycles);
-  const size_t n = queries_.size();
-  std::vector<uint64_t> base_seq(n);
-  for (size_t q = 0; q < n; ++q) {
-    log.rate[q] = 1.0;
-    base_seq[q] = oracle_->ReserveSequence(1);
+  std::fill(log.rate.begin(), log.rate.end(), 1.0);
+  std::vector<QueryPlan> plan(queries_.size(), QueryPlan{1.0, true});
+  const BinTotals totals = ExecuteBin(batch, plan, nullptr, /*update_history=*/false, log);
+  log.overload = totals.used > log.avail_cycles;
+}
+
+MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
+    const trace::Batch& batch, std::vector<QueryPlan>& plan,
+    const features::FeatureVector* shared_features, bool update_history, BinLog& log) {
+  const size_t n = plan.size();
+  // Charge slots are reserved in registration order so the sequenced cost
+  // schedule matches the serial one whichever worker then runs which query.
+  for (QueryPlan& p : plan) {
+    if (p.execute) {
+      p.base_seq = oracle_->ReserveSequence(
+          p.custom ? PlanCustomOracleCalls(p.rate)
+                   : PlanOracleCalls(p.rate, update_history, shared_features != nullptr));
+    }
   }
+
+  // Wave 1: the whole per-query pipeline for unsharded queries, and the
+  // sampling/extraction pre-phase (plus the shard plan) for queries whose
+  // batch splits further. Waves 2/3 (RunShardWaves) then run the (query,
+  // shard) ranges and the ordered per-query merges.
   std::vector<QueryTaskResult> results(n);
   std::vector<QueryExec> ex(n);
-  double used_total = 0.0;
-  executor_.Run(
-      n,
-      [&](size_t q) {
-        ExecuteQueryPre(*queries_[q], batch, /*rate=*/1.0,
-                        /*update_history=*/false, nullptr, base_seq[q], ex[q], results[q]);
-        if (!ex[q].sharded()) {
-          ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
-        }
-      },
-      nullptr);
+  executor_.Run(n, [&](size_t q) {
+    const QueryPlan& p = plan[q];
+    if (!p.execute) {
+      return;
+    }
+    QueryRuntime& qr = *queries_[q];
+    if (p.custom) {
+      results[q] = ExecuteCustom(qr, batch, p.rate, p.expected, p.base_seq);
+      return;
+    }
+    ExecuteQueryPre(qr, batch, p.rate, update_history, shared_features, p.base_seq, ex[q],
+                    results[q]);
+    if (!ex[q].sharded()) {
+      ExecuteQueryPost(qr, batch, ex[q], results[q]);
+    }
+  });
   RunShardWaves(batch, ex, results);
+
+  // The fold replays registration order on the coordinator, charge by
+  // charge, exactly as the serial schedule would have accumulated it.
+  BinTotals totals;
   for (size_t q = 0; q < n; ++q) {
-    log.per_query_cycles[q] = results[q].used;
-    used_total += results[q].used;
+    if (!plan[q].execute) {
+      log.packets_unsampled +=
+          static_cast<double>(batch.size()) / std::max<double>(1.0, static_cast<double>(n));
+      continue;
+    }
+    const QueryTaskResult& r = results[q];
+    const double ls_before = log.ls_cycles;
+    for (size_t c = 0; c < r.num_charges; ++c) {
+      (r.charges[c].ls ? log.ls_cycles : log.ps_cycles) += r.charges[c].cycles;
+    }
+    totals.measured_ls += log.ls_cycles - ls_before;
+    log.packets_unsampled += r.unsampled;
+    log.per_query_cycles[q] = r.used;
+    totals.used += r.used;
+    totals.expected += plan[q].expected;
   }
-  log.query_cycles = used_total;
-  log.overload = used_total > log.avail_cycles;
+  log.query_cycles = totals.used;
+  return totals;
 }
 
 void MonitoringSystem::TickIntervals() {
@@ -866,7 +801,6 @@ void MonitoringSystem::SaveState(obs::SnapshotWriter& w) const {
   w.U64(queries_.size());
   for (const auto& qr : queries_) {
     w.U64(qr->bins_in_interval);
-    w.F64(qr->last_cycles);
     w.RngState(qr->pkt_sampler.RngState());
     w.U64(qr->flow_sampler.seed());
     const shed::EnforcementPolicy::State es = qr->enforcement.GetState();
@@ -909,7 +843,6 @@ void MonitoringSystem::LoadState(obs::SnapshotReader& r) {
   }
   for (auto& qr : queries_) {
     qr->bins_in_interval = static_cast<size_t>(r.U64());
-    qr->last_cycles = r.F64();
     qr->pkt_sampler.SetRngState(r.RngState());
     qr->flow_sampler.Reseed(r.U64());
     shed::EnforcementPolicy::State es;

@@ -86,8 +86,8 @@ struct SystemConfig {
   // reference instances an api::Pipeline runs. 0 = serial, today's
   // single-threaded behavior. Any value yields bit-identical BinLogs and
   // accuracies under the deterministic model oracle: per-query work fans out
-  // over an exec::ThreadPool while cost charges are sequenced and BinLog
-  // merges replayed in registration order (see exec::QueryExecutor).
+  // over an exec::ThreadPool while cost charges are sequenced and results
+  // folded into the BinLog in registration order on the coordinating thread.
   size_t num_threads = 0;
   // Upper bound on intra-query data parallelism: how many shards one query's
   // bin batch may be split into when the query implements
@@ -159,7 +159,6 @@ class MonitoringSystem {
   query::Query& query(size_t i) { return *queries_[i]->query; }
   const query::Query& query(size_t i) const { return *queries_[i]->query; }
   const shed::EnforcementPolicy& enforcement(size_t i) const { return queries_[i]->enforcement; }
-  const predict::PredictionEngine& engine(size_t i) const { return queries_[i]->engine; }
 
   const SystemConfig& config() const { return config_; }
   double capacity() const { return capacity_; }
@@ -187,7 +186,6 @@ class MonitoringSystem {
 
   const QueryConfig& query_config(size_t i) const { return queries_[i]->config; }
   double backlog_cycles() const { return backlog_cycles_; }
-  double rtthresh() const { return rtthresh_; }
   double error_ewma_value() const { return error_ewma_.value(); }
 
   // ---- Real-time robustness (src/rt) ---------------------------------------
@@ -231,7 +229,6 @@ class MonitoringSystem {
     shed::FlowSampler flow_sampler;
     shed::EnforcementPolicy enforcement;
     size_t bins_in_interval = 0;
-    double last_cycles = 0.0;  // previous bin's consumption (reactive)
     // Per-query instruments (labelled {query=<name>}), borrowed from
     // registry_; set right after registration, written once per bin by the
     // coordinator.
@@ -247,6 +244,27 @@ class MonitoringSystem {
     trace::PacketVec sample_buf;
   };
 
+  // One query's share of a bin as a shedder decided it. The three shedders
+  // differ only in how they fill these; ExecuteBin runs every plan the same
+  // way.
+  struct QueryPlan {
+    double rate = 0.0;
+    // Runs iff the query is neither disabled nor granted a zero rate; a
+    // query that does not run has its whole share of the batch shed.
+    bool execute = false;
+    bool custom = false;    // Ch. 6: the query sheds its own load at `rate`
+    double expected = 0.0;  // granted cycles, rate x predicted demand (predictive)
+    uint64_t base_seq = 0;  // first reserved charge slot (set by ExecuteBin)
+  };
+  // What ExecuteBin hands back to the shedder's smoothers.
+  struct BinTotals {
+    double used = 0.0;         // measured query cycles
+    double expected = 0.0;     // sum of the executed plans' expected cycles
+    double measured_ls = 0.0;  // load shedding cycles the queries charged
+  };
+
+  // The shedders: each decides the bin's rates (and updates its own
+  // smoothers), then hands the plan to ExecuteBin.
   void RunPredictive(const trace::Batch& batch, BinLog& log);
   void RunReactive(const trace::Batch& batch, BinLog& log);
   void RunNoShed(const trace::Batch& batch, BinLog& log);
@@ -254,12 +272,22 @@ class MonitoringSystem {
   // Applies the active directive's boost/truncate rungs to a finished rate
   // allocation, in place; shared by the predictive and reactive paths.
   void ApplyDegradation(std::vector<double>& rate, std::vector<bool>& disabled);
+  // Runs one bin's plan: reserves the charge slots in registration order,
+  // fans the queries out (wave 1, then RunShardWaves), and folds their
+  // results into `log` in registration order — charges, packets shed,
+  // per-query and total query cycles. `update_history` feeds the cost models
+  // (predictive only); `shared_features` is the prediction-stage extraction
+  // reused at full rate, or null.
+  BinTotals ExecuteBin(const trace::Batch& batch, std::vector<QueryPlan>& plan,
+                       const features::FeatureVector* shared_features, bool update_history,
+                       BinLog& log);
 
   // What one query's execution inside a bin produced. Tasks run on workers
   // and only touch state owned by their query; everything order-sensitive is
-  // carried here and merged into the BinLog on the coordinating thread in
-  // registration order, replaying the serial schedule charge by charge so
-  // accumulated cycle counters are bit-identical to serial execution.
+  // carried here and folded into the BinLog by ExecuteBin — the one place
+  // the fold happens — on the coordinating thread in registration order,
+  // replaying the serial schedule charge by charge so accumulated cycle
+  // counters are bit-identical to serial execution.
   struct QueryTaskResult {
     struct Charge {
       bool ls = false;  // ls_cycles (true) or ps_cycles (false)

@@ -38,10 +38,9 @@ std::vector<ShardRange> QueryExecutor::SplitUnits(size_t units, size_t shards) {
   return ranges;
 }
 
-void QueryExecutor::Run(size_t n, const std::function<void(size_t)>& raw_task,
-                        const std::function<void(size_t)>& merge) const {
+void QueryExecutor::Run(size_t n, const std::function<void(size_t)>& raw_task) const {
   std::function<void(size_t)> task = raw_task;
-  if (task && injector_ != nullptr) {
+  if (injector_ != nullptr) {
     // The stall hits whichever thread runs the task — worker or the
     // participating caller — exactly like a genuinely slow query would.
     task = [this, raw_task](size_t i) {
@@ -49,7 +48,7 @@ void QueryExecutor::Run(size_t n, const std::function<void(size_t)>& raw_task,
       raw_task(i);
     };
   }
-  if (task && tracer_ != nullptr) {
+  if (tracer_ != nullptr) {
     // Outermost wrapper so the span covers any injected stall too — the
     // trace should show the wall time a task actually took.
     const std::function<void(size_t)> inner = task;
@@ -61,28 +60,20 @@ void QueryExecutor::Run(size_t n, const std::function<void(size_t)>& raw_task,
       inner(i);
     };
   }
-  if (task) {
-    if (pool_ != nullptr && n > 1) {
-      // Grain 1: per-query costs are heterogeneous (Fig. 2.2 spans ~20x), so
-      // fine-grained dispatch load-balances better than equal chunks.
-      if (wave_seconds_ != nullptr) {
-        const uint64_t start_us = util::MonotonicNowUs();
-        pool_->ParallelFor(0, n, 1, task);
-        wave_seconds_->Observe(static_cast<double>(util::MonotonicNowUs() - start_us) * 1e-6);
-      } else {
-        pool_->ParallelFor(0, n, 1, task);
-      }
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        task(i);
-      }
-    }
-  }
-  if (merge) {
-    obs::Span span(tracer_, obs::Stage::kMerge, static_cast<uint32_t>(bin_index_));
+  if (pool_ == nullptr || n <= 1) {
     for (size_t i = 0; i < n; ++i) {
-      merge(i);
+      task(i);
     }
+    return;
+  }
+  // Grain 1: per-query costs are heterogeneous (Fig. 2.2 spans ~20x), so
+  // fine-grained dispatch load-balances better than equal chunks.
+  if (wave_seconds_ != nullptr) {
+    const uint64_t start_us = util::MonotonicNowUs();
+    pool_->ParallelFor(0, n, 1, task);
+    wave_seconds_->Observe(static_cast<double>(util::MonotonicNowUs() - start_us) * 1e-6);
+  } else {
+    pool_->ParallelFor(0, n, 1, task);
   }
 }
 

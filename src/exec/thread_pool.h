@@ -3,10 +3,8 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -20,9 +18,8 @@ namespace shedmon::exec {
 // the corresponding instrument. Updates go to lock-free striped cells and
 // never influence scheduling, so instrumented and bare pools execute tasks
 // identically. A fork-join's queued helper is one task: `tasks_total` counts
-// helper drains (plus Submit calls), and `task_seconds` times a whole drain,
-// however many chunks it claimed — the chunks the joining caller drains
-// itself are in neither.
+// helper drains, and `task_seconds` times a whole drain, however many chunks
+// it claimed — the chunks the joining caller drains itself are in neither.
 struct PoolMetricsHooks {
   obs::Gauge* queue_depth = nullptr;       // tasks currently waiting in the queue
   obs::Counter* tasks_total = nullptr;     // tasks a worker has executed
@@ -38,15 +35,16 @@ struct PoolMetricsHooks {
 // to be scheduled: a helper that starts late finds the counter drained and
 // returns without running the body. So the caller never idles while chunks
 // are left, and a fork-join may be called from inside one of the pool's own
-// tasks (even on a one-worker pool) without deadlocking.
+// tasks (even on a one-worker pool) without deadlocking. Fork-join helpers
+// are the only tasks the pool ever queues.
 //
 // Design notes:
 //  - Workers are started once in the constructor and joined in the
 //    destructor; the pool is created per MonitoringSystem / per sweep, not
 //    per bin, so thread start-up cost is off the hot path.
-//  - The queue is FIFO, so same-thread submission order is preserved. No
-//    work stealing: shedmon's tasks (one per query, one per grid cell) are
-//    coarse enough that a mutex-guarded deque is not a bottleneck.
+//  - The queue is FIFO, so helpers start in the order their fork-joins were
+//    started. No work stealing: shedmon's tasks (one per query, one per grid
+//    cell) are coarse enough that a mutex-guarded deque is not a bottleneck.
 //  - The pool makes no fairness or affinity promises; determinism of results
 //    is the *callers'* job (see core::MonitoringSystem's sequenced cost
 //    charging), not the scheduler's.
@@ -95,17 +93,6 @@ class ThreadPool {
   // tasks already in flight may be counted under the old hooks.
   void SetMetrics(const PoolMetricsHooks& hooks) SHEDMON_EXCLUDES(mutex_);
 
-  // Enqueues `fn` and returns a future for its result. The future's
-  // get()/wait() rethrows any exception the task raised.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    Enqueue([task] { (*task)(); });
-    return future;
-  }
-
   // Starts a fork-join running body(i) for every i in [begin, end) and
   // returns without waiting. Iterations are batched into chunks of `grain`
   // consecutive indices (grain 0 picks ceil(n / num_threads)); at most
@@ -123,7 +110,7 @@ class ThreadPool {
 
  private:
   // Queues `copies` copies of `fn` under one lock acquisition.
-  void Enqueue(std::function<void()> fn, size_t copies = 1) SHEDMON_EXCLUDES(mutex_);
+  void Enqueue(std::function<void()> fn, size_t copies) SHEDMON_EXCLUDES(mutex_);
   void WorkerLoop() SHEDMON_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;

@@ -35,9 +35,10 @@ enum class Stage : uint8_t {
   kShedDecision,     // resource allocation + sampling-rate selection
   kQuery,            // one per-query execution task (wave 1)
   kShard,            // one shard-unit task (waves 2/3)
-  kMerge,            // ordered merge replay on the coordinator
+  kMerge,            // a sharded query folding its shard partials in order
   kReference,        // reference (unsampled) replay the bin close waits for:
-                     // all of it when serial, the join when it overlaps waves
+                     // all of it when serial; the job's start and its join
+                     // when it overlaps waves
   kSink,             // one sink write (CSV/JSONL row)
   kCheckpoint,       // crash-safe checkpoint write
   kDegrade,          // rt ladder transition (instant event)

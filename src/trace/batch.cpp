@@ -57,11 +57,6 @@ Batcher::Batcher(const Trace& trace, uint64_t bin_us) : trace_(trace), bin_us_(b
   num_bins_ = dur == 0 ? 0 : static_cast<size_t>((dur + bin_us - 1) / bin_us);
 }
 
-void Batcher::Reset() {
-  cursor_ = 0;
-  next_bin_ = 0;
-}
-
 bool Batcher::Next(Batch& out) {
   if (next_bin_ >= num_bins_) {
     return false;

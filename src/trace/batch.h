@@ -57,7 +57,6 @@ class Batcher {
 
   // Fills `out` with the next bin; returns false past the end of the trace.
   bool Next(Batch& out);
-  void Reset();
 
   size_t num_bins() const { return num_bins_; }
   uint64_t bin_us() const { return bin_us_; }

@@ -30,6 +30,7 @@
 #include "src/trace/batch.h"
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
+#include "tests/temp_path.h"
 
 namespace shedmon {
 namespace {
@@ -745,7 +746,7 @@ TEST(PipelineValidation, RejectsABlockingIngestCap) {
   };
   EXPECT_THROW(with_cap(10, rt::OverflowPolicy::kBlock).Validate(), ConfigError);
   EXPECT_THROW(with_cap(10, rt::OverflowPolicy::kBlock).Build(), ConfigError);
-  const std::string missing = ::testing::TempDir() + "shedmon_api_test_no_checkpoint.bin";
+  const std::string missing = test::TempPath("shedmon_api_test_no_checkpoint.bin");
   EXPECT_THROW(with_cap(10, rt::OverflowPolicy::kBlock).RestoreOrBuild(missing), ConfigError);
   EXPECT_NO_THROW(with_cap(0, rt::OverflowPolicy::kBlock).Validate());  // no cap, no policy
   EXPECT_NO_THROW(with_cap(10, rt::OverflowPolicy::kDropNewest).Validate());
@@ -766,8 +767,8 @@ TEST(PipelineApi, BuilderRosterRegistersQueriesAtBuild) {
 }
 
 TEST(PipelineApi, ParseConfigFileBuildsTheDescribedPipeline) {
-  const std::string config_path = ::testing::TempDir() + "shedmon_api_test_config.ini";
-  const std::string csv_path = ::testing::TempDir() + "shedmon_api_test_bins.csv";
+  const std::string config_path = test::TempPath("shedmon_api_test_config.ini");
+  const std::string csv_path = test::TempPath("shedmon_api_test_bins.csv");
   {
     std::ofstream file(config_path, std::ios::trunc);
     file << "# pipeline config exercised by api_test\n"
@@ -836,7 +837,6 @@ struct KeySample {
 // here fails ConfigSchema.EveryKeyHasASample, so every key gets the parity
 // and rejection checks below.
 std::map<std::string, KeySample> KeySamples() {
-  const std::string dir = ::testing::TempDir();
   return {
       {"system.time_bin_us", {"50000", SampleKind::kNumber}},
       {"system.cycles_per_bin", {"2.5e6", SampleKind::kNumber}},
@@ -857,15 +857,15 @@ std::map<std::string, KeySample> KeySamples() {
       {"predictor.fcbf_threshold", {"0.5", SampleKind::kNumber}},
       {"predictor.ewma_alpha", {"0.4", SampleKind::kNumber}},
       {"queries.add", {"counter,flows", SampleKind::kText}},
-      {"sinks.csv", {dir + "shedmon_schema.csv", SampleKind::kText}},
-      {"sinks.jsonl", {dir + "shedmon_schema.jsonl", SampleKind::kText}},
-      {"sinks.log", {dir + "shedmon_schema.log", SampleKind::kText}},
+      {"sinks.csv", {test::TempPath("shedmon_schema.csv"), SampleKind::kText}},
+      {"sinks.jsonl", {test::TempPath("shedmon_schema.jsonl"), SampleKind::kText}},
+      {"sinks.log", {test::TempPath("shedmon_schema.log"), SampleKind::kText}},
       {"rt.deadline", {"0.5", SampleKind::kNumber}},
       {"rt.ingest_cap", {"3", SampleKind::kNumber}},
       {"rt.ingest_policy", {"drop-oldest", SampleKind::kEnum}},
       {"rt.fault_plan", {"seed=3,sink_fail_n=1", SampleKind::kText}},
       {"rt.sink_retries", {"2", SampleKind::kNumber}},
-      {"rt.checkpoint", {dir + "shedmon_schema.ckpt", SampleKind::kText}},
+      {"rt.checkpoint", {test::TempPath("shedmon_schema.ckpt"), SampleKind::kText}},
       {"rt.checkpoint_every", {"10", SampleKind::kNumber}},
       {"obs.serve", {"0", SampleKind::kNumber}},
   };
@@ -895,7 +895,7 @@ std::string BuiltState(const api::PipelineBuilder& builder) {
 // checkpoint_every is only valid next to a checkpoint path.
 api::PipelineBuilder SchemaBase() {
   return std::move(api::PipelineBuilder().Threads(1).AddQuery("counter").CheckpointTo(
-      ::testing::TempDir() + "shedmon_schema_base.ckpt"));
+      test::TempPath("shedmon_schema_base.ckpt")));
 }
 
 std::vector<api::Setting> IniSettings(const api::ConfigKey& key, const std::string& value) {
@@ -949,7 +949,7 @@ TEST(ConfigSchema, FileLineAndFlagSetTheSameBuilderState) {
       std::remove(sample.value.c_str());
     }
   }
-  std::remove((::testing::TempDir() + "shedmon_schema_base.ckpt").c_str());
+  std::remove(test::TempPath("shedmon_schema_base.ckpt").c_str());
 }
 
 TEST(ConfigSchema, RejectsUnknownNamesAndTrailingGarbageNamingTheKey) {
@@ -1291,7 +1291,7 @@ TEST(PipelineSnapshot, RejectsTruncatedAndBitFlippedSnapshots) {
 // Path-based snapshots publish via write-to-temp + fsync + atomic rename:
 // the final file is complete and restorable, and no temp litter survives.
 TEST(PipelineSnapshot, PathSnapshotIsAtomicAndRestorable) {
-  const std::string path = ::testing::TempDir() + "shedmon_snapshot_atomic.bin";
+  const std::string path = test::TempPath("shedmon_snapshot_atomic.bin");
   auto pipeline = api::PipelineBuilder().AddQuery("counter").BuildUnique();
   pipeline->Snapshot(path);
 

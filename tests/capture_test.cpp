@@ -32,6 +32,7 @@
 #include "src/trace/generator.h"
 #include "src/trace/pcap.h"
 #include "src/trace/spec.h"
+#include "tests/temp_path.h"
 
 namespace shedmon {
 namespace {
@@ -242,7 +243,7 @@ TEST(Capture, PcapFollowTailsAGrowingFile) {
   // Golden: import the finished file and push it offline. The pcap path
   // rebases timestamps to the first record, exactly like ImportPcap.
   const trace::Trace& t = CaptureTrace();
-  const std::string path = ::testing::TempDir() + "/shedmon_follow.pcap";
+  const std::string path = test::TempPath("shedmon_follow.pcap");
   trace::ExportPcap(t, path);
   const trace::Trace imported = trace::ImportPcap(path);
   ASSERT_EQ(imported.packets.size(), t.packets.size());

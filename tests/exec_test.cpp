@@ -1,5 +1,5 @@
-// src/exec/ tests: ThreadPool semantics (ordering, exception propagation,
-// zero-task and one-worker edges), QueryExecutor's ordered merge, and the
+// src/exec/ tests: ThreadPool semantics (fork-join draining, exception
+// propagation, zero-task and one-worker edges), QueryExecutor waves, and the
 // subsystem's headline property — parallel pipelines are bit-identical to
 // serial ones at every thread count, for every shedder kind.
 
@@ -13,8 +13,6 @@
 #include <latch>
 #include <map>
 #include <memory>
-#include <mutex>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -38,40 +36,13 @@ namespace {
 // ThreadPool
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolTest, SubmitReturnsTaskResult) {
-  exec::ThreadPool pool(2);
-  auto future = pool.Submit([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
-}
-
 TEST(ThreadPoolTest, AtLeastOneWorkerEvenWhenZeroRequested) {
   exec::ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
-  EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);
-}
-
-TEST(ThreadPoolTest, SingleWorkerPreservesSubmissionOrder) {
-  // The queue is FIFO, so one worker must observe tasks in submission order.
-  exec::ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([i, &order] { order.push_back(i); }));
-  }
-  for (auto& future : futures) {
-    future.get();
-  }
-  std::vector<int> expected(32);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
-  exec::ThreadPool pool(2);
-  auto future = pool.Submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The worker survives a throwing task.
-  EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
+  // Two chunks that each wait for the other: only completes when the one
+  // worker's helper runs the chunk the caller did not claim.
+  std::latch both(2);
+  pool.ParallelFor(0, 2, 1, [&](size_t) { both.arrive_and_wait(); });
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -124,21 +95,48 @@ TEST(ThreadPoolTest, ParallelForOnOneWorkerPoolDoesNotDeadlock) {
   EXPECT_EQ(sum.load(), 4950);
 }
 
-// Parks every worker of `pool` on `gate` and returns once all of them are
-// parked, so queued fork-join helpers cannot start until the gate opens.
-std::vector<std::future<void>> ParkWorkers(exec::ThreadPool& pool,
-                                           const std::shared_future<void>& gate) {
-  // Shared, so a worker still inside count_down never touches a dead latch.
-  auto parked = std::make_shared<std::latch>(static_cast<std::ptrdiff_t>(pool.num_threads()));
-  std::vector<std::future<void>> blockers;
-  for (size_t w = 0; w < pool.num_threads(); ++w) {
-    blockers.push_back(pool.Submit([parked, gate] {
-      parked->count_down();
-      gate.wait();
-    }));
+// Parks every worker of `pool` until the gate opens, so fork-join helpers
+// queued meanwhile cannot start. A fork-join driven from its own thread with
+// one blocking chunk per worker plus one for that thread parks them: each
+// thread claims exactly one chunk, and the latch releases only once every
+// worker holds one.
+class ParkedWorkers {
+ public:
+  explicit ParkedWorkers(exec::ThreadPool& pool)
+      : chunks_(pool.num_threads() + 1), parked_(static_cast<std::ptrdiff_t>(chunks_)) {
+    parker_ = std::thread([this, &pool] {
+      pool.ParallelFor(0, chunks_, 1, [this](size_t) {
+        parked_.count_down();
+        gate_.wait();
+      });
+    });
+    parked_.wait();
   }
-  parked->wait();
-  return blockers;
+  ~ParkedWorkers() { Release(); }
+
+  // Opens the gate and waits until the parking fork-join has returned.
+  void Release() {
+    if (parker_.joinable()) {
+      open_.set_value();
+      parker_.join();
+    }
+  }
+
+ private:
+  size_t chunks_;
+  std::latch parked_;  // a member: a worker may still be inside count_down
+  std::promise<void> open_;
+  std::shared_future<void> gate_ = open_.get_future().share();
+  std::thread parker_;
+};
+
+// Returns once every worker of `pool` has run one chunk of a fork-join
+// started now: the queue is FIFO, so every helper queued before this call
+// has run by then.
+void RunOnEveryWorker(exec::ThreadPool& pool) {
+  const size_t chunks = pool.num_threads() + 1;
+  std::latch all(static_cast<std::ptrdiff_t>(chunks));
+  pool.ParallelFor(0, chunks, 1, [&](size_t) { all.arrive_and_wait(); });
 }
 
 TEST(ThreadPoolTest, CallerDrainsWholeRangeWhileEveryWorkerIsBlocked) {
@@ -146,9 +144,7 @@ TEST(ThreadPoolTest, CallerDrainsWholeRangeWhileEveryWorkerIsBlocked) {
   // workers parked until after ParallelFor returns, the caller runs every
   // chunk itself. The helpers run later, find the counter drained and return.
   exec::ThreadPool pool(2);
-  std::promise<void> open;
-  const std::shared_future<void> gate = open.get_future().share();
-  std::vector<std::future<void>> blockers = ParkWorkers(pool, gate);
+  ParkedWorkers parked(pool);
 
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> hits(50, 0);
@@ -159,22 +155,26 @@ TEST(ThreadPoolTest, CallerDrainsWholeRangeWhileEveryWorkerIsBlocked) {
   });
   EXPECT_TRUE(all_on_caller);
   EXPECT_EQ(hits, std::vector<int>(50, 1));
-
-  open.set_value();
-  for (auto& blocker : blockers) {
-    blocker.get();
-  }
 }
 
 TEST(ThreadPoolTest, ParallelForFromInsideAOneWorkerPoolTaskCompletes) {
-  // The only worker is the caller here, so it drains its own fork-join.
+  // Two outer chunks that wait for each other, so the only worker must run
+  // one of them; its nested fork-join finds no free worker and drains on
+  // the worker itself.
   exec::ThreadPool pool(1);
-  auto future = pool.Submit([&pool] {
-    std::atomic<int> sum{0};
+  std::latch both(2);
+  std::atomic<int> sum{0};
+  std::atomic<int> on_worker{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.ParallelFor(0, 2, 1, [&](size_t) {
+    both.arrive_and_wait();
+    if (std::this_thread::get_id() != caller) {
+      on_worker.fetch_add(1);
+    }
     pool.ParallelFor(0, 100, 1, [&](size_t i) { sum.fetch_add(static_cast<int>(i)); });
-    return sum.load();
   });
-  EXPECT_EQ(future.get(), 4950);
+  EXPECT_EQ(on_worker.load(), 1);
+  EXPECT_EQ(sum.load(), 2 * 4950);
 }
 
 TEST(ThreadPoolTest, UnjoinedJobSkipsUnclaimedChunksOnDestruction) {
@@ -182,18 +182,15 @@ TEST(ThreadPoolTest, UnjoinedJobSkipsUnclaimedChunksOnDestruction) {
   // claimed yet: with the only worker parked, none of them runs, and the
   // helper that starts afterwards finds nothing left to run.
   exec::ThreadPool pool(1);
-  std::promise<void> open;
-  const std::shared_future<void> gate = open.get_future().share();
-  std::vector<std::future<void>> blockers = ParkWorkers(pool, gate);
+  ParkedWorkers parked(pool);
 
   std::atomic<int> calls{0};
   {
     exec::ThreadPool::Job job = pool.Start(0, 10, 1, [&](size_t) { calls.fetch_add(1); });
     EXPECT_FALSE(job.empty());
   }
-  open.set_value();
-  blockers.front().get();
-  EXPECT_EQ(pool.Submit([] { return 1; }).get(), 1);  // the helper ran before this
+  parked.Release();
+  RunOnEveryWorker(pool);  // the stale helper ran before this returns
   EXPECT_EQ(calls.load(), 0);
 
   exec::ThreadPool::Job joined = pool.Start(0, 10, 1, [&](size_t) { calls.fetch_add(1); });
@@ -221,53 +218,47 @@ TEST(ThreadPoolTest, ParallelForRethrowsFirstIterationError) {
 // QueryExecutor
 // ---------------------------------------------------------------------------
 
-TEST(QueryExecutorTest, MergeRunsInIndexOrderAfterAllTasks) {
+TEST(QueryExecutorTest, RunFinishesEveryTaskBeforeReturning) {
   exec::ThreadPool pool(4);
   exec::QueryExecutor executor(&pool);
-  std::atomic<int> tasks_done{0};
-  std::vector<size_t> merge_order;
-  executor.Run(
-      25, [&](size_t) { tasks_done.fetch_add(1); },
-      [&](size_t i) {
-        EXPECT_EQ(tasks_done.load(), 25);  // merge starts only after the barrier
-        merge_order.push_back(i);
-      });
-  std::vector<size_t> expected(25);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(merge_order, expected);
+  std::vector<std::atomic<int>> hits(25);
+  executor.Run(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
+  for (size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
 }
 
 TEST(QueryExecutorTest, NullPoolRunsInline) {
   exec::QueryExecutor executor(nullptr);
-  EXPECT_FALSE(executor.parallel());
-  std::vector<std::string> events;
-  executor.Run(
-      2, [&](size_t i) { events.push_back("task" + std::to_string(i)); },
-      [&](size_t i) { events.push_back("merge" + std::to_string(i)); });
-  EXPECT_EQ(events, (std::vector<std::string>{"task0", "task1", "merge0", "merge1"}));
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  executor.Run(3, [&](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
 }
 
-TEST(QueryExecutorTest, TaskFailureSkipsMerge) {
+TEST(QueryExecutorTest, TaskFailureRethrowsAfterEveryTask) {
   exec::ThreadPool pool(2);
   exec::QueryExecutor executor(&pool);
-  bool merged = false;
-  EXPECT_THROW(executor.Run(
-                   4,
-                   [](size_t i) {
-                     if (i == 2) {
-                       throw std::runtime_error("task failed");
-                     }
-                   },
-                   [&](size_t) { merged = true; }),
+  std::atomic<int> executed{0};
+  EXPECT_THROW(executor.Run(4,
+                            [&](size_t i) {
+                              executed.fetch_add(1);
+                              if (i == 2) {
+                                throw std::runtime_error("task failed");
+                              }
+                            }),
                std::runtime_error);
-  EXPECT_FALSE(merged);
+  EXPECT_EQ(executed.load(), 4);
 }
 
 TEST(QueryExecutorTest, ZeroTasksIsANoOp) {
   exec::ThreadPool pool(2);
   exec::QueryExecutor executor(&pool);
   int calls = 0;
-  executor.Run(0, [&](size_t) { ++calls; }, [&](size_t) { ++calls; });
+  executor.Run(0, [&](size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -479,6 +470,47 @@ INSTANTIATE_TEST_SUITE_P(
       return std::get<0>(info.param).label + "_t" + std::to_string(std::get<1>(info.param)) +
              "_s" + std::to_string(std::get<2>(info.param));
     });
+
+// Every shedder's bins go through the same registration-order fold, so the
+// same bookkeeping identities hold whichever shedder chose the rates.
+TEST(BinFold, EveryShedderFoldsTheSameWay) {
+  for (const EquivalenceCase& c :
+       {EquivalenceCase{"predictive_eq", core::ShedderKind::kPredictive,
+                        shed::StrategyKind::kEqSrates, 0.5, false},
+        EquivalenceCase{"predictive_custom", core::ShedderKind::kPredictive,
+                        shed::StrategyKind::kMmfsCpu, 0.6, true},
+        EquivalenceCase{"reactive", core::ShedderKind::kReactive, shed::StrategyKind::kEqSrates,
+                        0.5, false},
+        EquivalenceCase{"no_shed", core::ShedderKind::kNoShed, shed::StrategyKind::kEqSrates,
+                        0.5, false}}) {
+    SCOPED_TRACE(c.label);
+    size_t processed = 0;
+    for (const core::BinLog& log : SerialBaseline(c).log()) {
+      if (log.batch_dropped) {
+        continue;
+      }
+      ++processed;
+      double sum = 0.0;
+      for (size_t q = 0; q < log.per_query_cycles.size(); ++q) {
+        if (log.disabled[q] || log.rate[q] <= 0.0) {
+          EXPECT_EQ(log.per_query_cycles[q], 0.0);
+        }
+        sum += log.per_query_cycles[q];
+      }
+      EXPECT_EQ(log.query_cycles, sum);
+      EXPECT_GE(log.packets_unsampled, 0.0);
+      EXPECT_LE(log.packets_unsampled, static_cast<double>(log.packets_in) * (1.0 + 1e-12));
+      if (c.shedder != core::ShedderKind::kPredictive) {
+        EXPECT_EQ(log.ps_cycles, 0.0);  // no cost-model upkeep without prediction
+      }
+      if (c.shedder == core::ShedderKind::kNoShed) {
+        EXPECT_EQ(log.packets_unsampled, 0.0);
+        EXPECT_EQ(log.ls_cycles, 0.0);
+      }
+    }
+    EXPECT_GT(processed, 0u);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // A throwing query while the reference replay overlaps the waves

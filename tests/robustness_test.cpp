@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -22,12 +24,14 @@
 #include "src/core/runner.h"
 #include "src/net/packet.h"
 #include "src/obs/metrics.h"
+#include "src/obs/snapshot.h"
 #include "src/query/queries.h"
 #include "src/rt/clock.h"
 #include "src/rt/fault.h"
 #include "src/rt/governor.h"
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
+#include "tests/temp_path.h"
 
 namespace shedmon {
 namespace {
@@ -203,7 +207,7 @@ TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadAndShardCount) {
       // Everything armed: governor (never fires — the ManualClock does not
       // move), fault injector with an empty plan, bounded ingest with a cap
       // far above any bin, sink retry on a JSONL sink.
-      const std::string jsonl = ::testing::TempDir() + "shedmon_robustness_identity.jsonl";
+      const std::string jsonl = test::TempPath("shedmon_robustness_identity.jsonl");
       auto armed = api::PipelineBuilder()
                        .Config(BaseConfig(threads, shards))
                        .AddQuery("counter")
@@ -275,6 +279,58 @@ TEST(Robustness, IngestCapDropOldestKeepsTheTailOfEachBin) {
   EXPECT_EQ(snaps.back().bytes, 10.0 * 500.0);
 }
 
+// Keeps a copy of every payload it is handed, in batch order.
+class PayloadRecorder : public query::Query {
+ public:
+  PayloadRecorder() : Query("payload-recorder", 10) {}
+  const std::vector<std::vector<uint8_t>>& payloads() const { return payloads_; }
+
+ protected:
+  void OnBatch(const query::BatchInput& in) override {
+    for (const net::Packet& packet : in.packets) {
+      payloads_.emplace_back(packet.payload, packet.payload + packet.payload_len);
+    }
+    ChargeWork(static_cast<double>(in.packets.size()));
+  }
+  void OnEndInterval(size_t) override {}
+
+ private:
+  std::vector<std::vector<uint8_t>> payloads_;
+};
+
+TEST(Robustness, IngestCapDropOldestKeepsTheSurvivorsPayloadBytes) {
+  // Evicted records keep their bytes in the open bin's arena until it
+  // closes, so every survivor's payload view must still land on the bytes
+  // pushed with it, whatever the evicted payloads' lengths.
+  auto pipeline = api::PipelineBuilder()
+                      .Shedder(core::ShedderKind::kNoShed)
+                      .IngestCap(10, rt::OverflowPolicy::kDropOldest)
+                      .TrackAccuracy(false)
+                      .BuildUnique();
+  auto owned = std::make_unique<PayloadRecorder>();
+  const PayloadRecorder& recorder = *owned;
+  pipeline->AddQuery(std::move(owned));
+
+  std::vector<std::vector<uint8_t>> pushed;
+  for (int i = 0; i < 25; ++i) {
+    // Lengths 0..6, so some packets carry no payload at all.
+    std::vector<uint8_t> payload(static_cast<size_t>(i % 7),
+                                 static_cast<uint8_t>(0x10 + i));
+    const net::PacketRecord record = RecordAt(1000 * static_cast<uint64_t>(i), 100);
+    net::Packet packet = net::Packet::View(record);
+    packet.payload = payload.empty() ? nullptr : payload.data();
+    packet.payload_len = static_cast<uint16_t>(payload.size());
+    pipeline->Push(packet);
+    pushed.push_back(std::move(payload));
+  }
+  pipeline->Finish();
+
+  ASSERT_EQ(pipeline->log().size(), 1u);
+  EXPECT_EQ(pipeline->log().back().packets_in, 10u);
+  const std::vector<std::vector<uint8_t>> survivors(pushed.end() - 10, pushed.end());
+  EXPECT_EQ(recorder.payloads(), survivors);
+}
+
 TEST(Robustness, IngestCapResetsAtEveryBinBoundary) {
   auto pipeline = api::PipelineBuilder()
                       .AddQuery("counter")
@@ -299,7 +355,7 @@ TEST(Robustness, IngestCapResetsAtEveryBinBoundary) {
 // ---------------------------------------------------------------------------
 
 TEST(Robustness, SinkRetriesRecoverFromTransientFaults) {
-  const std::string path = ::testing::TempDir() + "shedmon_robustness_retry.jsonl";
+  const std::string path = test::TempPath("shedmon_robustness_retry.jsonl");
   auto clock = std::make_shared<rt::ManualClock>();
   rt::RetryPolicy retry;
   retry.max_retries = 3;
@@ -329,7 +385,7 @@ TEST(Robustness, SinkRetriesRecoverFromTransientFaults) {
 }
 
 TEST(Robustness, SinkQuarantineKeepsTheMeasurementAlive) {
-  const std::string path = ::testing::TempDir() + "shedmon_robustness_quarantine.jsonl";
+  const std::string path = test::TempPath("shedmon_robustness_quarantine.jsonl");
   auto clock = std::make_shared<rt::ManualClock>();
   rt::RetryPolicy retry;
   retry.max_retries = 2;
@@ -362,7 +418,7 @@ TEST(Robustness, SinkQuarantineKeepsTheMeasurementAlive) {
 // replays the remaining packets and produces field-exact BinLogs vs the
 // uninterrupted run.
 TEST(Robustness, CheckpointThenRestoreReplaysTheRemainingBinsFieldExactly) {
-  const std::string path = ::testing::TempDir() + "shedmon_robustness_checkpoint.bin";
+  const std::string path = test::TempPath("shedmon_robustness_checkpoint.bin");
   std::remove(path.c_str());
   const core::SystemConfig config = BaseConfig(0, 1);
 
@@ -421,8 +477,8 @@ TEST(Robustness, CheckpointThenRestoreReplaysTheRemainingBinsFieldExactly) {
 // bare ones: injected sink faults on the resumed bins are retried, and every
 // resumed bin lands a CSV row.
 TEST(Robustness, RestoreOrBuildAttachesTheBuildersSinksWithRetry) {
-  const std::string path = ::testing::TempDir() + "shedmon_robustness_restore_sinks.bin";
-  const std::string csv = ::testing::TempDir() + "shedmon_robustness_restore_sinks.csv";
+  const std::string path = test::TempPath("shedmon_robustness_restore_sinks.bin");
+  const std::string csv = test::TempPath("shedmon_robustness_restore_sinks.csv");
   std::remove(path.c_str());
   std::remove(csv.c_str());
   const core::SystemConfig config = BaseConfig(0, 1);
@@ -477,7 +533,7 @@ TEST(Robustness, RestoreOrBuildAttachesTheBuildersSinksWithRetry) {
 }
 
 TEST(Robustness, RestoreOrBuildFallsBackPastMissingOrCorruptCheckpoints) {
-  const std::string path = ::testing::TempDir() + "shedmon_robustness_corrupt.bin";
+  const std::string path = test::TempPath("shedmon_robustness_corrupt.bin");
   std::remove(path.c_str());
   api::PipelineBuilder builder;
   builder.AddQuery("counter").CheckpointTo(path);
@@ -497,11 +553,44 @@ TEST(Robustness, RestoreOrBuildFallsBackPastMissingOrCorruptCheckpoints) {
   std::remove(path.c_str());
 }
 
+// A checkpoint from an older snapshot format (say v2, which still carried a
+// per-query cycle count v3 dropped) is refused by version, so RestoreOrBuild
+// starts fresh instead of misreading the stream.
+TEST(Robustness, RestoreOrBuildStartsFreshFromAnOlderSnapshotVersion) {
+  const std::string path = test::TempPath("shedmon_robustness_old_version.bin");
+  api::PipelineBuilder builder;
+  builder.AddQuery("counter").CheckpointTo(path);
+  auto pipeline = builder.BuildUnique();
+  pipeline->AdvanceTime(10 * 100'000);  // ten empty bins: an interval boundary
+  pipeline->Snapshot(path);
+  ASSERT_EQ(builder.RestoreOrBuild(path)->next_bin(), 10u);
+
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 12u);
+  bytes[8] = 2;  // little-endian version word right after the 8-byte magic
+  {
+    std::istringstream in(bytes);
+    EXPECT_THROW(api::PipelineBuilder::Restore(in), obs::SnapshotError);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  auto fallback = builder.RestoreOrBuild(path);
+  EXPECT_EQ(fallback->next_bin(), 0u);
+  EXPECT_EQ(fallback->num_queries(), 1u);
+  std::remove(path.c_str());
+}
+
 // An injected checkpoint corruption (bit flip as the file is written) must
 // be caught by the snapshot checksum on restore, and RestoreOrBuild must
 // fall back to a fresh pipeline rather than restoring garbage.
 TEST(Robustness, InjectedCheckpointCorruptionIsDetectedOnRestore) {
-  const std::string path = ::testing::TempDir() + "shedmon_robustness_bitflip.bin";
+  const std::string path = test::TempPath("shedmon_robustness_bitflip.bin");
   std::remove(path.c_str());
   const core::SystemConfig config = BaseConfig(0, 1);
   {

@@ -1,7 +1,8 @@
 // Unit tests for the src/rt robustness primitives: injectable clocks, the
 // bounded ingest queue, the deadline governor's degradation ladder, fault
 // plan parsing / injection, the resilient sink writer, and atomic file
-// publication. Everything time-related is driven by a ManualClock so the
+// publication, plus the reactive shedder's accounting under the ladder's
+// truncate rung. Everything time-related is driven by a ManualClock so the
 // suite is fully deterministic.
 
 #include <gtest/gtest.h>
@@ -9,18 +10,24 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/api/pipeline.h"
+#include "src/query/query.h"
 #include "src/rt/atomic_file.h"
 #include "src/rt/bounded_queue.h"
 #include "src/rt/clock.h"
 #include "src/rt/fault.h"
 #include "src/rt/governor.h"
 #include "src/rt/resilient.h"
+#include "src/trace/generator.h"
+#include "src/trace/spec.h"
+#include "tests/temp_path.h"
 
 namespace shedmon::rt {
 namespace {
@@ -455,11 +462,85 @@ TEST(ResilientWriter, JitterIsDeterministicForAFixedSeed) {
 }
 
 // ---------------------------------------------------------------------------
+// Reactive shedder under the truncate rung
+// ---------------------------------------------------------------------------
+
+// Records how many packets each processed batch carried, by bin start.
+class PacketTally : public query::Query {
+ public:
+  PacketTally() : Query("packet-tally", 10) {}
+  const std::map<uint64_t, size_t>& seen() const { return seen_; }
+
+ protected:
+  void OnBatch(const query::BatchInput& in) override {
+    seen_[in.start_us] = in.packets.size();
+    ChargeWork(static_cast<double>(in.packets.size()));
+  }
+  void OnEndInterval(size_t) override {}
+
+ private:
+  std::map<uint64_t, size_t> seen_;
+};
+
+TEST(ReactiveLadder, TruncatedQueriesCountTheirShareAsShed) {
+  // Every bin stalls past its budget on the ManualClock, so the ladder
+  // climbs boost -> truncate -> drop. In each processed bin, a query that
+  // did not run sheds its whole share of the batch, and one that ran sheds
+  // the part its sampler dropped.
+  auto clock = std::make_shared<ManualClock>();
+  trace::TraceSpec spec = trace::CescaII();
+  spec.duration_s = 1.0;
+  const trace::Trace trace = trace::TraceGenerator(spec).Generate();
+  auto pipeline = api::PipelineBuilder()
+                      .Shedder(core::ShedderKind::kReactive)
+                      .TrackAccuracy(false)
+                      .RtClock(clock)
+                      .Deadline(TestGovernorConfig())
+                      .InjectFaults(FaultPlan::Parse("stall_every=1:80000"))
+                      .BuildUnique();
+  std::vector<const PacketTally*> tallies;
+  for (int q = 0; q < 3; ++q) {
+    auto query = std::make_unique<PacketTally>();
+    tallies.push_back(query.get());
+    pipeline->AddQuery(std::move(query));
+  }
+  pipeline->Push(trace);
+  pipeline->Finish();
+
+  size_t truncated_bins = 0;
+  for (const core::BinLog& log : pipeline->log()) {
+    if (log.batch_dropped) {
+      continue;
+    }
+    SCOPED_TRACE("bin at " + std::to_string(log.start_us));
+    const double share = static_cast<double>(log.packets_in) / 3.0;
+    double expected = 0.0;
+    for (size_t q = 0; q < tallies.size(); ++q) {
+      const auto it = tallies[q]->seen().find(log.start_us);
+      if (log.disabled[q]) {
+        EXPECT_EQ(it, tallies[q]->seen().end());
+        expected += share;
+      } else {
+        ASSERT_NE(it, tallies[q]->seen().end());
+        expected += static_cast<double>(log.packets_in - it->second) / 3.0;
+      }
+    }
+    EXPECT_DOUBLE_EQ(log.packets_unsampled, expected);
+    if (log.degradation == static_cast<uint8_t>(DegradeAction::kTruncate)) {
+      ++truncated_bins;
+      EXPECT_TRUE(log.disabled.back());
+      EXPECT_GT(log.packets_unsampled, share);
+    }
+  }
+  EXPECT_GT(truncated_bins, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // WriteFileAtomic
 // ---------------------------------------------------------------------------
 
 TEST(AtomicFile, WritesAndReplacesWithoutTempLitter) {
-  const std::string path = ::testing::TempDir() + "shedmon_rt_atomic_test.bin";
+  const std::string path = test::TempPath("shedmon_rt_atomic_test.bin");
   WriteFileAtomic(path, "first contents");
   {
     std::ifstream in(path, std::ios::binary);

@@ -14,6 +14,7 @@
 #include "src/trace/pcap.h"
 #include "src/trace/spec.h"
 #include "src/trace/trace_io.h"
+#include "tests/temp_path.h"
 
 namespace shedmon::trace {
 namespace {
@@ -274,23 +275,9 @@ TEST(Batcher, WireBytesMatchesSum) {
   }
 }
 
-TEST(Batcher, ResetReplaysFromStart) {
-  const Trace t = TraceGenerator(SmallSpec()).Generate();
-  Batcher batcher(t, 100'000);
-  Batch batch;
-  ASSERT_TRUE(batcher.Next(batch));
-  const size_t first_size = batch.size();
-  while (batcher.Next(batch)) {
-  }
-  batcher.Reset();
-  ASSERT_TRUE(batcher.Next(batch));
-  EXPECT_EQ(batch.size(), first_size);
-}
-
-
 TEST(Pcap, ExportedFileHasValidStructure) {
   const Trace t = TraceGenerator(SmallSpec()).Generate();
-  const std::string path = ::testing::TempDir() + "/shedmon_test.pcap";
+  const std::string path = test::TempPath("shedmon_test.pcap");
   const size_t written = ExportPcap(t, path);
   EXPECT_EQ(written, t.packets.size());
 
@@ -347,7 +334,7 @@ TEST(Pcap, IpChecksumVerifies) {
 
 TEST(Pcap, RoundTripPreservesTuplesAndTiming) {
   const Trace t = TraceGenerator(SmallSpec()).Generate();
-  const std::string path = ::testing::TempDir() + "/shedmon_roundtrip.pcap";
+  const std::string path = test::TempPath("shedmon_roundtrip.pcap");
   ExportPcap(t, path);
   const Trace back = ImportPcap(path);
   ASSERT_EQ(back.packets.size(), t.packets.size());
@@ -365,8 +352,8 @@ TEST(Pcap, RoundTripPreservesTuplesAndTiming) {
 
 TEST(Pcap, SnaplenTruncatesStoredBytes) {
   const Trace t = TraceGenerator(SmallSpec()).Generate();
-  const std::string full_path = ::testing::TempDir() + "/shedmon_full.pcap";
-  const std::string snap_path = ::testing::TempDir() + "/shedmon_snap.pcap";
+  const std::string full_path = test::TempPath("shedmon_full.pcap");
+  const std::string snap_path = test::TempPath("shedmon_snap.pcap");
   ExportPcap(t, full_path);
   ExportPcap(t, snap_path, 64);
   std::ifstream full(full_path, std::ios::binary | std::ios::ate);
@@ -380,7 +367,7 @@ TEST(Pcap, SnaplenTruncatesStoredBytes) {
 }
 
 TEST(Pcap, ImportRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/shedmon_garbage.pcap";
+  const std::string path = test::TempPath("shedmon_garbage.pcap");
   std::ofstream out(path, std::ios::binary);
   out << "this is not a pcap file at all";
   out.close();
@@ -426,7 +413,7 @@ void AppendRecord(std::vector<uint8_t>& out, uint64_t ts_us, uint32_t incl_len,
 }
 
 std::string WriteFixture(const std::string& name, const std::vector<uint8_t>& bytes) {
-  const std::string path = ::testing::TempDir() + "/" + name;
+  const std::string path = test::TempPath(name);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
@@ -604,7 +591,7 @@ TEST(Pcap, RoundTripIsFieldExact) {
     rec.tcp_flags = tcp ? net::kTcpAck : 0;
     t.packets.push_back(rec);
   }
-  const std::string path = ::testing::TempDir() + "/shedmon_exact.pcap";
+  const std::string path = test::TempPath("shedmon_exact.pcap");
   ExportPcap(t, path);
   const Trace back = ImportPcap(path);
   ASSERT_EQ(back.packets.size(), t.packets.size());
@@ -620,7 +607,7 @@ TEST(Pcap, RoundTripIsFieldExact) {
 
 TEST(TraceIo, RoundTripsPacketsExactly) {
   const Trace t = TraceGenerator(SmallSpec()).Generate();
-  const std::string path = ::testing::TempDir() + "/shedmon_roundtrip.trace";
+  const std::string path = test::TempPath("shedmon_roundtrip.trace");
   SaveTrace(t, path);
   const Trace loaded = LoadTrace(path);
   ASSERT_EQ(loaded.packets.size(), t.packets.size());
