@@ -367,6 +367,12 @@ Pipeline::Pipeline(const core::SystemConfig& config, core::OracleKind oracle_kin
     throw ConfigError("Pipeline: time_bin_us must be positive");
   }
   system_ = std::make_unique<core::MonitoringSystem>(config, core::MakeOracle(oracle_kind));
+  const char* ref_help = "Reference bins replayed over the unsampled stream, or elided";
+  m_ref_replayed_ = &system_->metrics().GetCounter("shedmon_reference_bins_total",
+                                                   {{"mode", "replayed"}}, ref_help);
+  m_ref_elided_ = &system_->metrics().GetCounter("shedmon_reference_bins_total",
+                                                 {{"mode", "elided"}}, ref_help);
+  fork_hook_ = [this](std::span<const core::QueryRun> runs) { ForkInexact(runs); };
   RefreshStats();
 }
 
@@ -496,7 +502,7 @@ QueryHandle Pipeline::AddQuery(std::string_view name) {
 
 QueryHandle Pipeline::AddQuery(std::string_view name, const core::QueryConfig& config) {
   return Register(config, query::MakeQuery(name),
-                  track_accuracy_ ? query::MakeQuery(name) : nullptr);
+                  track_accuracy_ ? query::MakeQuery(name) : nullptr, /*elidable=*/true);
 }
 
 QueryHandle Pipeline::AddQuery(std::unique_ptr<query::Query> query,
@@ -505,17 +511,18 @@ QueryHandle Pipeline::AddQuery(std::unique_ptr<query::Query> query,
   if (query == nullptr) {
     throw std::invalid_argument("Pipeline::AddQuery: query must not be null");
   }
-  return Register(config, std::move(query), std::move(reference));
+  return Register(config, std::move(query), std::move(reference), /*elidable=*/false);
 }
 
 QueryHandle Pipeline::Register(const core::QueryConfig& config,
                                std::unique_ptr<query::Query> query,
-                               std::unique_ptr<query::Query> reference) {
+                               std::unique_ptr<query::Query> reference, bool elidable) {
   EnsureOpen("AddQuery");
   system_->AddQuery(std::move(query), config);
   Slot slot;
   slot.id = next_id_++;
   slot.reference = std::move(reference);
+  slot.elidable = elidable;
   slots_.push_back(std::move(slot));
   if (logger_ != nullptr) {
     logger_->Write(obs::LogEvent("query_added")
@@ -533,6 +540,10 @@ DetachedQuery Pipeline::Detach(QueryHandle handle) {
     throw std::logic_error("Pipeline::Detach: handle belongs to another Pipeline");
   }
   const size_t index = SlotIndex(handle.id_);
+  if (slots_[index].elided) {
+    // The reference leaves with the open interval it would have replayed.
+    slots_[index].reference->AdoptFrom(system_->query(index), query::Query::Adopt::kOpen);
+  }
   DetachedQuery detached;
   detached.reference = std::move(slots_[index].reference);
   slots_.erase(slots_.begin() + static_cast<std::ptrdiff_t>(index));
@@ -659,31 +670,36 @@ void Pipeline::CloseOpenBin() {
       system_->SetDegradation(governor_->Begin());
     }
     // With a pool, the reference replay (§2.2.1) starts before the system's
-    // waves and overlaps them: it reads only batch_ and each slot's own
-    // reference, never the system or its oracle, so BinLogs and accuracies
-    // cannot move. If ProcessBatch throws, the Job's destructor stops the
-    // unclaimed replays and waits out the running ones before batch_ dies.
-    exec::ThreadPool* pool = slots_.size() > 1 ? system_->pool() : nullptr;
+    // waves and overlaps them: it reads only batch_ and each replaying
+    // slot's own reference, never the system or its oracle, so BinLogs and
+    // accuracies cannot move. Elided slots are not in the job, so the fork
+    // hook may switch them to replaying without a race. If ProcessBatch
+    // throws, the Job's destructor stops the unclaimed replays and waits out
+    // the running ones before batch_ dies.
+    PlanReferences();
+    exec::ThreadPool* pool = replay_.size() > 1 ? system_->pool() : nullptr;
     exec::ThreadPool::Job references = [&] {
       if (pool == nullptr) {
         return exec::ThreadPool::Job();
       }
       // Queuing the helpers is reference work the close pays for too.
       obs::Span start_span(tracer_.get(), obs::Stage::kReference, bin);
-      return pool->Start(0, slots_.size(), 1, [this](size_t i) { ReplayReference(i); });
+      return pool->Start(0, replay_.size(), 1, [this](size_t k) { ReplayReference(replay_[k]); });
     }();
-    system_->ProcessBatch(batch_);
+    forked_.clear();
+    system_->ProcessBatch(batch_, fork_hook_);
     UpdateTallies(system_->log().back());
     {
       // With a pool this span is the reference time the close still waits for.
       obs::Span ref_span(tracer_.get(), obs::Stage::kReference, bin);
       if (references.empty()) {
-        for (size_t i = 0; i < slots_.size(); ++i) {
+        for (const size_t i : replay_) {
           ReplayReference(i);
         }
       } else {
         references.Join();
       }
+      FinishReferences();
     }
     if (governor_ != nullptr) {
       governor_->End(bin_us_, open_bin_);
@@ -706,11 +722,69 @@ void Pipeline::CloseOpenBin() {
   RefreshStats();
 }
 
+void Pipeline::PlanReferences() {
+  replay_.clear();
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (slot.reference == nullptr) {
+      continue;
+    }
+    if (slot.ref_bins_in_interval == 0) {
+      // A query shed in its last interval is likely shed again: replaying
+      // from bin 0 keeps that replay on the pool, overlapping the waves,
+      // instead of forking it later onto the coordinator.
+      slot.elided = slot.elidable && !slot.shed &&
+                    slot.reference->AdoptableFrom(system_->query(i));
+      slot.shed = false;
+    }
+    if (!slot.elided) {
+      replay_.push_back(i);
+    }
+  }
+}
+
+void Pipeline::ForkInexact(std::span<const core::QueryRun> runs) {
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    const core::QueryRun& run = runs[i];
+    // Exact: the query sees this whole bin unscaled, as its reference would
+    // (a rate within kEps of 1 skips sampling but still rescales by 1/rate).
+    if (slot.reference == nullptr || (run.execute && !run.custom && run.rate == 1.0)) {
+      continue;
+    }
+    slot.shed = true;
+    if (slot.elided) {
+      obs::Span span(tracer_.get(), obs::Stage::kReference, static_cast<uint32_t>(open_bin_));
+      slot.reference->AdoptFrom(system_->query(i), query::Query::Adopt::kOpen);
+      slot.elided = false;
+      forked_.push_back(i);
+    }
+  }
+}
+
+void Pipeline::FinishReferences() {
+  for (const size_t i : forked_) {
+    ReplayReference(i);
+  }
+  size_t elided = 0;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (!slot.elided) {
+      continue;
+    }
+    ++elided;
+    if (++slot.ref_bins_in_interval >= slot.reference->interval_bins()) {
+      // The system query closed this interval in ProcessBatch.
+      slot.reference->AdoptFrom(system_->query(i), query::Query::Adopt::kLastClosed);
+      slot.ref_bins_in_interval = 0;
+    }
+  }
+  m_ref_replayed_->Add(static_cast<double>(replay_.size() + forked_.size()));
+  m_ref_elided_->Add(static_cast<double>(elided));
+}
+
 void Pipeline::ReplayReference(size_t i) {
   Slot& slot = slots_[i];
-  if (slot.reference == nullptr) {
-    return;
-  }
   slot.reference->ProcessBatch({batch_.packets, batch_.start_us, batch_.duration_us, 1.0});
   if (++slot.ref_bins_in_interval >= slot.reference->interval_bins()) {
     slot.reference->EndInterval();
@@ -750,11 +824,18 @@ void Pipeline::Finish() {
     CloseOpenBin();
   }
   system_->Finish();
-  for (Slot& slot : slots_) {
-    if (slot.reference != nullptr && slot.ref_bins_in_interval > 0) {
-      slot.reference->EndInterval();
-      slot.ref_bins_in_interval = 0;
+  for (size_t i = 0; i < slots_.size(); ++i) {
+    Slot& slot = slots_[i];
+    if (slot.reference == nullptr || slot.ref_bins_in_interval == 0) {
+      continue;
     }
+    if (slot.elided) {
+      // system_->Finish() closed the query's partial interval just now.
+      slot.reference->AdoptFrom(system_->query(i), query::Query::Adopt::kLastClosed);
+    } else {
+      slot.reference->EndInterval();
+    }
+    slot.ref_bins_in_interval = 0;
   }
   finished_ = true;
   for (BinObserver* observer : observers_) {

@@ -108,7 +108,10 @@ class QueryHandle {
   size_t index() const;
   const std::string& name() const;
   query::Query& query() const;
-  // Null when the pipeline does not track accuracy for this query.
+  // Null when the pipeline does not track accuracy for this query. Its
+  // closed intervals are the full-rate results, whether the reference
+  // replayed them or copied them from the query (see TrackAccuracy); its
+  // work_units() counts only the bins it replayed.
   const query::Query* reference() const;
   bool has_reference() const { return reference() != nullptr; }
 
@@ -128,7 +131,9 @@ class QueryHandle {
 };
 
 // What Pipeline::Detach hands back: the live query instance (snapshots and
-// all) plus its reference twin when accuracy was tracked.
+// all) plus its reference twin when accuracy was tracked. A reference the
+// pipeline was eliding takes the query's open interval first, so it carries
+// on exactly as if it had replayed every bin.
 struct DetachedQuery {
   std::unique_ptr<query::Query> query;
   std::unique_ptr<query::Query> reference;
@@ -156,7 +161,13 @@ class PipelineBuilder {
   PipelineBuilder& Seed(uint64_t seed);
   PipelineBuilder& Oracle(core::OracleKind kind);
   // Run pipeline-managed reference instances over the unsampled stream so
-  // per-query accuracy is queryable live from a handle (default on).
+  // per-query accuracy is queryable live from a handle (default on). A
+  // reference whose query runs a whole interval exactly (every bin executed
+  // at rate 1, no custom shedding, no dropped bin) does not replay it: it
+  // copies the query's result at the interval's end, or the query's open
+  // interval at the first inexact bin and replays from there. Results are
+  // bit-identical to a full replay; shedmon_reference_bins_total{mode=}
+  // counts replayed and elided bins.
   PipelineBuilder& TrackAccuracy(bool enable = true);
   // Apply core::DefaultMinRate to queries added by name without an explicit
   // QueryConfig (default on).
@@ -489,6 +500,17 @@ class Pipeline {
     uint64_t id = 0;
     std::unique_ptr<query::Query> reference;  // null when not tracked
     size_t ref_bins_in_interval = 0;
+    // The pipeline built query and reference from one name, so the query is
+    // a twin the reference may copy (query::Query::AdoptFrom). A
+    // user-supplied pair always replays: its twin may differ.
+    bool elidable = false;
+    // The reference is not fed this interval: the system query has run
+    // every bin of it exactly so far and stands in for the reference.
+    bool elided = false;
+    // Some bin of the open interval (at an interval start: of the one just
+    // closed) was not exact. Starts true: a new query's first bins are
+    // cold-start probes.
+    bool shed = true;
   };
 
   Pipeline(const core::SystemConfig& config, core::OracleKind oracle_kind,
@@ -504,7 +526,7 @@ class Pipeline {
   size_t FindSlot(uint64_t id) const noexcept;  // npos when unknown/removed
   size_t SlotIndex(uint64_t id) const;          // throws std::logic_error when stale
   QueryHandle Register(const core::QueryConfig& config, std::unique_ptr<query::Query> query,
-                       std::unique_ptr<query::Query> reference);
+                       std::unique_ptr<query::Query> reference, bool elidable);
   // Appends one record to the open bin, closing earlier bins first; null
   // payload bytes mean "materialize deterministically from the record".
   void AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes);
@@ -513,9 +535,22 @@ class Pipeline {
   // Processes the open bin's packets (possibly none), advances the reference
   // instances, and fires the observers.
   void CloseOpenBin();
+  // At each slot's interval start, chooses whether its reference replays
+  // the interval or is elided; lists the replaying slots in replay_.
+  void PlanReferences();
+  // The system's pre-execution hook: a slot whose query is not exact this
+  // bin is marked shed, and an elided one forks — its reference adopts the
+  // query's open interval before the waves touch it and joins forked_.
+  void ForkInexact(std::span<const core::QueryRun> runs);
+  // After the system's bin: replays the forked slots, advances the elided
+  // ones (adopting the query's result at their interval end) and counts the
+  // bin's replayed and elided references.
+  void FinishReferences();
   // Advances slot i's reference instance over the closing bin's full batch.
   // Reads only batch_ and slots_[i], so CloseOpenBin may replay different
-  // slots concurrently with each other and with the system's waves.
+  // slots concurrently with each other and with the system's waves; an
+  // elided slot (not in replay_) reads the system query instead, on the
+  // coordinator, at a fork, at an interval end, and in Detach and Finish.
   void ReplayReference(size_t i);
   void NotifyObservers();
   void EnsureOpen(std::string_view op) const;
@@ -535,6 +570,14 @@ class Pipeline {
   std::unique_ptr<core::MonitoringSystem> system_;
   std::vector<Slot> slots_;
   uint64_t next_id_ = 1;
+  // Per-bin reference bookkeeping (CloseOpenBin): slots replayed on the
+  // pool while the system runs, slots forked by ForkInexact, the hook that
+  // forks them, and the shedmon_reference_bins_total{mode=} counters.
+  std::vector<size_t> replay_;
+  std::vector<size_t> forked_;
+  core::PreExecuteHook fork_hook_;
+  obs::Counter* m_ref_replayed_ = nullptr;
+  obs::Counter* m_ref_elided_ = nullptr;
 
   // Open-bin assembler: records and payload bytes accumulate in push order,
   // so record i's payload starts at the sum of payload_len over

@@ -195,6 +195,10 @@ void MonitoringSystem::MarkDeadline(bool missed, double overrun_us) {
 // the capture-buffer overflow of Fig. 4.2 and the kDropBin rung of the
 // deadline ladder share this path. The bin still drains capacity.
 void MonitoringSystem::RecordDroppedBin(const trace::Batch& batch, BinLog& log) {
+  if (*pre_execute_) {
+    const std::vector<QueryRun> nothing(queries_.size());
+    (*pre_execute_)(nothing);
+  }
   log.batch_dropped = true;
   log.packets_dropped = batch.size();
   total_dropped_ += batch.size();
@@ -206,7 +210,9 @@ void MonitoringSystem::RecordDroppedBin(const trace::Batch& batch, BinLog& log) 
   log_.push_back(std::move(log));
 }
 
-void MonitoringSystem::ProcessBatch(const trace::Batch& batch) {
+void MonitoringSystem::ProcessBatch(const trace::Batch& batch,
+                                    const PreExecuteHook& pre_execute) {
+  pre_execute_ = &pre_execute;
   if (injector_ != nullptr) {
     injector_->OnBinStart(log_.size());
   }
@@ -673,6 +679,13 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
     const trace::Batch& batch, std::vector<QueryPlan>& plan,
     const features::FeatureVector* shared_features, bool update_history, BinLog& log) {
   const size_t n = plan.size();
+  if (*pre_execute_) {
+    std::vector<QueryRun> runs(n);
+    for (size_t q = 0; q < n; ++q) {
+      runs[q] = {plan[q].execute, plan[q].custom, plan[q].rate};
+    }
+    (*pre_execute_)(runs);
+  }
   // Charge slots are reserved in registration order so the sequenced cost
   // schedule matches the serial one whichever worker then runs which query.
   for (QueryPlan& p : plan) {

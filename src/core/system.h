@@ -4,7 +4,9 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/core/cost.h"
@@ -129,6 +131,19 @@ struct BinLog {
   double deadline_overrun_us = 0.0;
 };
 
+// One query's share of a bin as the system is about to run it, handed to
+// ProcessBatch's pre-execution hook.
+struct QueryRun {
+  bool execute = false;  // false: the query sees nothing of this bin
+  bool custom = false;   // Ch. 6: the query sheds its own load
+  double rate = 0.0;     // sampling rate the query's results are scaled by
+};
+// Called once per bin on the coordinating thread, after the shedding
+// decision and before any query's state changes, with one entry per
+// registered query in registration order. A dropped bin passes entries that
+// do not execute. The hook may read the queries, never change them.
+using PreExecuteHook = std::function<void(std::span<const QueryRun>)>;
+
 // The CoMo-like monitoring pipeline with the thesis's load shedding scheme.
 // Offline and online behave identically (§2.3.2); capacity is an explicit
 // cycle budget per 100 ms bin, and a backlog/buffer emulation produces the
@@ -150,7 +165,9 @@ class MonitoringSystem {
   // instead of indices. Throws std::out_of_range on a bad index.
   std::unique_ptr<query::Query> RemoveQuery(size_t index);
 
-  void ProcessBatch(const trace::Batch& batch);
+  // `pre_execute`, when set, sees every query's share of this bin before
+  // the queries run (see PreExecuteHook).
+  void ProcessBatch(const trace::Batch& batch, const PreExecuteHook& pre_execute = nullptr);
   // Flushes any partially filled measurement intervals at end of input.
   void Finish();
 
@@ -404,6 +421,7 @@ class MonitoringSystem {
   rt::Directive degrade_;
   rt::FaultInjector* injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
+  const PreExecuteHook* pre_execute_ = nullptr;  // set for one ProcessBatch call
 
   double capacity_ = 0.0;
   double backlog_cycles_ = 0.0;

@@ -29,6 +29,24 @@ void RunAsSingleShard(ShardableQuery& q, const BatchInput& in) {
   q.ApplyShards(in, std::move(*shard));
 }
 
+// Query::AdoptFrom's copy of an unordered container: copy-construct, then
+// move in, so it takes the twin's bucket count and node order (and with them
+// its iteration order), whatever this instance held before.
+template <typename T>
+void CopyFrom(T& into, const T& from) {
+  into = T(from);
+}
+
+// Query::AdoptFrom's history half: kLastClosed appends the interval the twin
+// has just closed.
+template <typename Snapshot>
+void AppendLastClosed(std::vector<Snapshot>& into, const std::vector<Snapshot>& from,
+                      Query::Adopt what) {
+  if (what == Query::Adopt::kLastClosed) {
+    into.push_back(from.back());
+  }
+}
+
 // Work-unit weights per query (arbitrary "model cycles"; relative magnitudes
 // follow Fig. 2.2: byte-driven and per-flow-state queries at the top, plain
 // counters at the bottom). The deterministic cost oracle charges these.
@@ -101,6 +119,12 @@ void CounterQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
 void CounterQuery::OnEndInterval(size_t /*interval_index*/) {
   snaps_.push_back(cur_);
   cur_ = Snapshot{};
+}
+
+void CounterQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const CounterQuery&>(twin);
+  cur_ = t.cur_;
+  AppendLastClosed(snaps_, t.snaps_, what);
 }
 
 double CounterQuery::IntervalErrorPackets(const Query& reference, size_t interval) const {
@@ -220,6 +244,12 @@ void ApplicationQuery::OnEndInterval(size_t /*interval_index*/) {
   cur_ = Snapshot{};
 }
 
+void ApplicationQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const ApplicationQuery&>(twin);
+  cur_ = t.cur_;
+  AppendLastClosed(snaps_, t.snaps_, what);
+}
+
 namespace {
 double WeightedAppError(const std::array<double, net::kNumAppClasses>& est,
                         const std::array<double, net::kNumAppClasses>& ref) {
@@ -327,6 +357,12 @@ void HighWatermarkQuery::OnEndInterval(size_t /*interval_index*/) {
   cur_watermark_ = 0.0;
 }
 
+void HighWatermarkQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const HighWatermarkQuery&>(twin);
+  cur_watermark_ = t.cur_watermark_;
+  AppendLastClosed(snaps_, t.snaps_, what);
+}
+
 double HighWatermarkQuery::IntervalError(const Query& reference, size_t interval) const {
   const auto* ref = dynamic_cast<const HighWatermarkQuery*>(&reference);
   if (ref == nullptr || interval >= snaps_.size() || interval >= ref->snaps_.size()) {
@@ -413,6 +449,13 @@ void FlowsQuery::OnEndInterval(size_t /*interval_index*/) {
   snaps_.push_back(estimate_);
   flows_.clear();
   estimate_ = 0.0;
+}
+
+void FlowsQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const FlowsQuery&>(twin);
+  CopyFrom(flows_, t.flows_);
+  estimate_ = t.estimate_;
+  AppendLastClosed(snaps_, t.snaps_, what);
 }
 
 double FlowsQuery::IntervalError(const Query& reference, size_t interval) const {
@@ -555,6 +598,22 @@ void TopKQuery::OnEndInterval(size_t /*interval_index*/) {
   bytes_.clear();
 }
 
+bool TopKQuery::CanAdopt(const Query& twin) const {
+  // The snapshot sorts bytes_ in iteration order and std::sort is unstable,
+  // so ties keep their order only if both maps grew through the same bucket
+  // counts: clear() keeps a map's buckets, so a reference that once held
+  // more keys than its twin (an interval the twin sampled) iterates
+  // differently until their bucket counts meet again.
+  const auto& t = static_cast<const TopKQuery&>(twin);
+  return k_ == t.k_ && bytes_.bucket_count() == t.bytes_.bucket_count();
+}
+
+void TopKQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const TopKQuery&>(twin);
+  CopyFrom(bytes_, t.bytes_);
+  AppendLastClosed(snaps_, t.snaps_, what);
+}
+
 double TopKQuery::IntervalMisrankedPairs(const Query& reference, size_t interval) const {
   const auto* ref = dynamic_cast<const TopKQuery*>(&reference);
   if (ref == nullptr || interval >= snaps_.size() || interval >= ref->snaps_.size()) {
@@ -628,6 +687,13 @@ void TraceQuery::OnBatch(const BatchInput& in) {
 void TraceQuery::OnEndInterval(size_t /*interval_index*/) {
   snaps_.push_back(cur_);
   cur_ = Snapshot{};
+}
+
+void TraceQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  // The rolling storage window is write-only scratch no result reads.
+  const auto& t = static_cast<const TraceQuery&>(twin);
+  cur_ = t.cur_;
+  AppendLastClosed(snaps_, t.snaps_, what);
 }
 
 // --------------------------------------------------------- pattern-search --
@@ -743,6 +809,16 @@ void PatternSearchQuery::OnEndInterval(size_t /*interval_index*/) {
   cur_matches_ = 0.0;
 }
 
+bool PatternSearchQuery::CanAdopt(const Query& twin) const {
+  return matcher_.needle() == static_cast<const PatternSearchQuery&>(twin).matcher_.needle();
+}
+
+void PatternSearchQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const PatternSearchQuery&>(twin);
+  cur_matches_ = t.cur_matches_;
+  AppendLastClosed(snaps_, t.snaps_, what);
+}
+
 // ----------------------------------------------------------- p2p-detector --
 
 P2pDetectorQuery::P2pDetectorQuery(size_t interval_bins)
@@ -839,6 +915,12 @@ void P2pDetectorQuery::OnEndInterval(size_t /*interval_index*/) {
   }
   snaps_.push_back(std::move(p2p));
   table_.clear();
+}
+
+void P2pDetectorQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const P2pDetectorQuery&>(twin);
+  CopyFrom(table_, t.table_);
+  AppendLastClosed(snaps_, t.snaps_, what);
 }
 
 double P2pDetectorQuery::IntervalError(const Query& reference, size_t interval) const {
@@ -998,6 +1080,16 @@ void AutofocusQuery::OnEndInterval(size_t /*interval_index*/) {
   src_bytes_.clear();
 }
 
+bool AutofocusQuery::CanAdopt(const Query& twin) const {
+  return threshold_fraction_ == static_cast<const AutofocusQuery&>(twin).threshold_fraction_;
+}
+
+void AutofocusQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const AutofocusQuery&>(twin);
+  CopyFrom(src_bytes_, t.src_bytes_);
+  AppendLastClosed(snaps_, t.snaps_, what);
+}
+
 double AutofocusQuery::IntervalError(const Query& reference, size_t interval) const {
   const auto* ref = dynamic_cast<const AutofocusQuery*>(&reference);
   if (ref == nullptr || interval >= snaps_.size() || interval >= ref->snaps_.size()) {
@@ -1122,6 +1214,20 @@ void SuperSourcesQuery::OnEndInterval(size_t /*interval_index*/) {
   fanout_.clear();
   rate_sum_ = 0.0;
   rate_batches_ = 0;
+}
+
+bool SuperSourcesQuery::CanAdopt(const Query& twin) const {
+  // Same tie-order argument as TopKQuery::CanAdopt, for fanout_.
+  const auto& t = static_cast<const SuperSourcesQuery&>(twin);
+  return top_n_ == t.top_n_ && fanout_.bucket_count() == t.fanout_.bucket_count();
+}
+
+void SuperSourcesQuery::OnAdoptFrom(const Query& twin, Adopt what) {
+  const auto& t = static_cast<const SuperSourcesQuery&>(twin);
+  CopyFrom(fanout_, t.fanout_);
+  rate_sum_ = t.rate_sum_;
+  rate_batches_ = t.rate_batches_;
+  AppendLastClosed(snaps_, t.snaps_, what);
 }
 
 double SuperSourcesQuery::IntervalError(const Query& reference, size_t interval) const {

@@ -50,6 +50,8 @@ class CounterQuery : public Query, public ShardableQuery {
  protected:
   void OnBatch(const BatchInput& in) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& /*twin*/) const override { return true; }
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   Snapshot cur_;
@@ -87,6 +89,8 @@ class ApplicationQuery : public Query, public ShardableQuery {
  protected:
   void OnBatch(const BatchInput& in) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& /*twin*/) const override { return true; }
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   Snapshot cur_;
@@ -120,6 +124,8 @@ class HighWatermarkQuery : public Query, public ShardableQuery {
   void OnBatch(const BatchInput& in) override;
   void OnCustomBatch(const BatchInput& in, double fraction) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& /*twin*/) const override { return true; }
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   double cur_watermark_ = 0.0;
@@ -151,6 +157,8 @@ class FlowsQuery : public Query, public ShardableQuery {
  protected:
   void OnBatch(const BatchInput& in) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& /*twin*/) const override { return true; }
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   std::unordered_set<net::FiveTuple, net::FiveTupleHash> flows_;
@@ -192,6 +200,8 @@ class TopKQuery : public Query, public ShardableQuery {
   void OnBatch(const BatchInput& in) override;
   void OnCustomBatch(const BatchInput& in, double fraction) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& twin) const override;
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   size_t k_;
@@ -222,6 +232,8 @@ class TraceQuery : public Query {
  protected:
   void OnBatch(const BatchInput& in) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& /*twin*/) const override { return true; }
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   static constexpr size_t kStorageWindow = 1 << 20;  // rolling 1 MiB "disk"
@@ -258,6 +270,8 @@ class PatternSearchQuery : public Query, public ShardableQuery {
  protected:
   void OnBatch(const BatchInput& in) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& twin) const override;
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   Searcher matcher_;
@@ -287,6 +301,8 @@ class P2pDetectorQuery : public Query {
   void OnBatch(const BatchInput& in) override;
   void OnCustomBatch(const BatchInput& in, double fraction) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& /*twin*/) const override { return true; }
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
   // Fraction of the full cost spent on first-packet inspection; the custom
   // method can cut to about this fraction before losing accuracy.
@@ -359,6 +375,8 @@ class AutofocusQuery : public Query, public ShardableQuery {
  protected:
   void OnBatch(const BatchInput& in) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& twin) const override;
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   double threshold_fraction_;
@@ -399,6 +417,8 @@ class SuperSourcesQuery : public Query, public ShardableQuery {
  protected:
   void OnBatch(const BatchInput& in) override;
   void OnEndInterval(size_t interval_index) override;
+  bool CanAdopt(const Query& twin) const override;
+  void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
   size_t top_n_;

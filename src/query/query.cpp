@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <typeinfo>
 #include <utility>
 
 #include "src/util/stats.h"
@@ -41,6 +42,31 @@ void Query::EndInterval() {
   cur_packets_ = 0.0;
   OnEndInterval(intervals_done_);
   ++intervals_done_;
+}
+
+bool Query::AdoptableFrom(const Query& twin) const {
+  return typeid(*this) == typeid(twin) && interval_bins_ == twin.interval_bins_ &&
+         intervals_done_ == twin.intervals_done_ && CanAdopt(twin);
+}
+
+void Query::AdoptFrom(const Query& twin, Adopt what) {
+  const size_t closed = what == Adopt::kLastClosed ? 1 : 0;
+  if (typeid(*this) != typeid(twin) || twin.intervals_done_ != intervals_done_ + closed) {
+    throw std::logic_error("Query::AdoptFrom: '" + twin.name() + "' is not a twin of '" +
+                           name_ + "' at this interval");
+  }
+  if (what == Adopt::kLastClosed) {
+    interval_packets_.push_back(twin.interval_packets_.back());
+    ++intervals_done_;
+  }
+  cur_packets_ = twin.cur_packets_;
+  OnAdoptFrom(twin, what);
+}
+
+bool Query::CanAdopt(const Query& /*twin*/) const { return false; }
+
+void Query::OnAdoptFrom(const Query& /*twin*/, Adopt /*what*/) {
+  throw std::logic_error("Query::AdoptFrom: '" + name_ + "' cannot adopt a twin's state");
 }
 
 double Query::IntervalPacketsProcessed(size_t interval) const {

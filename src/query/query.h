@@ -148,6 +148,31 @@ class Query {
   // enforcement policy of §6.1.1 is what keeps this safe).
   void ProcessCustom(const BatchInput& in, double fraction);
 
+  // ---- Exact reference elision ----
+  // A twin is a second instance of the same query type and parameters that
+  // ran the same packets at sampling_rate exactly 1, without custom
+  // shedding, since this instance's state was last equal to it. Such a twin
+  // holds exactly what a replay would, so a reference instance may copy it
+  // instead of replaying (api::Pipeline elides its full-rate references so).
+  enum class Adopt {
+    kOpen,        // the twin's open interval, at the same bin as this instance
+    kLastClosed,  // the interval the twin just closed, appended to this history
+  };
+  // True when AdoptFrom(twin, ...) will leave this instance bit-identical to
+  // a replay of the twin's packets: same dynamic type, parameters, interval
+  // length and completed-interval count, and the containers whose iteration
+  // order reaches a result laid out alike (so equal inserts iterate alike).
+  bool AdoptableFrom(const Query& twin) const;
+  // Copies the twin's open-interval state (kOpen), or appends its last
+  // closed interval and takes its freshly reset open state (kLastClosed).
+  // Containers are copy-constructed, so they keep the twin's layout and with
+  // it the twin's tie order (equal to a replay's while AdoptableFrom holds;
+  // the reset state carries the layout into the next interval). The rest of
+  // this instance's history is kept. Reads `twin` only. Throws
+  // std::logic_error when the twin is not of this type or its interval count
+  // does not line up with `what`.
+  void AdoptFrom(const Query& twin, Adopt what);
+
   // Raw packets examined in a completed interval (reference instances see
   // everything, so this doubles as the ground-truth packet count).
   double IntervalPacketsProcessed(size_t interval) const;
@@ -163,6 +188,11 @@ class Query {
   virtual void OnBatch(const BatchInput& in) = 0;
   virtual void OnCustomBatch(const BatchInput& in, double fraction);
   virtual void OnEndInterval(size_t interval_index) = 0;
+  // Per-query halves of AdoptableFrom / AdoptFrom; `twin` has this
+  // instance's dynamic type. A query that does not override them is never
+  // adoptable (the default CanAdopt is false; OnAdoptFrom throws).
+  virtual bool CanAdopt(const Query& twin) const;
+  virtual void OnAdoptFrom(const Query& twin, Adopt what);
 
   // Concrete custom-shedding implementations report how many packets they
   // actually examined (base accounting assumes all of them otherwise).

@@ -20,6 +20,7 @@
 #include "src/query/query.h"
 #include "src/trace/batch.h"
 #include "src/util/rng.h"
+#include "tests/query_results.h"
 
 namespace shedmon {
 namespace {
@@ -167,62 +168,9 @@ void ProcessSharded(util::Rng& rng, Query& q, const BatchInput& in,
 
 // ------------------------------------------------------ result comparison --
 
-#define SHEDMON_EXPECT_SAME(lhs, rhs) EXPECT_EQ(lhs, rhs) << "sharded vs serial mismatch"
-
-void ExpectSameResults(const std::string& name, Query& sharded, Query& serial) {
-  SHEDMON_EXPECT_SAME(sharded.work_units(), serial.work_units());
-  SHEDMON_EXPECT_SAME(sharded.completed_intervals(), serial.completed_intervals());
-  for (size_t i = 0; i < serial.completed_intervals(); ++i) {
-    SHEDMON_EXPECT_SAME(sharded.IntervalPacketsProcessed(i),
-                        serial.IntervalPacketsProcessed(i));
-  }
-  if (name == "counter") {
-    const auto& a = dynamic_cast<query::CounterQuery&>(sharded).snapshots();
-    const auto& b = dynamic_cast<query::CounterQuery&>(serial).snapshots();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      SHEDMON_EXPECT_SAME(a[i].pkts, b[i].pkts);
-      SHEDMON_EXPECT_SAME(a[i].bytes, b[i].bytes);
-    }
-  } else if (name == "application") {
-    const auto& a = dynamic_cast<query::ApplicationQuery&>(sharded).snapshots();
-    const auto& b = dynamic_cast<query::ApplicationQuery&>(serial).snapshots();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      SHEDMON_EXPECT_SAME(a[i].pkts, b[i].pkts);
-      SHEDMON_EXPECT_SAME(a[i].bytes, b[i].bytes);
-    }
-  } else if (name == "high-watermark") {
-    SHEDMON_EXPECT_SAME(dynamic_cast<query::HighWatermarkQuery&>(sharded).watermarks(),
-                        dynamic_cast<query::HighWatermarkQuery&>(serial).watermarks());
-  } else if (name == "flows") {
-    SHEDMON_EXPECT_SAME(dynamic_cast<query::FlowsQuery&>(sharded).flow_counts(),
-                        dynamic_cast<query::FlowsQuery&>(serial).flow_counts());
-  } else if (name == "top-k") {
-    const auto& a = dynamic_cast<query::TopKQuery&>(sharded).snapshots();
-    const auto& b = dynamic_cast<query::TopKQuery&>(serial).snapshots();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      SHEDMON_EXPECT_SAME(a[i].topk, b[i].topk);  // includes tie-break order
-      SHEDMON_EXPECT_SAME(a[i].all, b[i].all);
-    }
-  } else if (name == "pattern-search") {
-    SHEDMON_EXPECT_SAME(dynamic_cast<query::PatternSearchQuery&>(sharded).match_counts(),
-                        dynamic_cast<query::PatternSearchQuery&>(serial).match_counts());
-  } else if (name == "autofocus") {
-    SHEDMON_EXPECT_SAME(dynamic_cast<query::AutofocusQuery&>(sharded).reports(),
-                        dynamic_cast<query::AutofocusQuery&>(serial).reports());
-  } else if (name == "super-sources") {
-    const auto& a = dynamic_cast<query::SuperSourcesQuery&>(sharded).snapshots();
-    const auto& b = dynamic_cast<query::SuperSourcesQuery&>(serial).snapshots();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      SHEDMON_EXPECT_SAME(a[i].top, b[i].top);
-      SHEDMON_EXPECT_SAME(a[i].all, b[i].all);
-    }
-  } else {
-    FAIL() << "no exact comparator for query " << name;
-  }
+void ExpectSameResults(const Query& sharded, const Query& serial) {
+  EXPECT_EQ(sharded.work_units(), serial.work_units()) << "sharded vs serial mismatch";
+  EXPECT_EQ(test_util::ResultsDiff(sharded, serial), "") << "sharded vs serial mismatch";
 }
 
 // ------------------------------------------------------------- the driver --
@@ -266,11 +214,11 @@ TEST_P(QueryShardFuzz, ShardedMatchesSerialTwinExactly) {
       serial_q->ProcessBatch(in);
       // Work must match after every batch, not only at interval ends: the
       // cost oracle charges per-batch deltas of this counter.
-      SHEDMON_EXPECT_SAME(sharded_q->work_units(), serial_q->work_units());
+      EXPECT_EQ(sharded_q->work_units(), serial_q->work_units()) << "sharded vs serial mismatch";
     }
     sharded_q->EndInterval();
     serial_q->EndInterval();
-    ExpectSameResults(name, *sharded_q, *serial_q);
+    ExpectSameResults(*sharded_q, *serial_q);
   }
 }
 

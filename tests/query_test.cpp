@@ -13,6 +13,7 @@
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
 #include "src/util/rng.h"
+#include "tests/query_results.h"
 
 namespace shedmon::query {
 namespace {
@@ -667,6 +668,175 @@ TEST(RunReferenceTest, ReferenceIsSelfConsistent) {
   const auto a = RunReference({"counter"}, t);
   const auto b = RunReference({"counter"}, t);
   EXPECT_NEAR(a[0]->MeanError(*b[0]), 0.0, 1e-12);
+}
+
+// ------------------------------------------------- exact reference elision --
+
+// A synthetic trace whose every packet has the same wire length, so byte
+// totals tie whenever packet counts do: top-k, super-sources and autofocus
+// keys tie often, and a copy that changed unordered iteration order would
+// reorder their ranked results. 64 bins: six whole intervals, then four
+// bins of a partial one.
+const trace::Trace& TieHeavyTrace() {
+  static const trace::Trace t = [] {
+    trace::TraceSpec spec;
+    spec.duration_s = 6.4;
+    spec.flows_per_s = 120.0;
+    spec.payloads = true;
+    spec.seed = 91;
+    trace::Trace out = trace::TraceGenerator(spec).Generate();
+    for (net::PacketRecord& rec : out.packets) {
+      rec.wire_len = 1000;
+    }
+    return out;
+  }();
+  return t;
+}
+
+// The twin runs shardable queries through the shard path on odd bins, as
+// the system does with several shards, so adoption is checked against
+// both of its execution paths.
+void RunTwinBin(Query& twin, const BatchInput& in, size_t bin) {
+  ShardableQuery* sh = twin.shardable();
+  if (sh == nullptr || bin % 2 == 0) {
+    twin.ProcessBatch(in);
+    return;
+  }
+  const size_t units = sh->ShardUnits(in);
+  std::vector<std::unique_ptr<ShardState>> shards;
+  for (size_t s = 0; s < 3; ++s) {
+    shards.push_back(sh->ForkShard());
+    sh->OnShardBatch(*shards.back(), in, units * s / 3, units * (s + 1) / 3);
+  }
+  twin.ProcessShards(in, std::move(shards));
+}
+
+// Property: for every standard query, a reference that per interval either
+// adopts the twin's closed interval (never forked), adopts the twin's open
+// interval at a random bin and replays the rest (forked), or replays the
+// whole interval itself ends up bit-identical to a from-start replay —
+// snapshots, ranked tie order and the ErrorSeries of a sampled estimate.
+TEST(ReferenceElision, AdoptThenReplayEqualsReplayFromStart) {
+  constexpr size_t kIntervalBins = 10;
+  for (const std::string& name : AllQueryNames()) {
+    SCOPED_TRACE(name);
+    util::Rng rng(4242);
+    auto twin = MakeQuery(name);
+    auto replay = MakeQuery(name);
+    auto subject = MakeQuery(name);
+    auto estimate = MakeQuery(name);
+    enum Mode { kNeverForked, kForked, kReplayed } mode = kReplayed;
+    size_t fork_bin = 0;
+    size_t forks = 0;
+    size_t never_forked = 0;
+
+    trace::Batcher batcher(TieHeavyTrace(), 100'000);
+    trace::Batch batch;
+    size_t bin = 0;
+    trace::PacketVec sampled;
+    while (batcher.Next(batch)) {
+      const size_t pos = bin % kIntervalBins;
+      if (pos == 0) {
+        ASSERT_TRUE(subject->AdoptableFrom(*twin));
+        mode = static_cast<Mode>(rng.NextBelow(3));
+        fork_bin = rng.NextBelow(kIntervalBins);
+        forks += mode == kForked ? 1 : 0;
+        never_forked += mode == kNeverForked ? 1 : 0;
+      }
+      if (mode == kForked && pos == fork_bin) {
+        subject->AdoptFrom(*twin, Query::Adopt::kOpen);
+        mode = kReplayed;
+      }
+      const BatchInput full{batch.packets, batch.start_us, batch.duration_us, 1.0};
+      RunTwinBin(*twin, full, bin);
+      replay->ProcessBatch(full);
+      if (mode == kReplayed) {
+        subject->ProcessBatch(full);
+      }
+      sampled.clear();
+      for (const net::Packet& pkt : batch.packets) {
+        if (rng.NextDouble() < 0.5) {
+          sampled.push_back(pkt);
+        }
+      }
+      estimate->ProcessBatch({sampled, batch.start_us, batch.duration_us, 0.5});
+      if (++bin % kIntervalBins == 0) {
+        twin->EndInterval();
+        replay->EndInterval();
+        estimate->EndInterval();
+        if (mode == kReplayed) {
+          subject->EndInterval();
+        } else {
+          subject->AdoptFrom(*twin, Query::Adopt::kLastClosed);
+        }
+      }
+    }
+    ASSERT_NE(bin % kIntervalBins, 0u) << "the trace should end in a partial interval";
+    twin->EndInterval();
+    replay->EndInterval();
+    estimate->EndInterval();
+    if (mode == kReplayed) {
+      subject->EndInterval();
+    } else {
+      subject->AdoptFrom(*twin, Query::Adopt::kLastClosed);
+    }
+    EXPECT_GT(forks, 0u);
+    EXPECT_GT(never_forked, 0u);
+
+    EXPECT_EQ(test_util::ResultsDiff(*subject, *replay), "");
+    const std::vector<double> want = ErrorSeries(*estimate, *replay);
+    const std::vector<double> got = ErrorSeries(*estimate, *subject);
+    EXPECT_TRUE(test_util::SameBits(want, got));
+    EXPECT_EQ(want.size(), 7u);
+  }
+}
+
+// Top-k's snapshot breaks byte ties in map iteration order, so a reference
+// whose map grew larger than its twin's (an interval the twin sampled) is
+// not adoptable until their bucket counts meet again.
+TEST(ReferenceElision, BucketCountMismatchIsNotAdoptable) {
+  TopKQuery big;
+  TopKQuery small;
+  EXPECT_TRUE(big.AdoptableFrom(small));
+  std::vector<net::PacketRecord> recs(500);
+  for (size_t i = 0; i < recs.size(); ++i) {
+    recs[i].tuple.dst_ip = static_cast<uint32_t>(i + 1);
+    recs[i].wire_len = 100;
+  }
+  trace::PacketVec all;
+  for (const auto& rec : recs) {
+    all.push_back(net::Packet::View(rec));
+  }
+  const trace::PacketVec few(all.begin(), all.begin() + 5);
+  big.ProcessBatch({all, 0, 100'000, 1.0});
+  small.ProcessBatch({few, 0, 100'000, 0.01});
+  big.EndInterval();
+  small.EndInterval();
+  EXPECT_FALSE(big.AdoptableFrom(small));
+  EXPECT_FALSE(small.AdoptableFrom(big));
+}
+
+TEST(ReferenceElision, OnlyTwinsAtTheSameIntervalAdopt) {
+  CounterQuery counter;
+  FlowsQuery flows;
+  TopKQuery top5(5);
+  TopKQuery top10(10);
+  P2pDetectorQuery p2p;
+  SelfishP2pDetectorQuery selfish;
+  EXPECT_FALSE(counter.AdoptableFrom(flows));
+  EXPECT_FALSE(top5.AdoptableFrom(top10));
+  EXPECT_FALSE(p2p.AdoptableFrom(selfish));
+  EXPECT_THROW(counter.AdoptFrom(flows, Query::Adopt::kOpen), std::logic_error);
+
+  CounterQuery twin;
+  // kLastClosed needs the twin one interval ahead; kOpen needs it level.
+  EXPECT_THROW(counter.AdoptFrom(twin, Query::Adopt::kLastClosed), std::logic_error);
+  twin.EndInterval();
+  EXPECT_FALSE(counter.AdoptableFrom(twin));
+  EXPECT_THROW(counter.AdoptFrom(twin, Query::Adopt::kOpen), std::logic_error);
+  counter.AdoptFrom(twin, Query::Adopt::kLastClosed);
+  EXPECT_EQ(counter.completed_intervals(), 1u);
+  EXPECT_TRUE(counter.AdoptableFrom(twin));
 }
 
 // Parameterized sweep reproducing Fig. 6.4's shape: error grows as the
