@@ -38,6 +38,8 @@ int main(int argc, char** argv) {
 
       trace::Batcher batcher(trace, 100'000);
       trace::Batch batch;
+      trace::PacketVec sampled;
+      std::vector<uint32_t> rows;
       double used = 0.0;
       double full_cost = 0.0;
       size_t in_interval = 0;
@@ -58,9 +60,11 @@ int main(int argc, char** argv) {
           used += oracle->Run(core::WorkKind::kQuery, hint,
                               [&] { q->ProcessCustom(in, fraction); });
         } else {
-          const trace::PacketVec sampled =
-              method.kind == 0 ? pkt_sampler.Sample(batch.packets, fraction)
-                               : flow_sampler.Sample(batch.packets, fraction);
+          if (method.kind == 0) {
+            pkt_sampler.SampleInto(batch.packets, fraction, sampled, rows);
+          } else {
+            flow_sampler.SampleInto(batch.packets, fraction, sampled, rows);
+          }
           query::BatchInput in{sampled, batch.start_us, batch.duration_us, fraction};
           hint.packets = &sampled;
           used +=

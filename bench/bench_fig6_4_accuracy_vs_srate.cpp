@@ -34,9 +34,11 @@ int main(int argc, char** argv) {
       shed::PacketSampler sampler(7 + args.seed_offset);
       trace::Batcher batcher(trace, 100'000);
       trace::Batch batch;
+      trace::PacketVec sampled;
+      std::vector<uint32_t> rows;
       size_t in_interval = 0;
       while (batcher.Next(batch)) {
-        const trace::PacketVec sampled = sampler.Sample(batch.packets, rate);
+        sampler.SampleInto(batch.packets, rate, sampled, rows);
         query::BatchInput in{sampled, batch.start_us, batch.duration_us, rate};
         q->ProcessBatch(in);
         if (++in_interval >= q->interval_bins()) {

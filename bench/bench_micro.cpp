@@ -162,6 +162,71 @@ void BM_FeatureExtractionUnfused(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtractionUnfused);
 
+// Consecutive 100 ms bins of a seeded UPC-I trace, each with the rows ten
+// queries keep at packet-sampling rate 0.5: the extraction work of one
+// overload-payload bin. The packets' records live in the static trace.
+struct ExtractionBin {
+  trace::PacketVec packets;
+  std::vector<std::vector<uint32_t>> rows;  // per query
+};
+
+const std::vector<ExtractionBin>& UpcBins() {
+  static const trace::Trace trace = [] {
+    trace::TraceSpec spec = trace::UpcI();
+    spec.duration_s = 2.0;
+    return trace::TraceGenerator(spec).Generate();
+  }();
+  static const std::vector<ExtractionBin> bins = [] {
+    std::vector<shed::PacketSampler> samplers;
+    for (uint64_t q = 0; q < 10; ++q) {
+      samplers.emplace_back(100 + q);
+    }
+    trace::Batcher batcher(trace, 100'000);
+    trace::Batch batch;
+    trace::PacketVec sampled;
+    std::vector<ExtractionBin> out;
+    while (batcher.Next(batch)) {
+      ExtractionBin& bin = out.emplace_back();
+      bin.packets = batch.packets;
+      bin.rows.resize(samplers.size());
+      for (size_t q = 0; q < samplers.size(); ++q) {
+        samplers[q].SampleInto(batch.packets, 0.5, sampled, bin.rows[q]);
+      }
+    }
+    return out;
+  }();
+  return bins;
+}
+
+// One overload-payload bin's extraction: the prediction stage keys and
+// counts the whole bin, then ten queries re-count the rows they kept from
+// those keys. Intervals restart every ten bins, as in the pipeline.
+void BM_BinExtraction(benchmark::State& state) {
+  const auto& bins = UpcBins();
+  features::FeatureExtractor system;
+  const features::FeatureExtractor::Config config;
+  std::vector<features::FeatureCounter> counters(
+      10, features::FeatureCounter(config.mrb_components, config.mrb_bits));
+  size_t i = 0;
+  int64_t packets = 0;
+  for (auto _ : state) {
+    if (i % 10 == 0) {
+      system.StartInterval();
+      for (auto& c : counters) {
+        c.StartInterval();
+      }
+    }
+    const ExtractionBin& bin = bins[i++ % bins.size()];
+    benchmark::DoNotOptimize(system.Extract(bin.packets));
+    for (size_t q = 0; q < counters.size(); ++q) {
+      benchmark::DoNotOptimize(counters[q].Count(system.keys(), bin.rows[q]));
+    }
+    packets += static_cast<int64_t>(bin.packets.size());
+  }
+  state.SetItemsProcessed(packets);
+}
+BENCHMARK(BM_BinExtraction);
+
 void BM_MlrFitAndPredict(benchmark::State& state) {
   predict::MlrPredictor::Config cfg;
   cfg.history = static_cast<size_t>(state.range(0));
@@ -244,11 +309,18 @@ void BM_MlrRefitTrafficWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_MlrRefitTrafficWindow);
 
+// In-place sampling into reused caller-owned buffers: the per-bin path of
+// MonitoringSystem's per-query execute phase, which allocates nothing after
+// warm-up. (The names predate the in-place API; compare_bench.py gates them
+// by name against the committed BENCH_*.json baselines.)
 void BM_PacketSampler(benchmark::State& state) {
   shed::PacketSampler sampler(6);
   const auto& packets = SharedBatch().packets;
+  trace::PacketVec out;
+  std::vector<uint32_t> rows;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Sample(packets, 0.5));
+    sampler.SampleInto(packets, 0.5, out, rows);
+    benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(packets.size()));
@@ -258,42 +330,36 @@ BENCHMARK(BM_PacketSampler);
 void BM_FlowSampler(benchmark::State& state) {
   shed::FlowSampler sampler(7);
   const auto& packets = SharedBatch().packets;
+  trace::PacketVec out;
+  std::vector<uint32_t> rows;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Sample(packets, 0.5));
+    sampler.SampleInto(packets, 0.5, out, rows);
+    benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(packets.size()));
 }
 BENCHMARK(BM_FlowSampler);
 
-// In-place sampling into a reused caller-owned buffer: the per-bin path of
-// MonitoringSystem's per-query execute phase, which allocates nothing after
-// warm-up.
-void BM_PacketSamplerInto(benchmark::State& state) {
-  shed::PacketSampler sampler(6);
-  const auto& packets = SharedBatch().packets;
-  trace::PacketVec out;
-  for (auto _ : state) {
-    sampler.SampleInto(packets, 0.5, out);
-    benchmark::DoNotOptimize(out.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(packets.size()));
-}
-BENCHMARK(BM_PacketSamplerInto);
-
-void BM_FlowSamplerInto(benchmark::State& state) {
+// The keyed flow sampler the predictive pipeline runs: the bin's tuple ids
+// come from the prediction stage's keys, so each distinct 5-tuple is hashed
+// once (keying itself is not timed; the pipeline pays it for extraction).
+void BM_FlowSamplerKeyed(benchmark::State& state) {
   shed::FlowSampler sampler(7);
   const auto& packets = SharedBatch().packets;
+  features::FeatureExtractor extractor;
+  extractor.Extract(packets);
+  const features::BinKeys& keys = extractor.keys();
   trace::PacketVec out;
+  std::vector<uint32_t> rows;
   for (auto _ : state) {
-    sampler.SampleInto(packets, 0.5, out);
+    sampler.SampleInto(packets, keys.tuple, keys.distinct(), 0.5, out, rows);
     benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(packets.size()));
 }
-BENCHMARK(BM_FlowSamplerInto);
+BENCHMARK(BM_FlowSamplerKeyed);
 
 std::vector<uint8_t> RandomBytes(size_t len) {
   std::vector<uint8_t> text(len);

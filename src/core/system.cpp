@@ -142,7 +142,7 @@ query::Query& MonitoringSystem::AddQuery(std::unique_ptr<query::Query> query,
       std::move(query), config,
       predict::PredictionEngine(config_.predictor, config_.extractor),
       shed::PacketSampler(rng_.NextU64()), shed::FlowSampler(rng_.NextU64()),
-      shed::EnforcementPolicy(config_.enforcement), 0, nullptr, nullptr, nullptr, nullptr, {}});
+      shed::EnforcementPolicy(config_.enforcement), 0, nullptr, nullptr, nullptr, nullptr, {}, {}});
   queries_.push_back(std::move(runtime));
   // Baseline the oracle's per-query bookkeeping: a no-op for fresh
   // instances, and what keeps a re-registered veteran instance charged only
@@ -306,8 +306,7 @@ void MonitoringSystem::ApplyDegradation(std::vector<double>& rate,
   }
 }
 
-uint64_t MonitoringSystem::PlanOracleCalls(double rate, bool update_history,
-                                           bool has_shared_features) {
+uint64_t MonitoringSystem::PlanOracleCalls(double rate, bool update_history) {
   rate = std::clamp(rate, 0.0, 1.0);
   const bool sampled = rate < 1.0 - kEps;
   uint64_t calls = 1;  // the query itself
@@ -316,7 +315,7 @@ uint64_t MonitoringSystem::PlanOracleCalls(double rate, bool update_history,
   }
   if (update_history) {
     ++calls;  // model fit
-    if (sampled || !has_shared_features) {
+    if (sampled) {
       ++calls;  // re-extraction (shared extraction reused at full rate)
     }
   }
@@ -328,42 +327,48 @@ uint64_t MonitoringSystem::PlanCustomOracleCalls(double rate) {
 }
 
 void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                                       bool update_history,
-                                       const features::FeatureVector* shared_features,
-                                       uint64_t base_seq, QueryExec& ex,
-                                       QueryTaskResult& result) {
+                                       const SharedExtraction* shared, uint64_t base_seq,
+                                       QueryExec& ex, QueryTaskResult& result) {
   rate = std::clamp(rate, 0.0, 1.0);
   ex.rate = rate;
-  ex.update_history = update_history;
+  ex.update_history = shared != nullptr;
   ex.packets = &batch.packets;
   if (rate < 1.0 - kEps) {
     WorkHint sample_hint{qr.query.get(), &batch.packets, 0.0};
     result.AddCharge(/*ls=*/true,
                      oracle_->RunAt(base_seq++, WorkKind::kSampling, sample_hint, [&] {
-                       if (qr.query->preferred_sampling() == query::SamplingMethod::kFlow) {
-                         qr.flow_sampler.SampleInto(batch.packets, rate, qr.sample_buf);
+                       if (qr.query->preferred_sampling() != query::SamplingMethod::kFlow) {
+                         qr.pkt_sampler.SampleInto(batch.packets, rate, qr.sample_buf,
+                                                   qr.sample_rows);
+                       } else if (shared != nullptr) {
+                         // The bin's tuple ids let the sampler hash each
+                         // distinct flow once; the kept set is the same.
+                         qr.flow_sampler.SampleInto(batch.packets, shared->keys.tuple,
+                                                    shared->keys.distinct(), rate,
+                                                    qr.sample_buf, qr.sample_rows);
                        } else {
-                         qr.pkt_sampler.SampleInto(batch.packets, rate, qr.sample_buf);
+                         qr.flow_sampler.SampleInto(batch.packets, rate, qr.sample_buf,
+                                                    qr.sample_rows);
                        }
                      }));
     ex.packets = &qr.sample_buf;
   }
 
-  // Re-extract features on the batch the query actually processes so the
-  // regression history stays consistent (Alg. 1 line 12); charged to the
-  // load shedding subsystem when sampling was applied. At full rate the
-  // prediction-stage extraction is reused when available (§3.4.4 sharing).
-  // Reactive mode keeps no history and skips this entirely.
-  if (update_history) {
-    if (rate >= 1.0 - kEps && shared_features != nullptr) {
-      ex.features = *shared_features;
+  // Re-extract features on the packets the query actually processes so the
+  // regression history stays consistent (Alg. 1 line 12): the query's own
+  // counter re-counts the kept rows from the bin's shared keys, charged to
+  // the load shedding subsystem. At full rate the prediction-stage
+  // extraction is reused (§3.4.4 sharing). Reactive mode keeps no history
+  // and skips this entirely.
+  if (shared != nullptr) {
+    if (rate >= 1.0 - kEps) {
+      ex.features = shared->features;
     } else {
       WorkHint extract_hint{qr.query.get(), ex.packets, 0.0};
-      const double extract_cycles =
-          oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-            ex.features = qr.engine.extractor().Extract(*ex.packets);
-          });
-      result.AddCharge(/*ls=*/rate < 1.0 - kEps, extract_cycles);
+      result.AddCharge(/*ls=*/true,
+                       oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
+                         ex.features = qr.engine.counter().Count(shared->keys, qr.sample_rows);
+                       }));
     }
   }
   ex.next_seq = base_seq;
@@ -426,8 +431,9 @@ void MonitoringSystem::ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& ba
       (static_cast<double>(batch.size()) - static_cast<double>(ex.packets->size())) /
       std::max<double>(1.0, static_cast<double>(queries_.size()));
   // Drop the sampled view before the batch (and its payload arena) can be
-  // recycled; the buffer keeps its capacity for the next bin.
+  // recycled; the buffers keep their capacity for the next bin.
   qr.sample_buf.clear();
+  qr.sample_rows.clear();
   result.used = used;
 }
 
@@ -478,6 +484,7 @@ void MonitoringSystem::RunShardWaves(const trace::Batch& batch, std::vector<Quer
 MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& qr,
                                                                   const trace::Batch& batch,
                                                                   double rate, double granted,
+                                                                  const SharedExtraction& shared,
                                                                   uint64_t base_seq) {
   QueryTaskResult result;
   rate = std::clamp(rate, 0.0, 1.0);
@@ -504,7 +511,7 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& 
     WorkHint extract_hint{qr.query.get(), &batch.packets, 0.0};
     result.AddCharge(/*ls=*/false,
                      oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-                       full_features = qr.engine.extractor().Extract(batch.packets);
+                       full_features = qr.engine.counter().CountAll(shared.keys);
                      }));
     WorkHint fit_hint{qr.query.get(), nullptr,
                       static_cast<double>(config_.predictor.history)};
@@ -525,7 +532,8 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
   const uint32_t bin = static_cast<uint32_t>(log_.size());
 
   // Phase 1 (Alg. 1 lines 3-6): shared feature extraction + per-query
-  // prediction of the cost of the full batch.
+  // prediction of the cost of the full batch. Keying the batch here is the
+  // bin's only hashing: every query's history update re-counts these keys.
   features::FeatureVector f_full{};
   WorkHint extract_hint{nullptr, &batch.packets, 0.0};
   {
@@ -533,6 +541,7 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
     log.ps_cycles += oracle_->Run(WorkKind::kFeatureExtraction, extract_hint,
                                   [&] { f_full = sys_extractor_.Extract(batch.packets); });
   }
+  const SharedExtraction shared{f_full, sys_extractor_.keys()};
 
   std::vector<double> pred(n, 0.0);
   double pred_total = 0.0;
@@ -627,7 +636,7 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
                      qr.engine.predictor().history_size() >= config_.warmup_observations;
     plan[q].expected = alloc.rate[q] * pred[q];
   }
-  const BinTotals totals = ExecuteBin(batch, plan, &f_full, /*update_history=*/true, log);
+  const BinTotals totals = ExecuteBin(batch, plan, &shared, log);
 
   // Phase 5 (line 17 + §4.3): smoothers for the next bin.
   if (totals.used > kEps && totals.expected > kEps) {
@@ -663,7 +672,7 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
     plan[q].execute = !log.disabled[q] && log.rate[q] > kEps;
   }
   // Reactive systems skip the prediction subsystem: no history upkeep.
-  const BinTotals totals = ExecuteBin(batch, plan, nullptr, /*update_history=*/false, log);
+  const BinTotals totals = ExecuteBin(batch, plan, nullptr, log);
   reactive_consumed_prev_ = totals.used + log.ls_cycles;
 }
 
@@ -671,13 +680,13 @@ void MonitoringSystem::RunNoShed(const trace::Batch& batch, BinLog& log) {
   log.avail_cycles = std::max(0.0, capacity_ - log.como_cycles);
   std::fill(log.rate.begin(), log.rate.end(), 1.0);
   std::vector<QueryPlan> plan(queries_.size(), QueryPlan{1.0, true});
-  const BinTotals totals = ExecuteBin(batch, plan, nullptr, /*update_history=*/false, log);
+  const BinTotals totals = ExecuteBin(batch, plan, nullptr, log);
   log.overload = totals.used > log.avail_cycles;
 }
 
 MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
     const trace::Batch& batch, std::vector<QueryPlan>& plan,
-    const features::FeatureVector* shared_features, bool update_history, BinLog& log) {
+    const SharedExtraction* shared, BinLog& log) {
   const size_t n = plan.size();
   if (*pre_execute_) {
     std::vector<QueryRun> runs(n);
@@ -691,8 +700,7 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
   for (QueryPlan& p : plan) {
     if (p.execute) {
       p.base_seq = oracle_->ReserveSequence(
-          p.custom ? PlanCustomOracleCalls(p.rate)
-                   : PlanOracleCalls(p.rate, update_history, shared_features != nullptr));
+          p.custom ? PlanCustomOracleCalls(p.rate) : PlanOracleCalls(p.rate, shared != nullptr));
     }
   }
 
@@ -709,11 +717,11 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
     }
     QueryRuntime& qr = *queries_[q];
     if (p.custom) {
-      results[q] = ExecuteCustom(qr, batch, p.rate, p.expected, p.base_seq);
+      assert(shared != nullptr);
+      results[q] = ExecuteCustom(qr, batch, p.rate, p.expected, *shared, p.base_seq);
       return;
     }
-    ExecuteQueryPre(qr, batch, p.rate, update_history, shared_features, p.base_seq, ex[q],
-                    results[q]);
+    ExecuteQueryPre(qr, batch, p.rate, shared, p.base_seq, ex[q], results[q]);
     if (!ex[q].sharded()) {
       ExecuteQueryPost(qr, batch, ex[q], results[q]);
     }

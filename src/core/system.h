@@ -176,6 +176,8 @@ class MonitoringSystem {
   query::Query& query(size_t i) { return *queries_[i]->query; }
   const query::Query& query(size_t i) const { return *queries_[i]->query; }
   const shed::EnforcementPolicy& enforcement(size_t i) const { return queries_[i]->enforcement; }
+  // The query's cost model and feature counter (read-only).
+  const predict::PredictionEngine& engine(size_t i) const { return queries_[i]->engine; }
 
   const SystemConfig& config() const { return config_; }
   double capacity() const { return capacity_; }
@@ -253,12 +255,15 @@ class MonitoringSystem {
     obs::Counter* m_cycles = nullptr;
     obs::Counter* m_disabled_bins = nullptr;
     obs::Gauge* m_times_policed = nullptr;
-    // Reusable buffer the samplers write into: sampling a batch stops
-    // allocating once the buffer has grown to the query's working set.
-    // Valid only within the bin's execute waves — its Packets point into
-    // the current Batch's arena — so ExecuteQueryPost clears it (capacity
-    // kept) and it must never be read between bins.
+    // Reusable buffers the samplers write into: sampling a batch stops
+    // allocating once they have grown to the query's working set.
+    // sample_rows[i] is the row of sample_buf[i] in the batch, which is what
+    // the history update re-counts the bin's keys over. Valid only within
+    // the bin's execute waves — the Packets point into the current Batch's
+    // arena — so ExecuteQueryPost clears both (capacity kept) and they must
+    // never be read between bins.
     trace::PacketVec sample_buf;
+    std::vector<uint32_t> sample_rows;
   };
 
   // One query's share of a bin as a shedder decided it. The three shedders
@@ -272,6 +277,13 @@ class MonitoringSystem {
     bool custom = false;    // Ch. 6: the query sheds its own load at `rate`
     double expected = 0.0;  // granted cycles, rate x predicted demand (predictive)
     uint64_t base_seq = 0;  // first reserved charge slot (set by ExecuteBin)
+  };
+  // The prediction stage's extraction of the whole bin, shared with every
+  // query's history update (§3.4.4): its features, reused at full rate, and
+  // its keys, which each query's counter re-counts over the rows it kept.
+  struct SharedExtraction {
+    const features::FeatureVector& features;
+    const features::BinKeys& keys;
   };
   // What ExecuteBin hands back to the shedder's smoothers.
   struct BinTotals {
@@ -292,12 +304,10 @@ class MonitoringSystem {
   // Runs one bin's plan: reserves the charge slots in registration order,
   // fans the queries out (wave 1, then RunShardWaves), and folds their
   // results into `log` in registration order — charges, packets shed,
-  // per-query and total query cycles. `update_history` feeds the cost models
-  // (predictive only); `shared_features` is the prediction-stage extraction
-  // reused at full rate, or null.
+  // per-query and total query cycles. A non-null `shared` (predictive only)
+  // feeds the cost models from the prediction-stage extraction.
   BinTotals ExecuteBin(const trace::Batch& batch, std::vector<QueryPlan>& plan,
-                       const features::FeatureVector* shared_features, bool update_history,
-                       BinLog& log);
+                       const SharedExtraction* shared, BinLog& log);
 
   // What one query's execution inside a bin produced. Tasks run on workers
   // and only touch state owned by their query; everything order-sensitive is
@@ -330,7 +340,7 @@ class MonitoringSystem {
   // sequenced charges match the serial call schedule no matter which worker
   // runs when. Intra-query sharding never changes this count: a sharded
   // batch is still charged through the single reserved kQuery slot.
-  static uint64_t PlanOracleCalls(double rate, bool update_history, bool has_shared_features);
+  static uint64_t PlanOracleCalls(double rate, bool update_history);
   static uint64_t PlanCustomOracleCalls(double rate);
 
   // Per-query execution context threaded through the fan-out waves of one
@@ -353,14 +363,15 @@ class MonitoringSystem {
     bool sharded() const { return states.size() > 1; }
   };
 
-  // First half of the per-query pipeline: samples the batch and re-extracts
-  // features for the history update (reusing `shared_features` at full rate —
-  // the §3.4.4 computation sharing), consuming reserved slots from
-  // `base_seq`; then plans the intra-query shard fan-out over the sampled
-  // view. Safe to call concurrently for distinct queries.
+  // First half of the per-query pipeline: samples the batch and, when
+  // `shared` is set, re-counts the kept rows' features for the history
+  // update (reusing the shared features at full rate — the §3.4.4
+  // computation sharing), consuming reserved slots from `base_seq`; then
+  // plans the intra-query shard fan-out over the sampled view. Safe to call
+  // concurrently for distinct queries.
   void ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                       bool update_history, const features::FeatureVector* shared_features,
-                       uint64_t base_seq, QueryExec& ex, QueryTaskResult& result);
+                       const SharedExtraction* shared, uint64_t base_seq, QueryExec& ex,
+                       QueryTaskResult& result);
   // Second half: the query charge itself — ProcessBatch, or the ordered
   // shard merge when the pre phase split the batch — then the model fit
   // (Alg. 1 line 12). Must run after every shard task of this query.
@@ -371,9 +382,11 @@ class MonitoringSystem {
   void RunShardWaves(const trace::Batch& batch, std::vector<QueryExec>& ex,
                      std::vector<QueryTaskResult>& results);
   // Custom-shedding execution path (Ch. 6); custom batches are never sharded
-  // (the method owns its own traversal order).
+  // (the method owns its own traversal order). Only the predictive shedder
+  // delegates, so the shared extraction is always there.
   QueryTaskResult ExecuteCustom(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                                double granted, uint64_t base_seq);
+                                double granted, const SharedExtraction& shared,
+                                uint64_t base_seq);
 
   void TickIntervals();
   void UpdateBufferAndThreshold(double spent_total);

@@ -10,41 +10,96 @@ std::array<sketch::H3Hash, sizeof...(I)> MakeHashes(uint64_t seed, std::index_se
   return {sketch::H3Hash(AggregateHashSeed(seed, static_cast<Aggregate>(I)))...};
 }
 
-std::array<sketch::MultiResBitmap, kNumAggregates> MakeBitmaps(const FeatureExtractor::Config& c) {
-  std::array<sketch::MultiResBitmap, kNumAggregates> out{
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits),
-      sketch::MultiResBitmap(c.mrb_components, c.mrb_bits)};
-  return out;
+template <size_t... I>
+std::array<sketch::MultiResBitmap, sizeof...(I)> MakeBitmaps(uint32_t components, uint32_t bits,
+                                                             std::index_sequence<I...>) {
+  return {((void)I, sketch::MultiResBitmap(components, bits))...};
 }
 }  // namespace
+
+FeatureCounter::FeatureCounter(uint32_t mrb_components, uint32_t mrb_bits)
+    : batch_bm_(MakeBitmaps(mrb_components, mrb_bits, std::make_index_sequence<kNumAggregates>())),
+      interval_bm_(
+          MakeBitmaps(mrb_components, mrb_bits, std::make_index_sequence<kNumAggregates>())) {}
+
+void FeatureCounter::StartInterval() {
+  for (auto& bm : interval_bm_) {
+    bm.Clear();
+  }
+}
+
+void FeatureCounter::ClearBatch() {
+  for (auto& bm : batch_bm_) {
+    bm.Clear();
+  }
+}
+
+FeatureVector FeatureCounter::Count(const BinKeys& keys, std::span<const uint32_t> rows) {
+  ClearBatch();
+  if (inserted_.size() < keys.distinct()) {
+    inserted_.resize(keys.distinct(), 0);
+  }
+  const uint64_t epoch = ++count_epoch_;
+  // An integer sum converts to exactly the double sum of the same lengths:
+  // every partial sum stays far below 2^53.
+  uint64_t bytes = 0;
+  for (const uint32_t row : rows) {
+    bytes += keys.wire_len[row];
+    const uint32_t id = keys.tuple[row];
+    if (inserted_[id] != epoch) {
+      inserted_[id] = epoch;
+      Insert(keys.hashes[id]);
+    }
+  }
+  return Finalize(static_cast<double>(rows.size()), static_cast<double>(bytes));
+}
+
+FeatureVector FeatureCounter::CountAll(const BinKeys& keys) {
+  ClearBatch();
+  for (const AggregateHashes& h : keys.hashes) {
+    Insert(h);
+  }
+  return Finalize(static_cast<double>(keys.rows()), keys.bytes);
+}
+
+FeatureVector FeatureCounter::Finalize(double pkts, double bytes) {
+  FeatureVector f{};
+  f[kFeatPackets] = pkts;
+  f[kFeatBytes] = bytes;
+
+  for (int a = 0; a < kNumAggregates; ++a) {
+    const auto agg = static_cast<Aggregate>(a);
+    const auto& batch = batch_bm_[static_cast<size_t>(a)];
+    auto& interval = interval_bm_[static_cast<size_t>(a)];
+
+    const double unique = std::min(batch.Estimate(), pkts);
+    const double fresh = std::min(interval.MergeNew(batch), unique);
+
+    f[FeatureIndex(agg, Counter::kUnique)] = unique;
+    f[FeatureIndex(agg, Counter::kNew)] = fresh;
+    f[FeatureIndex(agg, Counter::kRepeatedBatch)] = std::max(0.0, pkts - unique);
+    f[FeatureIndex(agg, Counter::kRepeatedInterval)] = std::max(0.0, pkts - fresh);
+  }
+  return f;
+}
 
 FeatureExtractor::FeatureExtractor() : FeatureExtractor(Config()) {}
 
 FeatureExtractor::FeatureExtractor(const Config& config)
     : config_(config),
       fused_(MakeAggregateHasher(config.seed)),
-      batch_bm_(MakeBitmaps(config)),
-      interval_bm_(MakeBitmaps(config)) {}
-
-void FeatureExtractor::StartInterval() {
-  for (auto& bm : interval_bm_) {
-    bm.Clear();
-  }
-}
+      counter_(config.mrb_components, config.mrb_bits) {}
 
 FeatureVector FeatureExtractor::Extract(const trace::PacketVec& packets) {
-  double bytes = 0.0;
-  for (auto& bm : batch_bm_) {
-    bm.Clear();
-  }
+  Key(packets);
+  return counter_.CountAll(keys_);
+}
+
+void FeatureExtractor::Key(const trace::PacketVec& packets) {
+  keys_.tuple.resize(packets.size());
+  keys_.wire_len.resize(packets.size());
+  keys_.hashes.clear();
+  uint64_t bytes = 0;  // exact: see FeatureCounter::Count
 
   // Size the batch-local tuple set to keep the load factor under one half.
   size_t cap = 64;
@@ -58,33 +113,27 @@ FeatureVector FeatureExtractor::Extract(const trace::PacketVec& packets) {
   const uint64_t epoch = ++seen_epoch_;
   const net::FiveTupleHash fingerprint;
 
-  std::array<uint64_t, kNumAggregates> h;
-  for (const net::Packet& pkt : packets) {
-    bytes += pkt.rec->wire_len;
-    const net::FiveTuple& t = pkt.rec->tuple;
+  for (size_t row = 0; row < packets.size(); ++row) {
+    const net::PacketRecord& rec = *packets[row].rec;
+    keys_.wire_len[row] = rec.wire_len;
+    bytes += rec.wire_len;
+    const net::FiveTuple& t = rec.tuple;
 
     size_t idx = fingerprint(t) & mask;
-    bool repeated = false;
-    while (seen_[idx].epoch == epoch) {
-      if (seen_[idx].tuple == t) {
-        repeated = true;
-        break;
-      }
+    while (seen_[idx].epoch == epoch && !(seen_[idx].tuple == t)) {
       idx = (idx + 1) & mask;
     }
-    if (repeated) {
-      continue;  // every aggregate key of this packet is already counted
+    DedupeSlot& slot = seen_[idx];
+    if (slot.epoch != epoch) {
+      slot.epoch = epoch;
+      slot.tuple = t;
+      slot.id = static_cast<uint32_t>(keys_.hashes.size());
+      const auto key = t.Bytes();
+      fused_.HashAllFixed<13, kNumAggregates>(key.data(), keys_.hashes.emplace_back());
     }
-    seen_[idx].epoch = epoch;
-    seen_[idx].tuple = t;
-
-    const auto key = t.Bytes();
-    fused_.HashAllFixed<13, kNumAggregates>(key.data(), h);
-    for (size_t a = 0; a < kNumAggregates; ++a) {
-      batch_bm_[a].Insert(h[a]);
-    }
+    keys_.tuple[row] = slot.id;
   }
-  return Finalize(static_cast<double>(packets.size()), bytes);
+  keys_.bytes = static_cast<double>(bytes);
 }
 
 FeatureVector FeatureExtractor::ExtractReference(const trace::PacketVec& packets) {
@@ -94,43 +143,20 @@ FeatureVector FeatureExtractor::ExtractReference(const trace::PacketVec& packets
   }
   const auto& hashes = *ref_hashes_;
   double bytes = 0.0;
-  for (auto& bm : batch_bm_) {
-    bm.Clear();
-  }
+  counter_.ClearBatch();
 
   uint8_t key[13];
   for (const net::Packet& pkt : packets) {
     bytes += pkt.rec->wire_len;
     const net::FiveTuple& t = pkt.rec->tuple;
-    for (int a = 0; a < kNumAggregates; ++a) {
+    AggregateHashes h;
+    for (size_t a = 0; a < kNumAggregates; ++a) {
       const size_t len = AggregateKey(t, static_cast<Aggregate>(a), key);
-      const uint64_t h = hashes[static_cast<size_t>(a)].Hash(key, len);
-      batch_bm_[static_cast<size_t>(a)].Insert(h);
+      h[a] = hashes[a].Hash(key, len);
     }
+    counter_.Insert(h);
   }
-  return Finalize(static_cast<double>(packets.size()), bytes);
-}
-
-FeatureVector FeatureExtractor::Finalize(double pkts, double bytes) {
-  FeatureVector f{};
-  f[kFeatPackets] = pkts;
-  f[kFeatBytes] = bytes;
-
-  for (int a = 0; a < kNumAggregates; ++a) {
-    const auto agg = static_cast<Aggregate>(a);
-    const auto& batch = batch_bm_[static_cast<size_t>(a)];
-    auto& interval = interval_bm_[static_cast<size_t>(a)];
-
-    const double unique = std::min(batch.Estimate(), pkts);
-    const double fresh = std::min(interval.CountNew(batch), unique);
-    interval.Union(batch);
-
-    f[FeatureIndex(agg, Counter::kUnique)] = unique;
-    f[FeatureIndex(agg, Counter::kNew)] = fresh;
-    f[FeatureIndex(agg, Counter::kRepeatedBatch)] = std::max(0.0, pkts - unique);
-    f[FeatureIndex(agg, Counter::kRepeatedInterval)] = std::max(0.0, pkts - fresh);
-  }
-  return f;
+  return counter_.Finalize(static_cast<double>(packets.size()), bytes);
 }
 
 }  // namespace shedmon::features

@@ -8,9 +8,12 @@
 namespace shedmon::predict {
 
 // Per-query prediction state: the cost predictor plus the query's own
-// feature extractor. The extractor is re-run on the post-sampling batch so
-// the regression history pairs the cycles a query actually spent with the
-// features of the packets it actually processed (Alg. 1 lines 12 & 16).
+// feature counter. The counter re-counts the rows the query kept after
+// sampling, from the bin's shared keys, so the regression history pairs the
+// cycles a query actually spent with the features of the packets it
+// actually processed (Alg. 1 lines 12 & 16). It holds bitmaps only: the
+// extractor config's seed belongs to the system extractor that keyed the
+// bin.
 class PredictionEngine {
  public:
   PredictionEngine(const PredictorConfig& predictor_config,
@@ -25,7 +28,7 @@ class PredictionEngine {
   // Marks the current interval boundary (resets "new"-item state).
   void StartInterval();
 
-  features::FeatureExtractor& extractor() { return extractor_; }
+  features::FeatureCounter& counter() { return counter_; }
   CostPredictor& predictor() { return *predictor_; }
   const CostPredictor& predictor() const { return *predictor_; }
 
@@ -34,7 +37,7 @@ class PredictionEngine {
 
  private:
   std::unique_ptr<CostPredictor> predictor_;
-  features::FeatureExtractor extractor_;
+  features::FeatureCounter counter_;
 };
 
 }  // namespace shedmon::predict

@@ -69,6 +69,15 @@ std::pair<RowRun, RowRun> MlrPredictor::Window() const {
           {x_.data(), y_.data(), head_}};
 }
 
+std::span<const double> MlrPredictor::newest_features() const {
+  if (y_.empty()) {
+    return {};
+  }
+  // Rows fill in order, then head_ is the next row to be overwritten.
+  const size_t newest = (head_ == 0 ? y_.size() : head_) - 1;
+  return {x_.data() + newest * features::kNumFeatures, features::kNumFeatures};
+}
+
 void MlrPredictor::Push(const features::FeatureVector& f, double cycles) {
   if (y_.size() < config_.history) {
     x_.insert(x_.end(), f.begin(), f.end());

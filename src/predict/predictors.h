@@ -3,6 +3,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -107,6 +108,9 @@ class MlrPredictor : public CostPredictor {
   const std::vector<int>& last_selected() const { return last_selected_; }
   // How often each feature has been selected across the run.
   const std::map<int, size_t>& selection_counts() const { return selection_counts_; }
+  // Features of the newest observation in the window (what the last Observe
+  // was fed); empty before the first.
+  std::span<const double> newest_features() const;
 
   // Saves the observation window plus scrub/selection bookkeeping; the fit
   // itself (coefficients, selected features) is recomputed deterministically

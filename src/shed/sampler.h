@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "src/sketch/fused_hash.h"
 #include "src/trace/batch.h"
@@ -12,9 +14,9 @@ namespace shedmon::shed {
 // Thread-safety contract (src/exec/ parallel pipelines): a sampler instance
 // belongs to exactly one query runtime and is only ever driven by the worker
 // executing that query's bin, so no internal locking is needed. PacketSampler
-// advances its own RNG per call; FlowSampler::SampleInto is const (selection
-// is a pure function of seed, tuple and rate) and Reseed happens on the
-// coordinating thread between bins.
+// advances its own RNG per call; FlowSampler's selection is a pure function
+// of seed, tuple and rate (the keyed SampleInto only memoizes verdicts in the
+// instance) and Reseed happens on the coordinating thread between bins.
 
 // Uniform random packet sampling (§4.2): each packet of the batch is kept
 // independently with probability `rate`.
@@ -22,14 +24,13 @@ class PacketSampler {
  public:
   explicit PacketSampler(uint64_t seed) : rng_(seed) {}
 
-  // In-place API: clears `out` (capacity is kept, so a caller-owned buffer
-  // reused across bins stops allocating after warm-up) and appends the kept
-  // packets. Consumes the same RNG sequence as the copying overload, so both
-  // APIs select identical packet sets for identical seeds and rates.
-  void SampleInto(const trace::PacketVec& in, double rate, trace::PacketVec& out);
-
-  // Copying convenience API; allocates a fresh vector per call.
-  trace::PacketVec Sample(const trace::PacketVec& in, double rate);
+  // Clears `out` and `rows` (capacity is kept, so caller-owned buffers
+  // reused across bins stop allocating after warm-up), then appends the kept
+  // packets to `out` and their positions in `in` to `rows`, ascending, so
+  // rows[i] is the index of out[i] in `in`. Draws one RNG value per packet
+  // when 0 < rate < 1 and none otherwise.
+  void SampleInto(const trace::PacketVec& in, double rate, trace::PacketVec& out,
+                  std::vector<uint32_t>& rows);
 
   // Snapshot/restore of the RNG position, so a restored sampler continues
   // the exact selection sequence of the saved one.
@@ -55,15 +56,24 @@ class FlowSampler {
   // of it, so Reseed(seed()) on another instance clones the sampler.
   uint64_t seed() const { return seed_; }
 
-  // In-place API; see PacketSampler::SampleInto. Selection is a pure
-  // function of (seed, tuple, rate), so both APIs always agree.
-  void SampleInto(const trace::PacketVec& in, double rate, trace::PacketVec& out) const;
-
-  trace::PacketVec Sample(const trace::PacketVec& in, double rate) const;
+  // Same output contract as PacketSampler::SampleInto. Selection is a pure
+  // function of (seed, tuple, rate).
+  void SampleInto(const trace::PacketVec& in, double rate, trace::PacketVec& out,
+                  std::vector<uint32_t>& rows) const;
+  // The same selection over a batch whose rows were deduped into dense tuple
+  // ids (tuple_of_row[i] < num_tuples is the id of in[i]'s 5-tuple, as
+  // features::BinKeys::tuple holds them): hashes each distinct tuple once
+  // instead of once per packet.
+  void SampleInto(const trace::PacketVec& in, std::span<const uint32_t> tuple_of_row,
+                  size_t num_tuples, double rate, trace::PacketVec& out,
+                  std::vector<uint32_t>& rows);
 
  private:
+  bool Keeps(const net::FiveTuple& tuple, double rate) const;
+
   sketch::FusedTupleHasher hash_;
   uint64_t seed_;
+  std::vector<uint8_t> decided_;  // keyed SampleInto's per-tuple verdicts
 };
 
 }  // namespace shedmon::shed

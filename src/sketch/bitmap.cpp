@@ -1,7 +1,10 @@
 #include "src/sketch/bitmap.h"
 
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace shedmon::sketch {
 
@@ -58,32 +61,55 @@ MultiResBitmap::MultiResBitmap(uint32_t components, uint32_t component_bits)
   }
   words_.assign(static_cast<size_t>(components_) * comp_words_, 0);
   bits_set_.assign(components_, 0);
+  tables_ = TablesFor(components_, component_bits_);
 }
 
-double MultiResBitmap::EstimateFrom(const uint32_t* bits_set) const {
+std::shared_ptr<const MultiResBitmap::Tables> MultiResBitmap::TablesFor(uint32_t components,
+                                                                        uint32_t component_bits) {
+  static std::mutex mu;
+  static std::map<std::pair<uint32_t, uint32_t>, std::shared_ptr<const Tables>> cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = cache[{components, component_bits}];
+  if (slot == nullptr) {
+    auto t = std::make_shared<Tables>();
+    t->linear_count.resize(static_cast<size_t>(component_bits) + 1);
+    for (uint32_t set = 0; set <= component_bits; ++set) {
+      t->linear_count[set] = LinearCount(component_bits, set);
+    }
+    const uint32_t c = components;
+    t->probability_sum.resize(c);
+    for (uint32_t base = 0; base < c; ++base) {
+      double sum = 0.0;
+      for (uint32_t i = base; i < c; ++i) {
+        sum += (i < c - 1) ? std::ldexp(1.0, -static_cast<int>(i + 1))
+                           : std::ldexp(1.0, -static_cast<int>(c - 1));
+      }
+      t->probability_sum[base] = sum;
+    }
+    t->setmax = static_cast<uint32_t>(kSetMaxFraction * static_cast<double>(component_bits));
+    slot = std::move(t);
+  }
+  return slot;
+}
+
+double MultiResBitmap::Estimate() const {
   const uint32_t c = components_;
+  const Tables& t = *tables_;
   // First component whose occupancy is trustworthy.
-  const uint32_t setmax =
-      static_cast<uint32_t>(kSetMaxFraction * static_cast<double>(component_bits_));
   uint32_t base = 0;
-  while (base + 1 < c && bits_set[base] > setmax) {
+  while (base + 1 < c && bits_set_[base] > t.setmax) {
     ++base;
   }
   double estimate_sum = 0.0;
-  double probability_sum = 0.0;
   for (uint32_t i = base; i < c; ++i) {
-    estimate_sum += LinearCount(component_bits_, bits_set[i]);
-    const double p = (i < c - 1) ? std::ldexp(1.0, -static_cast<int>(i + 1))
-                                 : std::ldexp(1.0, -static_cast<int>(c - 1));
-    probability_sum += p;
+    estimate_sum += t.linear_count[bits_set_[i]];
   }
+  const double probability_sum = t.probability_sum[base];
   if (probability_sum <= 0.0) {
     return 0.0;
   }
   return estimate_sum / probability_sum;
 }
-
-double MultiResBitmap::Estimate() const { return EstimateFrom(bits_set_.data()); }
 
 void MultiResBitmap::Clear() {
   for (auto& w : words_) {
@@ -94,39 +120,24 @@ void MultiResBitmap::Clear() {
   }
 }
 
-void MultiResBitmap::Union(const MultiResBitmap& other) {
+double MultiResBitmap::MergeNew(const MultiResBitmap& other) {
   if (other.components_ != components_ || other.component_bits_ != component_bits_) {
-    throw std::invalid_argument("MultiResBitmap::Union shape mismatch");
+    throw std::invalid_argument("MultiResBitmap::MergeNew shape mismatch");
   }
+  const double before = Estimate();
   for (uint32_t comp = 0; comp < components_; ++comp) {
-    uint32_t set = 0;
     const size_t off = static_cast<size_t>(comp) * comp_words_;
     for (uint32_t w = 0; w < comp_words_; ++w) {
-      words_[off + w] |= other.words_[off + w];
-      set += static_cast<uint32_t>(std::popcount(words_[off + w]));
+      // Occupancy of the union is the old occupancy plus the bits only
+      // `other` has, so words `other` adds nothing to are never written.
+      const uint64_t fresh = other.words_[off + w] & ~words_[off + w];
+      if (fresh != 0) {
+        words_[off + w] |= fresh;
+        bits_set_[comp] += static_cast<uint32_t>(std::popcount(fresh));
+      }
     }
-    bits_set_[comp] = set;
   }
-}
-
-double MultiResBitmap::CountNew(const MultiResBitmap& other) const {
-  if (other.components_ != components_ || other.component_bits_ != component_bits_) {
-    throw std::invalid_argument("MultiResBitmap::CountNew shape mismatch");
-  }
-  // Occupancy of (this | other) per component, without building the merged
-  // bitmap: CountNew runs once per aggregate per batch and used to be the
-  // only allocating operation left in the extraction path.
-  uint32_t merged[kMaxComponents];
-  for (uint32_t comp = 0; comp < components_; ++comp) {
-    uint32_t set = 0;
-    const size_t off = static_cast<size_t>(comp) * comp_words_;
-    for (uint32_t w = 0; w < comp_words_; ++w) {
-      set += static_cast<uint32_t>(std::popcount(words_[off + w] | other.words_[off + w]));
-    }
-    merged[comp] = set;
-  }
-  const double before = EstimateFrom(bits_set_.data());
-  const double after = EstimateFrom(merged);
+  const double after = Estimate();
   return after > before ? after - before : 0.0;
 }
 

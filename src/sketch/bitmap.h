@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace shedmon::sketch {
@@ -56,7 +57,7 @@ class DirectBitmap {
 //
 // All components live in one flat word array (rather than one heap-allocated
 // bitmap per component) so the per-packet Insert is a single indexed access
-// with no pointer chasing, and Union/CountNew are linear sweeps.
+// with no pointer chasing, and MergeNew is one linear sweep.
 class MultiResBitmap {
  public:
   static constexpr uint32_t kMaxComponents = 30;
@@ -73,29 +74,50 @@ class MultiResBitmap {
     const uint32_t bit = static_cast<uint32_t>(hash) & mask_;
     uint64_t& word = words_[comp * comp_words_ + (bit >> 6)];
     const uint64_t m = 1ULL << (bit & 63);
-    if ((word & m) == 0) {
-      word |= m;
-      ++bits_set_[comp];
-    }
+    // Branch-free: whether a distinct key's bit was already set is a coin
+    // flip the predictor cannot learn.
+    bits_set_[comp] += static_cast<uint32_t>((word & m) == 0);
+    word |= m;
   }
 
   double Estimate() const;
 
   void Clear();
-  void Union(const MultiResBitmap& other);
 
-  // Estimate of |this ∪ other| - |this|: how many keys of `other` are new
-  // with respect to this bitmap. Implemented with the bitwise-OR trick of
-  // §3.2.1 (the batch bitmap is OR-ed into the interval bitmap), computed on
-  // the fly without materializing the merged bitmap.
-  double CountNew(const MultiResBitmap& other) const;
+  // OR-merges `other` into this bitmap (the bitwise-OR trick of §3.2.1: the
+  // batch bitmap is folded into the interval bitmap) and returns the
+  // estimate of |this ∪ other| - |this| before the merge, clamped at zero:
+  // how many keys of `other` were new. One sweep that only writes the words
+  // `other` adds bits to and keeps the occupancy counts incrementally.
+  // Throws std::invalid_argument on a shape mismatch.
+  double MergeNew(const MultiResBitmap& other);
 
   uint32_t components() const { return components_; }
+
+  // Equal words and occupancy over the same shape.
+  bool operator==(const MultiResBitmap& other) const {
+    return components_ == other.components_ && component_bits_ == other.component_bits_ &&
+           words_ == other.words_ && bits_set_ == other.bits_set_;
+  }
 
  private:
   // Occupancy threshold above which a component is considered saturated; the
   // EVF paper's "setmax" knob.
   static constexpr double kSetMaxFraction = 0.93;
+
+  // Estimator constants of one (components, component_bits) shape, built
+  // once per shape with the same expressions and summation order the
+  // estimator would otherwise evaluate on every call, so estimates stay
+  // bit-identical while costing table reads instead of logarithms.
+  struct Tables {
+    std::vector<double> linear_count;  // [set] = linear count at that occupancy
+    // [base] = sum over components i >= base of the component's sampling
+    // probability, accumulated in ascending i.
+    std::vector<double> probability_sum;
+    uint32_t setmax = 0;  // occupancy above which a component is saturated
+  };
+
+  static std::shared_ptr<const Tables> TablesFor(uint32_t components, uint32_t component_bits);
 
   uint32_t ComponentFor(uint64_t hash) const {
     // Leading ones of the top bits give a geometric component choice:
@@ -104,16 +126,13 @@ class MultiResBitmap {
     return comp < components_ - 1 ? comp : components_ - 1;
   }
 
-  // The estimator over an arbitrary per-component occupancy vector; shared
-  // by Estimate() (own occupancy) and CountNew() (merged occupancy).
-  double EstimateFrom(const uint32_t* bits_set) const;
-
   uint32_t components_;
   uint32_t component_bits_;
   uint32_t comp_words_;  // 64-bit words per component
   uint32_t mask_;
   std::vector<uint64_t> words_;     // components_ * comp_words_
   std::vector<uint32_t> bits_set_;  // per-component occupancy
+  std::shared_ptr<const Tables> tables_;  // shared by every bitmap of this shape
 };
 
 }  // namespace shedmon::sketch

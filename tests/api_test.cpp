@@ -10,9 +10,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,8 +27,10 @@
 #include "src/api/run.h"
 #include "src/api/sinks.h"
 #include "src/core/runner.h"
+#include "src/features/extractor.h"
 #include "src/obs/prometheus.h"
 #include "src/obs/snapshot.h"
+#include "src/predict/predictors.h"
 #include "src/query/queries.h"
 #include "src/trace/batch.h"
 #include "src/trace/generator.h"
@@ -1351,6 +1356,132 @@ TEST(PipelineDeterminism, ScrapingUnderLoadNeverPerturbsResults) {
         EXPECT_EQ(golden.Accuracy(q).stdev_error, handles[q].Accuracy().stdev_error);
       }
     }
+  }
+}
+
+// Records what the system should feed its cost model for this query: a
+// from-scratch extraction of exactly the packets the query was handed,
+// with its own interval state reset whenever the query's interval ends —
+// which is when the system resets the query's counter. Full-rate plain
+// bins are skipped (the system then reuses the prediction-stage features),
+// and so are custom bins below the full-cost refit threshold (no refit).
+class FeatureShadowQuery : public query::Query {
+ public:
+  FeatureShadowQuery(const features::FeatureExtractor::Config& config,
+                     query::SamplingMethod method, bool custom, double work_per_packet)
+      : Query(custom ? "shadow-custom" : "shadow", 10),
+        shadow_(config),
+        method_(method),
+        custom_(custom),
+        work_per_packet_(work_per_packet) {}
+
+  query::SamplingMethod preferred_sampling() const override { return method_; }
+  bool supports_custom_shedding() const override { return custom_; }
+
+  // The features of the last batch the system must have re-counted, or
+  // nothing; reading clears it.
+  std::optional<features::FeatureVector> TakeExpected() {
+    auto out = expected_;
+    expected_.reset();
+    return out;
+  }
+
+ protected:
+  void OnBatch(const query::BatchInput& in) override {
+    if (in.sampling_rate < 1.0 - 1e-9) {
+      expected_ = shadow_.Extract(in.packets);
+    }
+    ChargeWork(work_per_packet_ * static_cast<double>(in.packets.size()));
+  }
+  void OnCustomBatch(const query::BatchInput& in, double fraction) override {
+    if (fraction >= 0.95) {
+      expected_ = shadow_.Extract(in.packets);
+    }
+    ChargeWork(work_per_packet_ * fraction * static_cast<double>(in.packets.size()));
+  }
+  void OnEndInterval(size_t) override { shadow_.StartInterval(); }
+
+ private:
+  features::FeatureExtractor shadow_;
+  query::SamplingMethod method_;
+  bool custom_;
+  double work_per_packet_;
+  std::optional<features::FeatureVector> expected_;
+};
+
+// After every bin, each shadow query that owes a check must find its
+// expected features, bit for bit, as the newest row of its cost model.
+class FeatureShadowCheck : public api::BinObserver {
+ public:
+  FeatureShadowCheck(const api::Pipeline& pipeline, std::vector<FeatureShadowQuery*> shadows)
+      : pipeline_(pipeline), shadows_(std::move(shadows)), checked_(shadows_.size(), 0) {}
+
+  void OnBin(const core::BinLog& log, const api::BinStats&) override {
+    for (size_t q = 0; q < shadows_.size(); ++q) {
+      const std::optional<features::FeatureVector> want = shadows_[q]->TakeExpected();
+      if (!want) {
+        continue;
+      }
+      const predict::MlrPredictor* mlr = pipeline_.system().engine(q).mlr();
+      ASSERT_NE(mlr, nullptr);
+      const std::span<const double> got = mlr->newest_features();
+      ASSERT_EQ(got.size(), want->size());
+      EXPECT_EQ(std::memcmp(got.data(), want->data(), sizeof(double) * want->size()), 0)
+          << shadows_[q]->name() << " q" << q << " at bin starting " << log.start_us;
+      ++checked_[q];
+    }
+  }
+
+  const std::vector<size_t>& checked() const { return checked_; }
+
+ private:
+  const api::Pipeline& pipeline_;
+  std::vector<FeatureShadowQuery*> shadows_;
+  std::vector<size_t> checked_;
+};
+
+TEST(PipelineFeatures, HistoryUpdatesMatchFromScratchExtractionOfTheProcessedPackets) {
+  // Each query's re-extraction re-counts the prediction stage's keys over
+  // the rows its sampler kept. Evicting the oldest records of every open bin
+  // leaves the packets a non-contiguous view of the ingest buffer, so rows
+  // derived from anything but positions in the bin's packet vector fail.
+  // The budget sheds the heavy queries in several bins beyond the warm-up
+  // probes, while the light custom query mostly runs whole and refits.
+  const features::FeatureExtractor::Config extractor;
+  auto pipeline = api::PipelineBuilder()
+                      .IngestCap(400, rt::OverflowPolicy::kDropOldest)
+                      .CyclesPerBin(3.6e4)
+                      .Strategy(shed::StrategyKind::kMmfsCpu)
+                      .CustomShedding(true)
+                      .Threads(2)
+                      .TrackAccuracy(false)
+                      .BuildUnique();
+  ASSERT_EQ(pipeline->system().config().extractor.seed, extractor.seed);
+  std::vector<FeatureShadowQuery*> shadows;
+  // Max-min fair cycle shares: the two heavy queries are sampled, the light
+  // custom one mostly fits its share whole and refits at full cost.
+  for (const auto& [method, custom, work] :
+       {std::tuple{query::SamplingMethod::kPacket, false, 20.0},
+        std::tuple{query::SamplingMethod::kFlow, false, 20.0},
+        std::tuple{query::SamplingMethod::kPacket, true, 1.0}}) {
+    auto q = std::make_unique<FeatureShadowQuery>(extractor, method, custom, work);
+    shadows.push_back(q.get());
+    pipeline->AddQuery(std::move(q), {0.0, true});
+  }
+  auto check = std::make_unique<FeatureShadowCheck>(*pipeline, shadows);
+  const FeatureShadowCheck& checker = *check;
+  pipeline->AddObserver(std::move(check));
+  pipeline->Push(SharedTrace());
+  pipeline->Finish();
+
+  EXPECT_GT(pipeline->ingest_dropped(), 0u);
+  size_t shed_bins = 0;
+  for (const core::BinLog& log : pipeline->log()) {
+    shed_bins += log.rate[0] < 1.0 && log.rate[0] > 0.0 ? 1 : 0;
+  }
+  EXPECT_GT(shed_bins, 5u);
+  for (size_t q = 0; q < shadows.size(); ++q) {
+    EXPECT_GT(checker.checked()[q], 3u) << shadows[q]->name() << " q" << q;
   }
 }
 

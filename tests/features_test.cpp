@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "src/features/extractor.h"
 #include "src/features/features.h"
@@ -273,6 +275,113 @@ TEST(Extractor, FusedExtractMatchesReferenceBitExactly) {
     }
   }
   EXPECT_GT(bins, 20);
+}
+
+// Bitwise equality of two feature vectors, naming the first differing one.
+void ExpectBitIdentical(const FeatureVector& got, const FeatureVector& want,
+                        const std::string& where) {
+  for (int k = 0; k < kNumFeatures; ++k) {
+    uint64_t g;
+    uint64_t w;
+    std::memcpy(&g, &got[static_cast<size_t>(k)], sizeof g);
+    std::memcpy(&w, &want[static_cast<size_t>(k)], sizeof w);
+    ASSERT_EQ(g, w) << where << " feature " << FeatureName(k) << ": "
+                    << got[static_cast<size_t>(k)] << " vs " << want[static_cast<size_t>(k)];
+  }
+}
+
+TEST(Extractor, KeyedCountingOverRowSubsetsMatchesReference) {
+  // The system keys each bin once, then every query's counter re-counts the
+  // rows it kept. Over several intervals, keyed counting of random row
+  // subsets must equal the unkeyed per-aggregate reference run on exactly
+  // those packets, with each side carrying its own interval state.
+  const trace::Trace t = trace::TraceGenerator(trace::CescaI()).Generate();
+  trace::Batcher batcher(t, 100'000);
+  std::vector<trace::Batch> bins;
+  for (trace::Batch b; bins.size() < 30 && batcher.Next(b);) {
+    bins.push_back(std::move(b));
+  }
+  // Synthetic bins: one tuple repeated throughout, and hundreds of distinct
+  // tuples that all share one protocol (a single proto-aggregate key).
+  PacketFixture repeated;
+  for (int i = 0; i < 300; ++i) {
+    repeated.Add(7, 8, 9, 10, net::kProtoUdp, static_cast<uint16_t>(60 + i % 7));
+  }
+  repeated.Finish();
+  PacketFixture same_proto;
+  for (uint32_t i = 0; i < 500; ++i) {
+    same_proto.Add(1000 + i % 37, 2000 + i % 101, static_cast<uint16_t>(i), 80, net::kProtoTcp,
+                   static_cast<uint16_t>(40 + i));
+  }
+  same_proto.Finish();
+  std::vector<const trace::PacketVec*> inputs;
+  for (size_t i = 0; i < bins.size(); ++i) {
+    inputs.push_back(&bins[i].packets);
+    if (i == 4) {
+      inputs.push_back(&repeated.packets);
+    }
+    if (i == 12) {
+      inputs.push_back(&same_proto.packets);
+      inputs.push_back(&same_proto.packets);  // a second time: nothing new
+    }
+  }
+
+  FeatureExtractor keyer;  // hashes each bin for the counter under test
+  const FeatureExtractor::Config config;
+  FeatureCounter counter(config.mrb_components, config.mrb_bits);
+  FeatureExtractor reference;
+  util::Rng rng(2024);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    if (i % 7 == 0) {
+      counter.StartInterval();
+      reference.StartInterval();
+    }
+    const trace::PacketVec& packets = *inputs[i];
+    (void)keyer.Extract(packets);
+    const BinKeys& keys = keyer.keys();
+    ASSERT_EQ(keys.rows(), packets.size());
+    // Cycle through the empty subset, every row, and random rates.
+    const int mode = static_cast<int>(i % 4);
+    const double rate = mode == 0 ? 0.0 : mode == 1 ? 1.0 : rng.NextDouble();
+    std::vector<uint32_t> rows;
+    trace::PacketVec subset;
+    for (uint32_t row = 0; row < packets.size(); ++row) {
+      if (mode == 1 || (mode != 0 && rng.NextDouble() < rate)) {
+        rows.push_back(row);
+        subset.push_back(packets[row]);
+      }
+    }
+    const FeatureVector want = reference.ExtractReference(subset);
+    const std::string where = "input " + std::to_string(i) + " (" +
+                              std::to_string(rows.size()) + "/" +
+                              std::to_string(packets.size()) + " rows)";
+    if (mode == 1 && i % 8 == 1) {
+      ExpectBitIdentical(counter.CountAll(keys), want, where + " CountAll");
+    } else {
+      ExpectBitIdentical(counter.Count(keys, rows), want, where);
+    }
+  }
+}
+
+TEST(Extractor, KeysDedupeTuplesInFirstSeenOrder) {
+  PacketFixture fx;
+  fx.Add(1, 2, 3, 4, net::kProtoTcp, 100);
+  fx.Add(5, 6, 7, 8, net::kProtoUdp, 200);
+  fx.Add(1, 2, 3, 4, net::kProtoTcp, 300);
+  fx.Add(1, 2, 3, 4, net::kProtoUdp, 400);  // differs from row 0 only in proto
+  fx.Finish();
+  FeatureExtractor ex;
+  (void)ex.Extract(fx.packets);
+  const BinKeys& keys = ex.keys();
+  EXPECT_EQ(keys.tuple, (std::vector<uint32_t>{0, 1, 0, 2}));
+  EXPECT_EQ(keys.wire_len, (std::vector<uint16_t>{100, 200, 300, 400}));
+  EXPECT_EQ(keys.bytes, 1000.0);
+  ASSERT_EQ(keys.distinct(), 3u);
+  const sketch::FusedTupleHasher fused = MakeAggregateHasher(ex.config().seed);
+  AggregateHashes h;
+  const auto bytes = fx.records[3].tuple.Bytes();
+  fused.HashAllFixed<13, kNumAggregates>(bytes.data(), h);
+  EXPECT_EQ(keys.hashes[2], h);
 }
 
 TEST(Extractor, RealTrafficUniqueCountsAreConsistent) {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/shed/enforcement.h"
 #include "src/shed/sampler.h"
@@ -28,6 +29,29 @@ trace::PacketVec FirstBatch(const trace::Trace& t, trace::Batch& storage) {
   return storage.packets;
 }
 
+// The kept packets of one SampleInto call.
+template <typename Sampler>
+trace::PacketVec Sampled(Sampler& sampler, const trace::PacketVec& packets, double rate) {
+  trace::PacketVec out;
+  std::vector<uint32_t> rows;
+  sampler.SampleInto(packets, rate, out, rows);
+  return out;
+}
+
+// Rows must be ascending in-range indices into `in`, one per kept packet,
+// each selecting exactly that packet.
+void ExpectRowsSelectOut(const trace::PacketVec& in, const trace::PacketVec& out,
+                         const std::vector<uint32_t>& rows, double rate) {
+  ASSERT_EQ(rows.size(), out.size()) << "rate " << rate;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_LT(rows[i], in.size()) << "rate " << rate << " index " << i;
+    if (i > 0) {
+      EXPECT_LT(rows[i - 1], rows[i]) << "rate " << rate << " index " << i;
+    }
+    EXPECT_EQ(in[rows[i]].rec, out[i].rec) << "rate " << rate << " index " << i;
+  }
+}
+
 // ----------------------------------------------------------------- samplers --
 
 TEST(PacketSamplerTest, RateOneKeepsEverything) {
@@ -35,7 +59,7 @@ TEST(PacketSamplerTest, RateOneKeepsEverything) {
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
   PacketSampler sampler(1);
-  EXPECT_EQ(sampler.Sample(packets, 1.0).size(), packets.size());
+  EXPECT_EQ(Sampled(sampler, packets, 1.0).size(), packets.size());
 }
 
 TEST(PacketSamplerTest, RateZeroDropsEverything) {
@@ -43,7 +67,7 @@ TEST(PacketSamplerTest, RateZeroDropsEverything) {
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
   PacketSampler sampler(2);
-  EXPECT_TRUE(sampler.Sample(packets, 0.0).empty());
+  EXPECT_TRUE(Sampled(sampler, packets, 0.0).empty());
 }
 
 TEST(PacketSamplerTest, KeepsApproximatelyRateFraction) {
@@ -52,27 +76,29 @@ TEST(PacketSamplerTest, KeepsApproximatelyRateFraction) {
   const auto packets = FirstBatch(t, storage);
   ASSERT_GT(packets.size(), 500u);
   PacketSampler sampler(3);
-  const auto out = sampler.Sample(packets, 0.4);
+  const auto out = Sampled(sampler, packets, 0.4);
   const double frac = static_cast<double>(out.size()) / static_cast<double>(packets.size());
   EXPECT_NEAR(frac, 0.4, 0.08);
 }
 
-TEST(PacketSamplerTest, SampleIntoSelectsSameSetAsCopyingApi) {
-  // Two samplers with the same seed consume the same RNG sequence, so the
-  // in-place and copying APIs must pick exactly the same packets.
+TEST(PacketSamplerTest, ReportedRowsSelectKeptPackets) {
+  // The history update re-counts the bin's keys over the reported rows, so
+  // they must name exactly the kept packets; two samplers with the same seed
+  // consume the same RNG sequence and keep the same rows.
   trace::Batch storage;
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
-  for (const double rate : {0.0, 0.3, 0.7, 1.0}) {
-    PacketSampler copying(17);
-    PacketSampler in_place(17);
-    const auto copied = copying.Sample(packets, rate);
-    trace::PacketVec buf;
-    in_place.SampleInto(packets, rate, buf);
-    ASSERT_EQ(copied.size(), buf.size()) << "rate " << rate;
-    for (size_t i = 0; i < copied.size(); ++i) {
-      EXPECT_EQ(copied[i].rec, buf[i].rec) << "rate " << rate << " index " << i;
-    }
+  PacketSampler sampler(17);
+  PacketSampler twin(17);
+  trace::PacketVec out;
+  std::vector<uint32_t> rows = {7, 7, 7};  // stale contents must be replaced
+  for (const double rate : {0.0, 0.05, 0.3, 0.7, 0.999, 1.0}) {
+    sampler.SampleInto(packets, rate, out, rows);
+    ExpectRowsSelectOut(packets, out, rows, rate);
+    trace::PacketVec twin_out;
+    std::vector<uint32_t> twin_rows;
+    twin.SampleInto(packets, rate, twin_out, twin_rows);
+    EXPECT_EQ(rows, twin_rows) << "rate " << rate;
   }
 }
 
@@ -82,13 +108,14 @@ TEST(PacketSamplerTest, SampleIntoClearsAndReusesBuffer) {
   const auto packets = FirstBatch(t, storage);
   PacketSampler sampler(18);
   trace::PacketVec buf;
-  sampler.SampleInto(packets, 0.5, buf);
+  std::vector<uint32_t> rows;
+  sampler.SampleInto(packets, 0.5, buf, rows);
   const size_t first_size = buf.size();
   const size_t first_cap = buf.capacity();
   ASSERT_GT(first_size, 0u);
   // A dirty, already-sized buffer must be fully replaced, not appended to,
   // and its capacity must be retained.
-  sampler.SampleInto(packets, 0.5, buf);
+  sampler.SampleInto(packets, 0.5, buf, rows);
   EXPECT_NEAR(static_cast<double>(buf.size()), static_cast<double>(first_size),
               0.25 * static_cast<double>(packets.size()));
   EXPECT_GE(buf.capacity(), first_cap);
@@ -97,19 +124,43 @@ TEST(PacketSamplerTest, SampleIntoClearsAndReusesBuffer) {
   }
 }
 
-TEST(FlowSamplerTest, SampleIntoSelectsSameSetAsCopyingApi) {
+TEST(FlowSamplerTest, ReportedRowsSelectKeptPackets) {
   trace::Batch storage;
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
   const FlowSampler sampler(19);
-  for (const double rate : {0.0, 0.25, 0.6, 1.0}) {
-    const auto copied = sampler.Sample(packets, rate);
-    trace::PacketVec buf;
-    sampler.SampleInto(packets, rate, buf);
-    ASSERT_EQ(copied.size(), buf.size()) << "rate " << rate;
-    for (size_t i = 0; i < copied.size(); ++i) {
-      EXPECT_EQ(copied[i].rec, buf[i].rec) << "rate " << rate << " index " << i;
-    }
+  trace::PacketVec out;
+  std::vector<uint32_t> rows = {3, 1};  // stale contents must be replaced
+  for (const double rate : {0.0, 0.05, 0.25, 0.6, 0.999, 1.0}) {
+    sampler.SampleInto(packets, rate, out, rows);
+    ExpectRowsSelectOut(packets, out, rows, rate);
+  }
+}
+
+TEST(FlowSamplerTest, KeyedSelectionMatchesUnkeyed) {
+  // Fed the batch's dense tuple ids, the sampler hashes each distinct flow
+  // once; it must keep exactly the rows the per-packet hash keeps.
+  trace::Batch storage;
+  const auto t = SmallTrace();
+  const auto packets = FirstBatch(t, storage);
+  std::map<net::FiveTuple, uint32_t> ids;
+  std::vector<uint32_t> tuple_of_row;
+  for (const auto& pkt : packets) {
+    tuple_of_row.push_back(
+        ids.emplace(pkt.rec->tuple, static_cast<uint32_t>(ids.size())).first->second);
+  }
+  ASSERT_LT(ids.size(), packets.size());  // flows repeat, so the memo is exercised
+  FlowSampler keyed(23);
+  const FlowSampler unkeyed(23);
+  trace::PacketVec out;
+  std::vector<uint32_t> rows;
+  trace::PacketVec want_out;
+  std::vector<uint32_t> want_rows;
+  for (const double rate : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+    keyed.SampleInto(packets, tuple_of_row, ids.size(), rate, out, rows);
+    unkeyed.SampleInto(packets, rate, want_out, want_rows);
+    ExpectRowsSelectOut(packets, out, rows, rate);
+    EXPECT_EQ(rows, want_rows) << "rate " << rate;
   }
 }
 
@@ -118,7 +169,7 @@ TEST(FlowSamplerTest, FlowsKeptOrDroppedCoherently) {
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
   FlowSampler sampler(7);
-  const auto out = sampler.Sample(packets, 0.5);
+  const auto out = Sampled(sampler, packets, 0.5);
   std::set<net::FiveTuple> kept;
   for (const auto& pkt : out) {
     kept.insert(pkt.rec->tuple);
@@ -147,7 +198,7 @@ TEST(FlowSamplerTest, SamplesApproximatelyRateFractionOfFlows) {
   }
   ASSERT_GT(all_flows.size(), 100u);
   FlowSampler sampler(11);
-  const auto out = sampler.Sample(packets, 0.3);
+  const auto out = Sampled(sampler, packets, 0.3);
   std::set<net::FiveTuple> kept;
   for (const auto& pkt : out) {
     kept.insert(pkt.rec->tuple);
@@ -162,9 +213,9 @@ TEST(FlowSamplerTest, ReseedChangesSelection) {
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
   FlowSampler sampler(13);
-  const auto first = sampler.Sample(packets, 0.5);
+  const auto first = Sampled(sampler, packets, 0.5);
   sampler.Reseed(14);
-  const auto second = sampler.Sample(packets, 0.5);
+  const auto second = Sampled(sampler, packets, 0.5);
   std::set<net::FiveTuple> f1;
   std::set<net::FiveTuple> f2;
   for (const auto& pkt : first) {
@@ -181,8 +232,8 @@ TEST(FlowSamplerTest, DeterministicWithoutReseed) {
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
   FlowSampler sampler(17);
-  const auto a = sampler.Sample(packets, 0.5);
-  const auto b = sampler.Sample(packets, 0.5);
+  const auto a = Sampled(sampler, packets, 0.5);
+  const auto b = Sampled(sampler, packets, 0.5);
   EXPECT_EQ(a.size(), b.size());
 }
 

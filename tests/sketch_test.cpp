@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <unordered_set>
@@ -249,7 +251,7 @@ TEST_P(MrbAccuracy, EstimateWithinTolerance) {
 INSTANTIATE_TEST_SUITE_P(Cardinalities, MrbAccuracy,
                          ::testing::Values(10, 100, 1000, 5000, 20000, 100000));
 
-TEST(MultiResBitmap, UnionAccumulates) {
+TEST(MultiResBitmap, MergeNewAccumulates) {
   MultiResBitmap a;
   MultiResBitmap b;
   util::Rng rng(99);
@@ -260,25 +262,25 @@ TEST(MultiResBitmap, UnionAccumulates) {
     b.Insert(rng.NextU64());
   }
   const double before = a.Estimate();
-  a.Union(b);
+  a.MergeNew(b);
   EXPECT_GT(a.Estimate(), before * 1.5);
 }
 
-TEST(MultiResBitmap, CountNewMeasuresDisjointKeys) {
+TEST(MultiResBitmap, MergeNewMeasuresDisjointKeys) {
   MultiResBitmap interval;
   MultiResBitmap batch;
   util::Rng rng(7);
   for (int i = 0; i < 1000; ++i) {
     interval.Insert(rng.NextU64());
   }
-  // Batch of 300 fresh keys: CountNew should see ~300.
+  // Batch of 300 fresh keys: MergeNew should see ~300.
   for (int i = 0; i < 300; ++i) {
     batch.Insert(rng.NextU64());
   }
-  EXPECT_NEAR(interval.CountNew(batch), 300.0, 70.0);
+  EXPECT_NEAR(interval.MergeNew(batch), 300.0, 70.0);
 }
 
-TEST(MultiResBitmap, CountNewIsZeroForSeenKeys) {
+TEST(MultiResBitmap, MergeNewIsZeroForSeenKeys) {
   MultiResBitmap interval;
   MultiResBitmap batch;
   util::Rng rng(8);
@@ -292,7 +294,125 @@ TEST(MultiResBitmap, CountNewIsZeroForSeenKeys) {
   for (int i = 0; i < 100; ++i) {
     batch.Insert(keys[static_cast<size_t>(i)]);
   }
-  EXPECT_NEAR(interval.CountNew(batch), 0.0, 20.0);
+  EXPECT_NEAR(interval.MergeNew(batch), 0.0, 20.0);
+}
+
+// The fused merge must equal estimating the union's occupancy, then
+// OR-ing the words and recounting every component (the two-sweep merge it
+// replaced). The union is built by inserting both key sets into a fresh
+// bitmap: set semantics make its words and occupancy those of the OR.
+TEST(MultiResBitmap, MergeNewEqualsUnionThenRecount) {
+  util::Rng rng(21);
+  for (int round = 0; round < 200; ++round) {
+    const uint32_t components = 2 + static_cast<uint32_t>(rng.NextU64() % 14);
+    const uint32_t bits = 64u << (rng.NextU64() % 4);
+    MultiResBitmap interval(components, bits);
+    MultiResBitmap batch(components, bits);
+    MultiResBitmap both(components, bits);
+    // Sizes from empty up to well past saturating the low components, with
+    // shared keys so some batch bits are already set in the interval.
+    const int n_interval = static_cast<int>(rng.NextU64() % 4000);
+    const int n_batch = static_cast<int>(rng.NextU64() % 1500);
+    std::vector<uint64_t> keys;
+    for (int i = 0; i < n_interval; ++i) {
+      keys.push_back(rng.NextU64());
+      interval.Insert(keys.back());
+      both.Insert(keys.back());
+    }
+    for (int i = 0; i < n_batch; ++i) {
+      const bool shared = !keys.empty() && rng.NextDouble() < 0.5;
+      const uint64_t k = shared ? keys[rng.NextU64() % keys.size()] : rng.NextU64();
+      batch.Insert(k);
+      both.Insert(k);
+    }
+    const double before = interval.Estimate();
+    const double want = both.Estimate() > before ? both.Estimate() - before : 0.0;
+    const MultiResBitmap batch_copy = batch;
+    const double got = interval.MergeNew(batch);
+    const auto bits_of = [](double v) {
+      uint64_t u;
+      std::memcpy(&u, &v, sizeof u);
+      return u;
+    };
+    ASSERT_EQ(bits_of(got), bits_of(want)) << "round " << round;
+    ASSERT_TRUE(interval == both) << "round " << round;  // words and occupancy
+    ASSERT_EQ(bits_of(interval.Estimate()), bits_of(both.Estimate())) << "round " << round;
+    ASSERT_TRUE(batch == batch_copy) << "round " << round;  // the source is untouched
+  }
+}
+
+TEST(MultiResBitmap, MergeNewRejectsShapeMismatch) {
+  MultiResBitmap a(12, 512);
+  const MultiResBitmap b(12, 256);
+  const MultiResBitmap c(10, 512);
+  EXPECT_THROW(a.MergeNew(b), std::invalid_argument);
+  EXPECT_THROW(a.MergeNew(c), std::invalid_argument);
+}
+
+// The estimator as a formula: linear counting per component from the first
+// unsaturated one on, over the summed sampling probabilities.
+double FormulaEstimate(const std::vector<uint32_t>& occupancy, uint32_t bits) {
+  const uint32_t c = static_cast<uint32_t>(occupancy.size());
+  const uint32_t setmax = static_cast<uint32_t>(0.93 * static_cast<double>(bits));
+  uint32_t base = 0;
+  while (base + 1 < c && occupancy[base] > setmax) {
+    ++base;
+  }
+  double estimate_sum = 0.0;
+  double probability_sum = 0.0;
+  for (uint32_t i = base; i < c; ++i) {
+    const uint32_t zeros = bits - occupancy[i];
+    estimate_sum += zeros == 0 ? static_cast<double>(bits) * std::log(static_cast<double>(bits))
+                               : -static_cast<double>(bits) * std::log(static_cast<double>(zeros) /
+                                                                        static_cast<double>(bits));
+    probability_sum += (i < c - 1) ? std::ldexp(1.0, -static_cast<int>(i + 1))
+                                   : std::ldexp(1.0, -static_cast<int>(c - 1));
+  }
+  return probability_sum <= 0.0 ? 0.0 : estimate_sum / probability_sum;
+}
+
+// The table-driven estimator must equal the formula bit for bit. With two
+// components and only the last one filled, Estimate() is LinearCount at
+// that occupancy over a probability sum of exactly 1, so every occupancy
+// 0..bits is reached by setting one more bit at a time.
+TEST(MultiResBitmap, EstimateEqualsLinearCountAtEveryOccupancy) {
+  for (const uint32_t bits : {64u, 128u, 512u, 1024u}) {
+    MultiResBitmap bm(2, bits);
+    for (uint32_t set = 0; set <= bits; ++set) {
+      const double formula = FormulaEstimate({0, set}, bits);
+      ASSERT_EQ(bm.Estimate(), formula) << bits << " bits, " << set << " set";
+      if (set < bits) {
+        bm.Insert((3ULL << 62) | set);  // two leading ones: the last component
+      }
+    }
+  }
+}
+
+TEST(MultiResBitmap, EstimateEqualsFormulaOverRandomOccupancies) {
+  util::Rng rng(33);
+  for (int round = 0; round < 300; ++round) {
+    const uint32_t components = 2 + static_cast<uint32_t>(rng.NextU64() % 29);
+    const uint32_t bits = 64u << (rng.NextU64() % 4);
+    MultiResBitmap bm(components, bits);
+    std::vector<std::vector<bool>> set(components, std::vector<bool>(bits, false));
+    std::vector<uint32_t> occupancy(components, 0);
+    // Up to ~4x the first component's size, so low components saturate and
+    // the estimator's base moves.
+    const int n = static_cast<int>(rng.NextU64() % (8 * bits));
+    for (int i = 0; i < n; ++i) {
+      const uint64_t h = rng.NextU64();
+      bm.Insert(h);
+      const uint32_t comp =
+          std::min(static_cast<uint32_t>(std::countl_one(h)), components - 1);
+      const uint32_t bit = static_cast<uint32_t>(h) & (bits - 1);
+      if (!set[comp][bit]) {
+        set[comp][bit] = true;
+        ++occupancy[comp];
+      }
+    }
+    ASSERT_EQ(bm.Estimate(), FormulaEstimate(occupancy, bits))
+        << components << "x" << bits << " after " << n << " inserts";
+  }
 }
 
 TEST(MultiResBitmap, ClearResetsEstimate) {
