@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
     size_t bins = 0;
     size_t in_interval = 0;
     while (batcher.Next(batch)) {
-      query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
+      query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
       core::WorkHint hint{q.get(), &batch.packets, 0.0};
       total += oracle->Run(core::WorkKind::kQuery, hint, [&] { q->ProcessBatch(in); });
       if (++in_interval >= q->interval_bins()) {

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   double cyc = 0.0, pkts = 0.0, bytes = 0.0, flows = 0.0;
   std::unordered_set<net::FiveTuple, net::FiveTupleHash> flow_set;
   while (batcher.Next(batch)) {
-    query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
+    query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
     core::WorkHint hint{q.get(), &batch.packets, 0.0};
     cyc += oracle->Run(core::WorkKind::kQuery, hint, [&] { q->ProcessBatch(in); });
     pkts += static_cast<double>(batch.size());

@@ -48,14 +48,15 @@ int main(int argc, char** argv) {
       oracle->OnQueryAdded(shadow.get());
       while (batcher.Next(batch)) {
         {
-          query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
+          query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
           core::WorkHint hint{shadow.get(), &batch.packets, 0.0};
           full_cost +=
               oracle->Run(core::WorkKind::kQuery, hint, [&] { shadow->ProcessBatch(in); });
         }
         core::WorkHint hint{q.get(), nullptr, 0.0};
         if (method.kind == 2) {
-          query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, fraction};
+          query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, fraction,
+                               &batch.flows};
           hint.packets = &batch.packets;
           used += oracle->Run(core::WorkKind::kQuery, hint,
                               [&] { q->ProcessCustom(in, fraction); });

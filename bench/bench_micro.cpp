@@ -198,15 +198,18 @@ const std::vector<ExtractionBin>& UpcBins() {
   return bins;
 }
 
-// One overload-payload bin's extraction: the prediction stage keys and
-// counts the whole bin, then ten queries re-count the rows they kept from
-// those keys. Intervals restart every ten bins, as in the pipeline.
+// One overload-payload bin's extraction: the bin's flow table is built and
+// the prediction stage keys and counts the whole bin, then ten queries total
+// the rows they kept per flow and re-count those flows from the keys.
+// Intervals restart every ten bins, as in the pipeline.
 void BM_BinExtraction(benchmark::State& state) {
   const auto& bins = UpcBins();
   features::FeatureExtractor system;
   const features::FeatureExtractor::Config config;
   std::vector<features::FeatureCounter> counters(
       10, features::FeatureCounter(config.mrb_components, config.mrb_bits));
+  trace::FlowTable flows;
+  trace::FlowTable kept_flows;
   size_t i = 0;
   int64_t packets = 0;
   for (auto _ : state) {
@@ -217,9 +220,11 @@ void BM_BinExtraction(benchmark::State& state) {
       }
     }
     const ExtractionBin& bin = bins[i++ % bins.size()];
-    benchmark::DoNotOptimize(system.Extract(bin.packets));
+    flows.Build(bin.packets);
+    benchmark::DoNotOptimize(system.Extract(bin.packets, flows));
     for (size_t q = 0; q < counters.size(); ++q) {
-      benchmark::DoNotOptimize(counters[q].Count(system.keys(), bin.rows[q]));
+      kept_flows.Subset(flows, bin.rows[q]);
+      benchmark::DoNotOptimize(counters[q].Count(system.keys(), kept_flows));
     }
     packets += static_cast<int64_t>(bin.packets.size());
   }
@@ -282,7 +287,7 @@ const std::vector<std::pair<features::FeatureVector, double>>& AbileneBins() {
       if (out.size() % 10 == 0) {
         extractor.StartInterval();
       }
-      out.emplace_back(extractor.Extract(batch.packets),
+      out.emplace_back(extractor.Extract(batch.packets, batch.flows),
                        oracle.QueryCost("flows", batch.packets));
     }
     return out;
@@ -341,25 +346,84 @@ void BM_FlowSampler(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSampler);
 
-// The keyed flow sampler the predictive pipeline runs: the bin's tuple ids
-// come from the prediction stage's keys, so each distinct 5-tuple is hashed
-// once (keying itself is not timed; the pipeline pays it for extraction).
+// The keyed flow sampler the pipeline runs: it reads the bin's flow table,
+// so each distinct 5-tuple is hashed once (the table is not timed; the
+// pipeline builds it once per bin for every per-flow consumer).
 void BM_FlowSamplerKeyed(benchmark::State& state) {
   shed::FlowSampler sampler(7);
-  const auto& packets = SharedBatch().packets;
-  features::FeatureExtractor extractor;
-  extractor.Extract(packets);
-  const features::BinKeys& keys = extractor.keys();
+  const trace::Batch& batch = SharedBatch();
+  const auto& packets = batch.packets;
   trace::PacketVec out;
   std::vector<uint32_t> rows;
   for (auto _ : state) {
-    sampler.SampleInto(packets, keys.tuple, keys.distinct(), 0.5, out, rows);
+    sampler.SampleInto(packets, batch.flows, 0.5, out, rows);
     benchmark::DoNotOptimize(out.size());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(packets.size()));
 }
 BENCHMARK(BM_FlowSamplerKeyed);
+
+// The interval-end half of flow sampling: a reseed, as every query's
+// sampler gets once per measurement interval. The hash table it implies is
+// built by the next SampleInto, which BM_FlowSamplerKeyed times.
+void BM_FlowSamplerReseed(benchmark::State& state) {
+  shed::FlowSampler sampler(7);
+  uint64_t seed = 8;
+  for (auto _ : state) {
+    sampler.Reseed(seed++);
+    benchmark::DoNotOptimize(sampler.seed());
+  }
+}
+BENCHMARK(BM_FlowSamplerReseed);
+
+// Fifty consecutive 100 ms bins of a seeded Abilene header trace, each with
+// its flow table.
+const std::vector<trace::Batch>& AbileneBatches() {
+  static const trace::Trace trace = [] {
+    trace::TraceSpec spec = trace::Abilene();
+    spec.duration_s = 5.0;
+    return trace::TraceGenerator(spec).Generate();
+  }();
+  static const std::vector<trace::Batch> batches = [] {
+    std::vector<trace::Batch> out;
+    trace::Batcher batcher(trace, 100'000);
+    for (trace::Batch batch; batcher.Next(batch);) {
+      out.push_back(std::move(batch));
+    }
+    return out;
+  }();
+  return batches;
+}
+
+// One Abilene bin through one query at rate 1, reading the bin's flow
+// table as the pipeline hands it; every tenth bin also closes the
+// measurement interval, as it does in the pipeline.
+void BM_QueryBin(benchmark::State& state, const char* name) {
+  const auto& batches = AbileneBatches();
+  std::unique_ptr<query::Query> q = query::MakeQuery(name);
+  size_t i = 0;
+  int64_t packets = 0;
+  for (auto _ : state) {
+    const trace::Batch& batch = batches[i % batches.size()];
+    q->ProcessBatch({batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows});
+    if (++i % 10 == 0) {
+      q->EndInterval();
+    }
+    packets += static_cast<int64_t>(batch.size());
+  }
+  state.SetItemsProcessed(packets);
+}
+BENCHMARK_CAPTURE(BM_QueryBin, counter, "counter");
+BENCHMARK_CAPTURE(BM_QueryBin, application, "application");
+BENCHMARK_CAPTURE(BM_QueryBin, high_watermark, "high-watermark");
+BENCHMARK_CAPTURE(BM_QueryBin, flows, "flows");
+BENCHMARK_CAPTURE(BM_QueryBin, top_k, "top-k");
+BENCHMARK_CAPTURE(BM_QueryBin, autofocus, "autofocus");
+BENCHMARK_CAPTURE(BM_QueryBin, super_sources, "super-sources");
+BENCHMARK_CAPTURE(BM_QueryBin, trace, "trace");
+BENCHMARK_CAPTURE(BM_QueryBin, pattern_search, "pattern-search");
+BENCHMARK_CAPTURE(BM_QueryBin, p2p_detector, "p2p-detector");
 
 std::vector<uint8_t> RandomBytes(size_t len) {
   std::vector<uint8_t> text(len);

@@ -72,11 +72,11 @@ inline PredictionRun RunPredictionExperiment(const trace::Trace& trace,
     features::FeatureVector f{};
     core::WorkHint extract_hint{nullptr, &batch.packets, 0.0};
     run.extraction_cycles += oracle.Run(core::WorkKind::kFeatureExtraction, extract_hint,
-                                        [&] { f = extractor.Extract(batch.packets); });
+                                        [&] { f = extractor.Extract(batch.packets, batch.flows); });
 
     const double predicted = predictor->Predict(f);
 
-    query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
+    query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
     core::WorkHint query_hint{query.get(), &batch.packets, 0.0};
     const double actual =
         oracle.Run(core::WorkKind::kQuery, query_hint, [&] { query->ProcessBatch(in); });

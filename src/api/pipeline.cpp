@@ -669,6 +669,12 @@ void Pipeline::CloseOpenBin() {
     if (governor_ != nullptr) {
       system_->SetDegradation(governor_->Begin());
     }
+    {
+      // The bin's one 5-tuple dedupe: extraction, the flow samplers, the
+      // per-flow queries and their references all read this table.
+      obs::Span flows_span(tracer_.get(), obs::Stage::kExtraction, bin);
+      batch_.flows.Build(batch_.packets);
+    }
     // With a pool, the reference replay (§2.2.1) starts before the system's
     // waves and overlaps them: it reads only batch_ and each replaying
     // slot's own reference, never the system or its oracle, so BinLogs and
@@ -785,7 +791,8 @@ void Pipeline::FinishReferences() {
 
 void Pipeline::ReplayReference(size_t i) {
   Slot& slot = slots_[i];
-  slot.reference->ProcessBatch({batch_.packets, batch_.start_us, batch_.duration_us, 1.0});
+  slot.reference->ProcessBatch(
+      {batch_.packets, batch_.start_us, batch_.duration_us, 1.0, &batch_.flows});
   if (++slot.ref_bins_in_interval >= slot.reference->interval_bins()) {
     slot.reference->EndInterval();
     slot.ref_bins_in_interval = 0;

@@ -49,6 +49,8 @@ class ResilientSinkBase : public BinObserver {
   // One formatted row; goes through the resilient writer when enabled.
   void WriteRow(const std::string& row);
 
+  std::string row_;  // the derived sinks' row buffer, reused across bins
+
  private:
   std::ofstream file_;
   std::ostream* out_;

@@ -71,11 +71,12 @@ double MeasureMeanDemand(const std::vector<std::string>& names, const trace::Tra
     double bin_cycles = 0.0;
     features::FeatureVector features{};
     WorkHint extract_hint{nullptr, &batch.packets, 0.0};
-    const double extract = oracle->Run(WorkKind::kFeatureExtraction, extract_hint,
-                                       [&] { features = extractor.Extract(batch.packets); });
+    const double extract =
+        oracle->Run(WorkKind::kFeatureExtraction, extract_hint,
+                    [&] { features = extractor.Extract(batch.packets, batch.flows); });
     bin_cycles += extract * static_cast<double>(1 + queries.size());
     for (size_t q = 0; q < queries.size(); ++q) {
-      query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
+      query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
       WorkHint hint{queries[q].get(), &batch.packets, 0.0};
       const double used =
           oracle->Run(WorkKind::kQuery, hint, [&] { queries[q]->ProcessBatch(in); });

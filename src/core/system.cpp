@@ -213,6 +213,14 @@ void MonitoringSystem::RecordDroppedBin(const trace::Batch& batch, BinLog& log) 
 void MonitoringSystem::ProcessBatch(const trace::Batch& batch,
                                     const PreExecuteHook& pre_execute) {
   pre_execute_ = &pre_execute;
+  // Batches from a Batcher or an api::Pipeline carry their flow table; one
+  // filled by hand gets it built here.
+  if (batch.flows.rows() == batch.size()) {
+    flows_ = &batch.flows;
+  } else {
+    own_flows_.Build(batch.packets);
+    flows_ = &own_flows_;
+  }
   if (injector_ != nullptr) {
     injector_->OnBinStart(log_.size());
   }
@@ -333,6 +341,7 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
   ex.rate = rate;
   ex.update_history = shared != nullptr;
   ex.packets = &batch.packets;
+  ex.flows = flows_;
   if (rate < 1.0 - kEps) {
     WorkHint sample_hint{qr.query.get(), &batch.packets, 0.0};
     result.AddCharge(/*ls=*/true,
@@ -340,23 +349,19 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
                        if (qr.query->preferred_sampling() != query::SamplingMethod::kFlow) {
                          qr.pkt_sampler.SampleInto(batch.packets, rate, qr.sample_buf,
                                                    qr.sample_rows);
-                       } else if (shared != nullptr) {
-                         // The bin's tuple ids let the sampler hash each
-                         // distinct flow once; the kept set is the same.
-                         qr.flow_sampler.SampleInto(batch.packets, shared->keys.tuple,
-                                                    shared->keys.distinct(), rate,
-                                                    qr.sample_buf, qr.sample_rows);
                        } else {
-                         qr.flow_sampler.SampleInto(batch.packets, rate, qr.sample_buf,
-                                                    qr.sample_rows);
+                         qr.flow_sampler.SampleInto(batch.packets, *flows_, rate,
+                                                    qr.sample_buf, qr.sample_rows);
                        }
+                       qr.sample_flows.Subset(*flows_, qr.sample_rows);
                      }));
     ex.packets = &qr.sample_buf;
+    ex.flows = &qr.sample_flows;
   }
 
   // Re-extract features on the packets the query actually processes so the
   // regression history stays consistent (Alg. 1 line 12): the query's own
-  // counter re-counts the kept rows from the bin's shared keys, charged to
+  // counter re-counts the kept flows from the bin's shared keys, charged to
   // the load shedding subsystem. At full rate the prediction-stage
   // extraction is reused (§3.4.4 sharing). Reactive mode keeps no history
   // and skips this entirely.
@@ -367,7 +372,7 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
       WorkHint extract_hint{qr.query.get(), ex.packets, 0.0};
       result.AddCharge(/*ls=*/true,
                        oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-                         ex.features = qr.engine.counter().Count(shared->keys, qr.sample_rows);
+                         ex.features = qr.engine.counter().Count(shared->keys, qr.sample_flows);
                        }));
     }
   }
@@ -381,7 +386,7 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
   ex.shard_cycles.clear();
   query::ShardableQuery* shardable = qr.query->shardable();
   if (shardable != nullptr && config_.max_shards_per_query > 1) {
-    query::BatchInput in{*ex.packets, batch.start_us, batch.duration_us, rate};
+    query::BatchInput in{*ex.packets, batch.start_us, batch.duration_us, rate, ex.flows};
     const size_t units = shardable->ShardUnits(in);
     const size_t shards = executor_.PlanShards(units, config_.max_shards_per_query,
                                                shardable->MinShardUnits());
@@ -398,7 +403,7 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
 
 void MonitoringSystem::ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& batch,
                                         QueryExec& ex, QueryTaskResult& result) {
-  query::BatchInput in{*ex.packets, batch.start_us, batch.duration_us, ex.rate};
+  query::BatchInput in{*ex.packets, batch.start_us, batch.duration_us, ex.rate, ex.flows};
   WorkHint query_hint{qr.query.get(), ex.packets, 0.0};
   double used = 0.0;
   if (ex.sharded()) {
@@ -466,7 +471,7 @@ void MonitoringSystem::RunShardWaves(const trace::Batch& batch, std::vector<Quer
     const ShardTask& task = tasks[t];
     QueryRuntime& qr = *queries_[task.query];
     QueryExec& e = ex[task.query];
-    query::BatchInput in{*e.packets, batch.start_us, batch.duration_us, e.rate};
+    query::BatchInput in{*e.packets, batch.start_us, batch.duration_us, e.rate, e.flows};
     const util::CycleTimer timer;
     qr.query->shardable()->OnShardBatch(*e.states[task.shard], in, e.ranges[task.shard].begin,
                                         e.ranges[task.shard].end);
@@ -490,7 +495,7 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& 
   rate = std::clamp(rate, 0.0, 1.0);
   // The query receives the *unsampled* batch (sampling_rate = 1); the budget
   // fraction travels separately so custom methods don't double-correct.
-  query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
+  query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, flows_};
   WorkHint query_hint{qr.query.get(), &batch.packets, 0.0};
   const double used = oracle_->RunAt(base_seq++, WorkKind::kQuery, query_hint,
                                      [&] { qr.query->ProcessCustom(in, rate); });
@@ -532,14 +537,15 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
   const uint32_t bin = static_cast<uint32_t>(log_.size());
 
   // Phase 1 (Alg. 1 lines 3-6): shared feature extraction + per-query
-  // prediction of the cost of the full batch. Keying the batch here is the
-  // bin's only hashing: every query's history update re-counts these keys.
+  // prediction of the cost of the full batch. Keying the batch's flows here
+  // is the bin's only feature hashing: every query's history update
+  // re-counts these keys.
   features::FeatureVector f_full{};
   WorkHint extract_hint{nullptr, &batch.packets, 0.0};
   {
     obs::Span span(tracer_, obs::Stage::kExtraction, bin);
     log.ps_cycles += oracle_->Run(WorkKind::kFeatureExtraction, extract_hint,
-                                  [&] { f_full = sys_extractor_.Extract(batch.packets); });
+                                  [&] { f_full = sys_extractor_.Extract(batch.packets, *flows_); });
   }
   const SharedExtraction shared{f_full, sys_extractor_.keys()};
 
@@ -753,6 +759,7 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
 }
 
 void MonitoringSystem::TickIntervals() {
+  obs::Span span(tracer_, obs::Stage::kIntervalEnd, static_cast<uint32_t>(log_.size()));
   for (auto& qr_ptr : queries_) {
     QueryRuntime& qr = *qr_ptr;
     if (++qr.bins_in_interval >= qr.query->interval_bins()) {

@@ -23,6 +23,7 @@
 #include "src/rt/governor.h"
 #include "src/shed/strategy.h"
 #include "src/trace/batch.h"
+#include "src/trace/flow_table.h"
 #include "src/util/ewma.h"
 #include "src/util/rng.h"
 
@@ -257,13 +258,15 @@ class MonitoringSystem {
     obs::Gauge* m_times_policed = nullptr;
     // Reusable buffers the samplers write into: sampling a batch stops
     // allocating once they have grown to the query's working set.
-    // sample_rows[i] is the row of sample_buf[i] in the batch, which is what
-    // the history update re-counts the bin's keys over. Valid only within
-    // the bin's execute waves — the Packets point into the current Batch's
-    // arena — so ExecuteQueryPost clears both (capacity kept) and they must
-    // never be read between bins.
+    // sample_rows[i] is the row of sample_buf[i] in the batch, and
+    // sample_flows totals those rows per flow (a FlowTable::Subset of the
+    // bin's table): what the query and the history update visit. Valid only
+    // within the bin's execute waves — the Packets point into the current
+    // Batch's arena — so ExecuteQueryPost clears the buffers (capacity kept)
+    // and none of the three may be read between bins.
     trace::PacketVec sample_buf;
     std::vector<uint32_t> sample_rows;
+    trace::FlowTable sample_flows;
   };
 
   // One query's share of a bin as a shedder decided it. The three shedders
@@ -280,7 +283,7 @@ class MonitoringSystem {
   };
   // The prediction stage's extraction of the whole bin, shared with every
   // query's history update (§3.4.4): its features, reused at full rate, and
-  // its keys, which each query's counter re-counts over the rows it kept.
+  // its keys, which each query's counter re-counts over the flows it kept.
   struct SharedExtraction {
     const features::FeatureVector& features;
     const features::BinKeys& keys;
@@ -344,14 +347,15 @@ class MonitoringSystem {
   static uint64_t PlanCustomOracleCalls(double rate);
 
   // Per-query execution context threaded through the fan-out waves of one
-  // bin: the packet view after sampling, the re-extracted features, the next
-  // reserved charge slot, and the intra-query shard plan (partials forked in
-  // the pre phase, filled by (query, shard) tasks, folded by the post phase
-  // in shard-index order).
+  // bin: the packet and flow view after sampling, the re-extracted features,
+  // the next reserved charge slot, and the intra-query shard plan (partials
+  // forked in the pre phase, filled by (query, shard) tasks, folded by the
+  // post phase in shard-index order).
   struct QueryExec {
     double rate = 1.0;
     bool update_history = false;
     const trace::PacketVec* packets = nullptr;
+    const trace::FlowTable* flows = nullptr;  // the flows of *packets
     features::FeatureVector features{};
     uint64_t next_seq = 0;
     std::vector<exec::ShardRange> ranges;
@@ -363,12 +367,12 @@ class MonitoringSystem {
     bool sharded() const { return states.size() > 1; }
   };
 
-  // First half of the per-query pipeline: samples the batch and, when
-  // `shared` is set, re-counts the kept rows' features for the history
-  // update (reusing the shared features at full rate — the §3.4.4
-  // computation sharing), consuming reserved slots from `base_seq`; then
-  // plans the intra-query shard fan-out over the sampled view. Safe to call
-  // concurrently for distinct queries.
+  // First half of the per-query pipeline: samples the batch (totalling the
+  // kept rows per flow) and, when `shared` is set, re-counts the kept flows'
+  // features for the history update (reusing the shared features at full
+  // rate — the §3.4.4 computation sharing), consuming reserved slots from
+  // `base_seq`; then plans the intra-query shard fan-out over the sampled
+  // view. Safe to call concurrently for distinct queries.
   void ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
                        const SharedExtraction* shared, uint64_t base_seq, QueryExec& ex,
                        QueryTaskResult& result);
@@ -435,6 +439,10 @@ class MonitoringSystem {
   rt::FaultInjector* injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   const PreExecuteHook* pre_execute_ = nullptr;  // set for one ProcessBatch call
+  // The flow table of the batch in ProcessBatch (set for one call): the
+  // batch's own, or own_flows_ built for a batch that came without one.
+  const trace::FlowTable* flows_ = nullptr;
+  trace::FlowTable own_flows_;
 
   double capacity_ = 0.0;
   double backlog_cycles_ = 0.0;

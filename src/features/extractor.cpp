@@ -1,6 +1,7 @@
 #include "src/features/extractor.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace shedmon::features {
 
@@ -34,24 +35,19 @@ void FeatureCounter::ClearBatch() {
   }
 }
 
-FeatureVector FeatureCounter::Count(const BinKeys& keys, std::span<const uint32_t> rows) {
+FeatureVector FeatureCounter::Count(const BinKeys& keys, const trace::FlowTable& subset) {
   ClearBatch();
-  if (inserted_.size() < keys.distinct()) {
-    inserted_.resize(keys.distinct(), 0);
-  }
-  const uint64_t epoch = ++count_epoch_;
+  const std::span<const trace::FlowTable::Flow> flows = subset.flows();
+  const std::span<const uint32_t> parent = subset.parent_flow();
+  assert(parent.size() == flows.size());
   // An integer sum converts to exactly the double sum of the same lengths:
   // every partial sum stays far below 2^53.
   uint64_t bytes = 0;
-  for (const uint32_t row : rows) {
-    bytes += keys.wire_len[row];
-    const uint32_t id = keys.tuple[row];
-    if (inserted_[id] != epoch) {
-      inserted_[id] = epoch;
-      Insert(keys.hashes[id]);
-    }
+  for (size_t f = 0; f < flows.size(); ++f) {
+    bytes += flows[f].bytes;
+    Insert(keys.hashes[parent[f]]);
   }
-  return Finalize(static_cast<double>(rows.size()), static_cast<double>(bytes));
+  return Finalize(static_cast<double>(subset.rows()), static_cast<double>(bytes));
 }
 
 FeatureVector FeatureCounter::CountAll(const BinKeys& keys) {
@@ -90,50 +86,24 @@ FeatureExtractor::FeatureExtractor(const Config& config)
       fused_(MakeAggregateHasher(config.seed)),
       counter_(config.mrb_components, config.mrb_bits) {}
 
-FeatureVector FeatureExtractor::Extract(const trace::PacketVec& packets) {
-  Key(packets);
+FeatureVector FeatureExtractor::Extract(const trace::PacketVec& packets,
+                                        const trace::FlowTable& flows) {
+  keys_.flows = &flows;
+  keys_.hashes.resize(flows.num_flows());
+  uint64_t bytes = 0;  // exact: see FeatureCounter::Count
+  size_t f = 0;
+  for (const trace::FlowTable::Flow& flow : flows.flows()) {
+    bytes += flow.bytes;
+    const auto key = packets[flow.first_row].rec->tuple.Bytes();
+    fused_.HashAllFixed<13, kNumAggregates>(key.data(), keys_.hashes[f++]);
+  }
+  keys_.bytes = static_cast<double>(bytes);
   return counter_.CountAll(keys_);
 }
 
-void FeatureExtractor::Key(const trace::PacketVec& packets) {
-  keys_.tuple.resize(packets.size());
-  keys_.wire_len.resize(packets.size());
-  keys_.hashes.clear();
-  uint64_t bytes = 0;  // exact: see FeatureCounter::Count
-
-  // Size the batch-local tuple set to keep the load factor under one half.
-  size_t cap = 64;
-  while (cap < 2 * packets.size()) {
-    cap <<= 1;
-  }
-  if (seen_.size() < cap) {
-    seen_.assign(cap, DedupeSlot{});
-  }
-  const size_t mask = seen_.size() - 1;
-  const uint64_t epoch = ++seen_epoch_;
-  const net::FiveTupleHash fingerprint;
-
-  for (size_t row = 0; row < packets.size(); ++row) {
-    const net::PacketRecord& rec = *packets[row].rec;
-    keys_.wire_len[row] = rec.wire_len;
-    bytes += rec.wire_len;
-    const net::FiveTuple& t = rec.tuple;
-
-    size_t idx = fingerprint(t) & mask;
-    while (seen_[idx].epoch == epoch && !(seen_[idx].tuple == t)) {
-      idx = (idx + 1) & mask;
-    }
-    DedupeSlot& slot = seen_[idx];
-    if (slot.epoch != epoch) {
-      slot.epoch = epoch;
-      slot.tuple = t;
-      slot.id = static_cast<uint32_t>(keys_.hashes.size());
-      const auto key = t.Bytes();
-      fused_.HashAllFixed<13, kNumAggregates>(key.data(), keys_.hashes.emplace_back());
-    }
-    keys_.tuple[row] = slot.id;
-  }
-  keys_.bytes = static_cast<double>(bytes);
+FeatureVector FeatureExtractor::Extract(const trace::PacketVec& packets) {
+  own_flows_.Build(packets);
+  return Extract(packets, own_flows_);
 }
 
 FeatureVector FeatureExtractor::ExtractReference(const trace::PacketVec& packets) {

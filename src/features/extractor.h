@@ -11,30 +11,31 @@
 #include "src/sketch/fused_hash.h"
 #include "src/sketch/h3.h"
 #include "src/trace/batch.h"
+#include "src/trace/flow_table.h"
 
 namespace shedmon::features {
 
 // Extraction is split in two steps so one bin is hashed once however many
 // times its features are counted (the prediction stage, then every query's
 // re-extraction over the rows it kept):
-//   keying    FeatureExtractor::Extract, once per bin: every row of the
-//             batch gets the dense id of its 5-tuple, and every distinct
-//             tuple its ten aggregate hashes (BinKeys);
+//   keying    FeatureExtractor::Extract, once per bin: every flow of the
+//             batch's trace::FlowTable gets its ten aggregate hashes
+//             (BinKeys);
 //   counting  FeatureCounter::Count, per consumer: inserts the precomputed
-//             hashes of a subset of the rows into that counter's own batch
-//             and interval bitmaps, then finalizes the 42 features.
+//             hashes of the flows a row subset carries into that counter's
+//             own batch and interval bitmaps, then finalizes the 42 features.
 
 // The ten aggregate hashes of one distinct 5-tuple, in Aggregate order.
 using AggregateHashes = std::array<uint64_t, kNumAggregates>;
 
-// One bin's keys. Rows are indices into the keyed batch's packets.
+// One bin's keys: the hashes of the flows of the keyed batch's flow table,
+// which the keys borrow (it must outlive them).
 struct BinKeys {
-  std::vector<uint32_t> tuple;          // per row: dense id of its 5-tuple
-  std::vector<uint16_t> wire_len;       // per row: bytes on the wire
-  std::vector<AggregateHashes> hashes;  // per distinct tuple, in first-seen order
-  double bytes = 0.0;                   // sum of wire_len over all rows
+  const trace::FlowTable* flows = nullptr;
+  std::vector<AggregateHashes> hashes;  // per flow of *flows, in its order
+  double bytes = 0.0;                   // wire bytes of all rows
 
-  size_t rows() const { return tuple.size(); }
+  size_t rows() const { return flows == nullptr ? 0 : flows->rows(); }
   size_t distinct() const { return hashes.size(); }
 };
 
@@ -50,11 +51,11 @@ class FeatureCounter {
   // measurement-interval boundary.
   void StartInterval();
 
-  // Features of the given rows of the keyed batch (ascending indices into
-  // its packets, as the samplers report them), folding their keys into the
-  // interval state. All ten bitmaps are set-based, so each distinct tuple is
-  // inserted once however many rows carry it.
-  FeatureVector Count(const BinKeys& keys, std::span<const uint32_t> rows);
+  // Features of a row subset of the keyed batch, given as its flow table
+  // (trace::FlowTable::Subset of *keys.flows), folding their keys into the
+  // interval state. All ten bitmaps are set-based, so inserting each kept
+  // flow once counts exactly what inserting every kept row would.
+  FeatureVector Count(const BinKeys& keys, const trace::FlowTable& subset);
   // Count over every row of the keyed batch.
   FeatureVector CountAll(const BinKeys& keys);
 
@@ -72,18 +73,14 @@ class FeatureCounter {
 
   std::array<sketch::MultiResBitmap, kNumAggregates> batch_bm_;
   std::array<sketch::MultiResBitmap, kNumAggregates> interval_bm_;
-  // Per distinct tuple id: the Count call that last inserted it.
-  std::vector<uint64_t> inserted_;
-  uint64_t count_epoch_ = 0;
 };
 
 // Keying plus a counter: the 42-feature vector of a whole batch (§3.2.1).
-// Keying dedupes the batch's 5-tuples and hashes each distinct one with the
-// fused one-pass hasher (all ten per-aggregate H3 hashes in one table walk),
-// so worst-case per-packet cost is deterministic: one fused hash plus ten
-// bitmap inserts; a repeated tuple costs one probe of an epoch-stamped
-// open-addressing tuple set. Owns the ~266 KB hasher table; a
-// MonitoringSystem holds exactly one extractor.
+// Keying hashes each flow of the batch's flow table with the fused one-pass
+// hasher (all ten per-aggregate H3 hashes in one table walk), so worst-case
+// per-packet cost is deterministic: one fused hash plus ten bitmap inserts;
+// a repeated tuple costs nothing beyond the table's dedupe. Owns the
+// ~266 KB hasher table; a MonitoringSystem holds exactly one extractor.
 class FeatureExtractor {
  public:
   struct Config {
@@ -97,10 +94,14 @@ class FeatureExtractor {
 
   void StartInterval() { counter_.StartInterval(); }
 
-  // Keys the batch, then counts every row. The keys stay readable through
-  // keys() until the next Extract, so other counters can re-count subsets
-  // of the same batch without hashing it again. Bit-identical to
+  // Keys the batch from its flow table `flows` (built over `packets`), then
+  // counts every row. The keys stay readable through keys() until the next
+  // Extract, so other counters can re-count subsets of the same batch
+  // without hashing it again; they borrow `flows`. Bit-identical to
   // ExtractReference.
+  FeatureVector Extract(const trace::PacketVec& packets, const trace::FlowTable& flows);
+  // The same for a packet vector without a table: builds one the extractor
+  // owns until the next call.
   FeatureVector Extract(const trace::PacketVec& packets);
   const BinKeys& keys() const { return keys_; }
 
@@ -113,19 +114,9 @@ class FeatureExtractor {
   const Config& config() const { return config_; }
 
  private:
-  struct DedupeSlot {
-    uint64_t epoch = 0;
-    net::FiveTuple tuple;
-    uint32_t id = 0;
-  };
-
-  // Overwrites keys_ with the keys of `packets`.
-  void Key(const trace::PacketVec& packets);
-
   Config config_;
   sketch::FusedTupleHasher fused_;
-  std::vector<DedupeSlot> seen_;
-  uint64_t seen_epoch_ = 0;
+  trace::FlowTable own_flows_;  // the table-less Extract's
   BinKeys keys_;
   FeatureCounter counter_;
   // Per-aggregate H3 functions of the reference path, built on first

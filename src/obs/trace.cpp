@@ -47,6 +47,8 @@ const char* StageName(Stage stage) {
       return "degrade";
     case Stage::kCapture:
       return "capture";
+    case Stage::kIntervalEnd:
+      return "interval_end";
   }
   return "unknown";
 }

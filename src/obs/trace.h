@@ -43,8 +43,10 @@ enum class Stage : uint8_t {
   kCheckpoint,       // crash-safe checkpoint write
   kDegrade,          // rt ladder transition (instant event)
   kCapture,          // capture front-end drain burst (src/capture)
+  kIntervalEnd,      // closing due measurement intervals (every query's
+                     // EndInterval, sampler reseeds) at the end of a bin
 };
-inline constexpr size_t kStageCount = 12;
+inline constexpr size_t kStageCount = 13;
 
 const char* StageName(Stage stage);
 

@@ -20,7 +20,7 @@ std::vector<std::unique_ptr<Query>> RunReference(const std::vector<std::string>&
   trace::Batch batch;
   std::vector<size_t> bins_in_interval(queries.size(), 0);
   while (batcher.Next(batch)) {
-    BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
+    BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
     for (size_t q = 0; q < queries.size(); ++q) {
       queries[q]->ProcessBatch(in);
       if (++bins_in_interval[q] >= queries[q]->interval_bins()) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <functional>
 #include <iterator>
+#include <span>
 #include <stdexcept>
 
 #include "src/trace/batch.h"
@@ -29,12 +30,32 @@ void RunAsSingleShard(ShardableQuery& q, const BatchInput& in) {
   q.ApplyShards(in, std::move(*shard));
 }
 
+// The per-flow queries' view of a batch: flows [begin, end) of its table,
+// and the record of a flow's first packet (every packet of a flow shares its
+// 5-tuple, which is all these queries key on).
+using Flow = trace::FlowTable::Flow;
+std::span<const Flow> FlowRange(const BatchInput& in, size_t begin, size_t end) {
+  return in.flow_table().flows().subspan(begin, end - begin);
+}
+const net::FiveTuple& TupleOf(const BatchInput& in, const Flow& flow) {
+  return in.packets[flow.first_row].rec->tuple;
+}
+
 // Query::AdoptFrom's copy of an unordered container: copy-construct, then
 // move in, so it takes the twin's bucket count and node order (and with them
-// its iteration order), whatever this instance held before.
+// its iteration order), whatever this instance held before. After
+// kLastClosed the twin's container is freshly reset: empty, it carries only
+// its bucket count, which matters only where iteration order reaches a
+// result (tie order; see TopKQuery::CanAdopt). So it is cleared instead,
+// unless its order matters and the bucket counts differ.
 template <typename T>
-void CopyFrom(T& into, const T& from) {
-  into = T(from);
+void AdoptContainer(T& into, const T& from, Query::Adopt what, bool order_matters) {
+  if (what == Query::Adopt::kLastClosed && from.empty() &&
+      (!order_matters || into.bucket_count() == from.bucket_count())) {
+    into.clear();
+  } else {
+    into = T(from);
+  }
 }
 
 // Query::AdoptFrom's history half: kLastClosed appends the interval the twin
@@ -95,9 +116,9 @@ std::unique_ptr<ShardState> CounterQuery::ForkShard() const {
 void CounterQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
                                 size_t end) const {
   auto& s = static_cast<CounterShard&>(shard);
-  s.pkts += static_cast<double>(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    s.bytes += static_cast<double>(in.packets[i].rec->wire_len);
+  for (const Flow& flow : FlowRange(in, begin, end)) {
+    s.pkts += static_cast<double>(flow.packets);
+    s.bytes += static_cast<double>(flow.bytes);
   }
 }
 
@@ -205,12 +226,11 @@ std::unique_ptr<ShardState> ApplicationQuery::ForkShard() const {
 void ApplicationQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
                                     size_t end) const {
   auto& s = static_cast<ApplicationShard&>(shard);
-  s.pkts += static_cast<double>(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    const net::Packet& pkt = in.packets[i];
-    const auto app = static_cast<size_t>(ClassifyPorts(pkt.rec->tuple));
-    s.class_pkts[app] += 1.0;
-    s.class_bytes[app] += static_cast<double>(pkt.rec->wire_len);
+  for (const Flow& flow : FlowRange(in, begin, end)) {
+    const auto app = static_cast<size_t>(ClassifyPorts(TupleOf(in, flow)));
+    s.pkts += static_cast<double>(flow.packets);
+    s.class_pkts[app] += static_cast<double>(flow.packets);
+    s.class_bytes[app] += static_cast<double>(flow.bytes);
   }
 }
 
@@ -314,9 +334,9 @@ std::unique_ptr<ShardState> HighWatermarkQuery::ForkShard() const {
 void HighWatermarkQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
                                       size_t end) const {
   auto& s = static_cast<WatermarkShard&>(shard);
-  s.pkts += static_cast<double>(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    s.bytes += static_cast<double>(in.packets[i].rec->wire_len);
+  for (const Flow& flow : FlowRange(in, begin, end)) {
+    s.pkts += static_cast<double>(flow.packets);
+    s.bytes += static_cast<double>(flow.bytes);
   }
 }
 
@@ -380,22 +400,21 @@ FlowsQuery::FlowsQuery(size_t interval_bins) : Query("flows", interval_bins) {}
 namespace {
 struct FlowsShard : ShardState {
   double pkts = 0.0;
-  // Tuples of this range that are new to the interval, in first-touch order;
-  // `seen` only dedupes within the shard.
+  // Tuples of this range that are new to the interval, in first-touch order.
+  // A view's flows are distinct, so no two shards hold the same tuple.
   std::vector<net::FiveTuple> order;
-  std::unordered_set<net::FiveTuple, net::FiveTupleHash> seen;
 };
 }  // namespace
 
 void FlowsQuery::OnBatch(const BatchInput& in) {
-  // Direct serial twin of the shard path: flows_.insert dedupes in one pass,
-  // and the estimate/work arithmetic below is the same single-rounding
-  // expression ApplyShards evaluates, so serial == sharded bit for bit
-  // (differentially enforced by query_shard_fuzz_test).
+  // Direct serial twin of the shard path: one insert per flow both tests
+  // and adds, and the estimate/work arithmetic below is the same
+  // single-rounding expression ApplyShards evaluates, so serial == sharded
+  // bit for bit (differentially enforced by query_shard_fuzz_test).
   const double inv = 1.0 / SafeRate(in.sampling_rate);
   double inserts = 0.0;
-  for (const net::Packet& pkt : in.packets) {
-    if (flows_.insert(pkt.rec->tuple).second) {
+  for (const Flow& flow : in.flow_table().flows()) {
+    if (flows_.insert(TupleOf(in, flow)).second) {
       inserts += 1.0;
     }
   }
@@ -411,11 +430,11 @@ std::unique_ptr<ShardState> FlowsQuery::ForkShard() const {
 void FlowsQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
                               size_t end) const {
   auto& s = static_cast<FlowsShard&>(shard);
-  s.pkts += static_cast<double>(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    const net::FiveTuple& tuple = in.packets[i].rec->tuple;
+  for (const Flow& flow : FlowRange(in, begin, end)) {
+    s.pkts += static_cast<double>(flow.packets);
+    const net::FiveTuple& tuple = TupleOf(in, flow);
     // flows_ is pre-batch interval state, stable while shards run.
-    if (flows_.count(tuple) == 0 && s.seen.insert(tuple).second) {
+    if (flows_.count(tuple) == 0) {
       s.order.push_back(tuple);
     }
   }
@@ -425,11 +444,7 @@ void FlowsQuery::MergeShard(ShardState& into, ShardState&& from) const {
   auto& a = static_cast<FlowsShard&>(into);
   auto& b = static_cast<FlowsShard&>(from);
   a.pkts += b.pkts;
-  for (const net::FiveTuple& tuple : b.order) {
-    if (a.seen.insert(tuple).second) {
-      a.order.push_back(tuple);
-    }
-  }
+  a.order.insert(a.order.end(), b.order.begin(), b.order.end());
 }
 
 void FlowsQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
@@ -453,7 +468,7 @@ void FlowsQuery::OnEndInterval(size_t /*interval_index*/) {
 
 void FlowsQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const FlowsQuery&>(twin);
-  CopyFrom(flows_, t.flows_);
+  AdoptContainer(flows_, t.flows_, what, /*order_matters=*/false);  // a count
   estimate_ = t.estimate_;
   AppendLastClosed(snaps_, t.snaps_, what);
 }
@@ -509,11 +524,12 @@ void TopKQuery::OnBatch(const BatchInput& in) {
   // reused scratch so the hot path allocates nothing after warm-up.
   batch_bytes_.clear();
   batch_order_.clear();
-  for (const net::Packet& pkt : in.packets) {
-    auto [it, inserted] = batch_bytes_.try_emplace(pkt.rec->tuple.dst_ip, 0.0);
-    it->second += static_cast<double>(pkt.rec->wire_len);
+  for (const Flow& flow : in.flow_table().flows()) {
+    const uint32_t key = TupleOf(in, flow).dst_ip;
+    auto [it, inserted] = batch_bytes_.try_emplace(key, 0.0);
+    it->second += static_cast<double>(flow.bytes);
     if (inserted) {
-      batch_order_.push_back(pkt.rec->tuple.dst_ip);
+      batch_order_.push_back(key);
     }
   }
   const double inv = 1.0 / SafeRate(in.sampling_rate);
@@ -536,10 +552,9 @@ std::unique_ptr<ShardState> TopKQuery::ForkShard() const {
 void TopKQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
                              size_t end) const {
   auto& s = static_cast<KeyedBytesShard&>(shard);
-  s.pkts += static_cast<double>(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    const net::Packet& pkt = in.packets[i];
-    s.Accumulate(pkt.rec->tuple.dst_ip, static_cast<double>(pkt.rec->wire_len));
+  for (const Flow& flow : FlowRange(in, begin, end)) {
+    s.pkts += static_cast<double>(flow.packets);
+    s.Accumulate(TupleOf(in, flow).dst_ip, static_cast<double>(flow.bytes));
   }
 }
 
@@ -585,9 +600,17 @@ void TopKQuery::OnCustomBatch(const BatchInput& in, double fraction) {
 }
 
 void TopKQuery::OnEndInterval(size_t /*interval_index*/) {
+  // The snapshot takes the interval's map; the fresh map gets the old bucket
+  // count, which is all clear() would have kept, so the next interval grows
+  // (and ties iterate) as if the map had been cleared.
   Snapshot snap;
-  snap.all = bytes_;
-  std::vector<std::pair<uint32_t, double>> sorted(bytes_.begin(), bytes_.end());
+  const size_t buckets = bytes_.bucket_count();
+  snap.all = std::move(bytes_);
+  bytes_.clear();
+  if (buckets > 1) {
+    bytes_.rehash(buckets);
+  }
+  std::vector<std::pair<uint32_t, double>> sorted(snap.all.begin(), snap.all.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   if (sorted.size() > k_) {
@@ -595,7 +618,6 @@ void TopKQuery::OnEndInterval(size_t /*interval_index*/) {
   }
   snap.topk = std::move(sorted);
   snaps_.push_back(std::move(snap));
-  bytes_.clear();
 }
 
 bool TopKQuery::CanAdopt(const Query& twin) const {
@@ -610,7 +632,7 @@ bool TopKQuery::CanAdopt(const Query& twin) const {
 
 void TopKQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const TopKQuery&>(twin);
-  CopyFrom(bytes_, t.bytes_);
+  AdoptContainer(bytes_, t.bytes_, what, /*order_matters=*/true);
   AppendLastClosed(snaps_, t.snaps_, what);
 }
 
@@ -919,7 +941,7 @@ void P2pDetectorQuery::OnEndInterval(size_t /*interval_index*/) {
 
 void P2pDetectorQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const P2pDetectorQuery&>(twin);
-  CopyFrom(table_, t.table_);
+  AdoptContainer(table_, t.table_, what, /*order_matters=*/false);  // an ordered set
   AppendLastClosed(snaps_, t.snaps_, what);
 }
 
@@ -972,11 +994,12 @@ void AutofocusQuery::OnBatch(const BatchInput& in) {
   // Direct serial twin of the shard path (same discipline as TopKQuery).
   batch_bytes_.clear();
   batch_order_.clear();
-  for (const net::Packet& pkt : in.packets) {
-    auto [it, inserted] = batch_bytes_.try_emplace(pkt.rec->tuple.src_ip, 0.0);
-    it->second += static_cast<double>(pkt.rec->wire_len);
+  for (const Flow& flow : in.flow_table().flows()) {
+    const uint32_t key = TupleOf(in, flow).src_ip;
+    auto [it, inserted] = batch_bytes_.try_emplace(key, 0.0);
+    it->second += static_cast<double>(flow.bytes);
     if (inserted) {
-      batch_order_.push_back(pkt.rec->tuple.src_ip);
+      batch_order_.push_back(key);
     }
   }
   const double inv = 1.0 / SafeRate(in.sampling_rate);
@@ -999,10 +1022,9 @@ std::unique_ptr<ShardState> AutofocusQuery::ForkShard() const {
 void AutofocusQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
                                   size_t end) const {
   auto& s = static_cast<KeyedBytesShard&>(shard);
-  s.pkts += static_cast<double>(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    const net::Packet& pkt = in.packets[i];
-    s.Accumulate(pkt.rec->tuple.src_ip, static_cast<double>(pkt.rec->wire_len));
+  for (const Flow& flow : FlowRange(in, begin, end)) {
+    s.pkts += static_cast<double>(flow.packets);
+    s.Accumulate(TupleOf(in, flow).src_ip, static_cast<double>(flow.bytes));
   }
 }
 
@@ -1086,7 +1108,8 @@ bool AutofocusQuery::CanAdopt(const Query& twin) const {
 
 void AutofocusQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const AutofocusQuery&>(twin);
-  CopyFrom(src_bytes_, t.src_bytes_);
+  // Clusters come from the key-sorted map, whatever its iteration order.
+  AdoptContainer(src_bytes_, t.src_bytes_, what, /*order_matters=*/false);
   AppendLastClosed(snaps_, t.snaps_, what);
 }
 
@@ -1134,13 +1157,14 @@ void SuperSourcesQuery::OnBatch(const BatchInput& in) {
   rate_sum_ += SafeRate(in.sampling_rate);
   ++rate_batches_;
   double inserts = 0.0;
-  for (const net::Packet& pkt : in.packets) {
-    auto [it, inserted] = fanout_.try_emplace(pkt.rec->tuple.src_ip, 128u);
+  for (const Flow& flow : in.flow_table().flows()) {
+    const net::FiveTuple& tuple = TupleOf(in, flow);
+    auto [it, inserted] = fanout_.try_emplace(tuple.src_ip, 128u);
     if (inserted) {
       inserts += 1.0;
     }
     uint8_t key[4];
-    std::memcpy(key, &pkt.rec->tuple.dst_ip, 4);
+    std::memcpy(key, &tuple.dst_ip, 4);
     it->second.Insert(dst_hash_.Hash(key, 4));
   }
   ChargeWork(work::kSuperSrcPkt * static_cast<double>(in.packets.size()) +
@@ -1154,15 +1178,15 @@ std::unique_ptr<ShardState> SuperSourcesQuery::ForkShard() const {
 void SuperSourcesQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
                                      size_t end) const {
   auto& s = static_cast<SuperSourcesShard&>(shard);
-  s.pkts += static_cast<double>(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    const net::Packet& pkt = in.packets[i];
-    auto [it, inserted] = s.fanout.try_emplace(pkt.rec->tuple.src_ip, 128u);
+  for (const Flow& flow : FlowRange(in, begin, end)) {
+    const net::FiveTuple& tuple = TupleOf(in, flow);
+    s.pkts += static_cast<double>(flow.packets);
+    auto [it, inserted] = s.fanout.try_emplace(tuple.src_ip, 128u);
     if (inserted) {
-      s.order.push_back(pkt.rec->tuple.src_ip);
+      s.order.push_back(tuple.src_ip);
     }
     uint8_t key[4];
-    std::memcpy(key, &pkt.rec->tuple.dst_ip, 4);
+    std::memcpy(key, &tuple.dst_ip, 4);
     it->second.Insert(dst_hash_.Hash(key, 4));
   }
 }
@@ -1224,7 +1248,7 @@ bool SuperSourcesQuery::CanAdopt(const Query& twin) const {
 
 void SuperSourcesQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const SuperSourcesQuery&>(twin);
-  CopyFrom(fanout_, t.fanout_);
+  AdoptContainer(fanout_, t.fanout_, what, /*order_matters=*/true);
   rate_sum_ = t.rate_sum_;
   rate_batches_ = t.rate_batches_;
   AppendLastClosed(snaps_, t.snaps_, what);

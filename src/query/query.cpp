@@ -12,9 +12,31 @@ namespace shedmon::query {
 Query::Query(std::string name, size_t interval_bins)
     : name_(std::move(name)), interval_bins_(interval_bins == 0 ? 1 : interval_bins) {}
 
+namespace {
+// Calls fn(in), or, when the caller passed no flow table, fn on a copy of
+// `in` carrying one built here.
+template <typename Fn>
+void WithFlows(const BatchInput& in, Fn fn) {
+  if (in.flows != nullptr) {
+    fn(in);
+    return;
+  }
+  trace::FlowTable flows;
+  flows.Build(in.packets);
+  fn(BatchInput{in.packets, in.start_us, in.duration_us, in.sampling_rate, &flows});
+}
+}  // namespace
+
+const trace::FlowTable& BatchInput::flow_table() const {
+  if (flows == nullptr) {
+    throw std::logic_error("query::BatchInput: a per-flow query was given no flow table");
+  }
+  return *flows;
+}
+
 void Query::ProcessBatch(const BatchInput& in) {
   cur_packets_ += static_cast<double>(in.packets.size());
-  OnBatch(in);
+  WithFlows(in, [this](const BatchInput& with) { OnBatch(with); });
 }
 
 void Query::ProcessShards(const BatchInput& in, std::vector<std::unique_ptr<ShardState>> shards) {
@@ -32,7 +54,7 @@ void Query::ProcessShards(const BatchInput& in, std::vector<std::unique_ptr<Shar
 
 void Query::ProcessCustom(const BatchInput& in, double fraction) {
   cur_packets_ += static_cast<double>(in.packets.size());
-  OnCustomBatch(in, fraction);
+  WithFlows(in, [&](const BatchInput& with) { OnCustomBatch(with, fraction); });
 }
 
 void Query::OnCustomBatch(const BatchInput& in, double /*fraction*/) { OnBatch(in); }

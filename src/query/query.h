@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/trace/batch.h"
+#include "src/trace/flow_table.h"
 
 namespace shedmon::query {
 
@@ -17,12 +18,23 @@ enum class SamplingMethod { kPacket, kFlow };
 
 // What a query sees for one time bin: the (possibly sampled) packets plus the
 // sampling rate that was applied so it can scale its estimates by 1/rate, the
-// modification the thesis applied to the standard CoMo queries (§2.2).
+// modification the thesis applied to the standard CoMo queries (§2.2), and
+// the flows of those packets. Queries whose results only depend on per-flow
+// totals (counter, application, high-watermark, flows, top-k, autofocus,
+// super-sources) visit the flows, in first-touch order, instead of the
+// packets; the rest, and every custom shedding method, stay per packet.
 struct BatchInput {
   const trace::PacketVec& packets;
   uint64_t start_us = 0;
   uint64_t duration_us = 100'000;
   double sampling_rate = 1.0;
+  // The flow table of `packets` (its rows index `packets`): the batch's own
+  // table for a whole batch, per-flow totals over the kept rows for a
+  // sampled one. Query::ProcessBatch / ProcessCustom build one when null.
+  const trace::FlowTable* flows = nullptr;
+
+  // *flows; throws std::logic_error when it is null.
+  const trace::FlowTable& flow_table() const;
 };
 
 // Worker-local partial state for one shard of a batch. Concrete shardable
@@ -36,11 +48,11 @@ class ShardState {
 
 // Optional extension of the black-box query interface: intra-query data
 // parallelism with a deterministic merge. A batch is divided into
-// ShardUnits(in) abstract units (packets for most queries; scanned bytes for
-// pattern-search, so seams may fall inside a payload); the scheduler forks
-// one ShardState per shard, processes disjoint contiguous unit ranges on any
-// workers in any order, then folds the partials back in ascending
-// shard-index order via Query::ProcessShards.
+// ShardUnits(in) abstract units (the view's flows for most queries; scanned
+// bytes for pattern-search, so seams may fall inside a payload); the
+// scheduler forks one ShardState per shard, processes disjoint contiguous
+// unit ranges on any workers in any order, then folds the partials back in
+// ascending shard-index order via Query::ProcessShards.
 //
 // The discipline that makes sharded execution bit-identical to serial
 // execution (not merely statistically equivalent) at every shard count:
@@ -49,7 +61,8 @@ class ShardState {
 //    bitmap unions), so MergeShard's fold is exact and associative;
 //  - candidate keys keep first-touch order, and contiguous ascending ranges
 //    make the merged order the batch's first-occurrence order — the order
-//    the serial loop would have inserted them in;
+//    the serial loop would have inserted them in (a key's first packet is
+//    its first flow's first packet, so per-flow and per-packet visits agree);
 //  - every floating-point rounding step (the 1/sampling_rate rescale, the
 //    += into interval state) and every ChargeWork call happens exactly once
 //    per batch, in ApplyShards, computed from the merged exact partials.
@@ -61,13 +74,15 @@ class ShardableQuery {
  public:
   virtual ~ShardableQuery() = default;
 
-  // Total shardable units in `in`. Defaults to the packet count; queries
-  // whose work is byte-driven override it so shards balance by bytes.
-  virtual size_t ShardUnits(const BatchInput& in) const { return in.packets.size(); }
+  // Total shardable units in `in`. Defaults to the view's flow count;
+  // queries whose work is byte-driven override it so shards balance by bytes.
+  virtual size_t ShardUnits(const BatchInput& in) const { return in.flow_table().num_flows(); }
 
   // Below this many units a batch is not worth splitting (scheduler hint; a
-  // smaller range is still processed correctly).
-  virtual size_t MinShardUnits() const { return 256; }
+  // smaller range is still processed correctly). The default grain is in
+  // flows: a flow carries ~13 packets on every preset, so a 16-flow shard
+  // stands for ~200 packets of charged work.
+  virtual size_t MinShardUnits() const { return 16; }
 
   // Creates an empty worker-local partial. Must be cheap: one is forked per
   // shard per batch.
@@ -111,7 +126,8 @@ class Query {
 
   virtual SamplingMethod preferred_sampling() const { return SamplingMethod::kPacket; }
 
-  // Processes one (possibly sampled) batch.
+  // Processes one (possibly sampled) batch; builds the flow table of
+  // in.packets when in.flows is null.
   void ProcessBatch(const BatchInput& in);
 
   // Intra-query data parallelism (mergeable-state discipline): non-null when
@@ -167,7 +183,9 @@ class Query {
   // closed interval and takes its freshly reset open state (kLastClosed).
   // Containers are copy-constructed, so they keep the twin's layout and with
   // it the twin's tie order (equal to a replay's while AdoptableFrom holds;
-  // the reset state carries the layout into the next interval). The rest of
+  // the reset state carries the layout into the next interval). A reset
+  // container is only cleared: when no result depends on its order, or when
+  // its bucket count already matches the twin's. The rest of
   // this instance's history is kept. Reads `twin` only. Throws
   // std::logic_error when the twin is not of this type or its interval count
   // does not line up with `what`.

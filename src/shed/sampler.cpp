@@ -44,6 +44,11 @@ void Select(const trace::PacketVec& in, double rate, trace::PacketVec& out,
   out.resize(kept);
   rows.resize(kept);
 }
+
+bool Keeps(const sketch::FusedTupleHasher& hash, const net::FiveTuple& tuple, double rate) {
+  const auto key = tuple.Bytes();
+  return hash.HashUnit1Fixed<13>(key.data()) < rate;
+}
 }  // namespace
 
 void PacketSampler::SampleInto(const trace::PacketVec& in, double rate, trace::PacketVec& out,
@@ -51,37 +56,38 @@ void PacketSampler::SampleInto(const trace::PacketVec& in, double rate, trace::P
   Select<true>(in, rate, out, rows, [&](size_t) { return rng_.NextDouble() < rate; });
 }
 
-FlowSampler::FlowSampler(uint64_t seed)
-    : hash_(13, {{seed, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}}}), seed_(seed) {}
-
 void FlowSampler::Reseed(uint64_t seed) {
-  hash_ = sketch::FusedTupleHasher(13, {{seed, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}}});
   seed_ = seed;
+  hash_.reset();
 }
 
-bool FlowSampler::Keeps(const net::FiveTuple& tuple, double rate) const {
-  const auto key = tuple.Bytes();
-  return hash_.HashUnit1Fixed<13>(key.data()) < rate;
+const sketch::FusedTupleHasher& FlowSampler::Hash() {
+  if (!hash_) {
+    hash_.emplace(13, std::vector<sketch::FusedTupleHasher::SubHash>{
+                          {seed_, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}}});
+  }
+  return *hash_;
 }
 
 void FlowSampler::SampleInto(const trace::PacketVec& in, double rate, trace::PacketVec& out,
-                             std::vector<uint32_t>& rows) const {
+                             std::vector<uint32_t>& rows) {
+  const sketch::FusedTupleHasher& hash = Hash();
   Select<false>(in, rate, out, rows,
-                [&](size_t row) { return Keeps(in[row].rec->tuple, rate); });
+                [&](size_t row) { return Keeps(hash, in[row].rec->tuple, rate); });
 }
 
-void FlowSampler::SampleInto(const trace::PacketVec& in, std::span<const uint32_t> tuple_of_row,
-                             size_t num_tuples, double rate, trace::PacketVec& out,
-                             std::vector<uint32_t>& rows) {
-  // Per distinct tuple: 0 not yet decided, 1 dropped, 2 kept.
-  decided_.assign(num_tuples, 0);
-  Select<true>(in, rate, out, rows, [&](size_t row) {
-    uint8_t& d = decided_[tuple_of_row[row]];
-    if (d == 0) {
-      d = Keeps(in[row].rec->tuple, rate) ? 2 : 1;
+void FlowSampler::SampleInto(const trace::PacketVec& in, const trace::FlowTable& flows,
+                             double rate, trace::PacketVec& out, std::vector<uint32_t>& rows) {
+  if (rate > 0.0 && rate < 1.0) {
+    const sketch::FusedTupleHasher& hash = Hash();
+    keep_.resize(flows.num_flows());
+    size_t f = 0;
+    for (const trace::FlowTable::Flow& flow : flows.flows()) {
+      keep_[f++] = Keeps(hash, in[flow.first_row].rec->tuple, rate) ? 1 : 0;
     }
-    return d == 2;
-  });
+  }
+  const std::span<const uint32_t> flow_of_row = flows.flow_of_row();
+  Select<true>(in, rate, out, rows, [&](size_t row) { return keep_[flow_of_row[row]] != 0; });
 }
 
 }  // namespace shedmon::shed

@@ -2,11 +2,13 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "src/sketch/fused_hash.h"
 #include "src/trace/batch.h"
+#include "src/trace/flow_table.h"
 #include "src/util/rng.h"
 
 namespace shedmon::shed {
@@ -15,8 +17,9 @@ namespace shedmon::shed {
 // belongs to exactly one query runtime and is only ever driven by the worker
 // executing that query's bin, so no internal locking is needed. PacketSampler
 // advances its own RNG per call; FlowSampler's selection is a pure function
-// of seed, tuple and rate (the keyed SampleInto only memoizes verdicts in the
-// instance) and Reseed happens on the coordinating thread between bins.
+// of seed, tuple and rate. FlowSampler::Reseed happens on the coordinating
+// thread between bins and only stores the seed; the hash table it implies
+// is built by the next SampleInto, on the worker that owns the query.
 
 // Uniform random packet sampling (§4.2): each packet of the batch is kept
 // independently with probability `rate`.
@@ -46,10 +49,12 @@ class PacketSampler {
 // coherently without caching flow keys. The hash function is redrawn every
 // measurement interval to avoid bias and deliberate evasion. The hash is a
 // single-sub-hash FusedTupleHasher over the canonical 13-byte serialization,
-// bit-identical to the H3Hash it replaces.
+// bit-identical to the H3Hash it replaces. Its table is built lazily, on the
+// first SampleInto after construction or Reseed, so an interval in which the
+// query is never flow-sampled builds none.
 class FlowSampler {
  public:
-  explicit FlowSampler(uint64_t seed);
+  explicit FlowSampler(uint64_t seed) : seed_(seed) {}
 
   void Reseed(uint64_t seed);
   // The seed behind the current hash function; selection is a pure function
@@ -59,21 +64,19 @@ class FlowSampler {
   // Same output contract as PacketSampler::SampleInto. Selection is a pure
   // function of (seed, tuple, rate).
   void SampleInto(const trace::PacketVec& in, double rate, trace::PacketVec& out,
-                  std::vector<uint32_t>& rows) const;
-  // The same selection over a batch whose rows were deduped into dense tuple
-  // ids (tuple_of_row[i] < num_tuples is the id of in[i]'s 5-tuple, as
-  // features::BinKeys::tuple holds them): hashes each distinct tuple once
-  // instead of once per packet.
-  void SampleInto(const trace::PacketVec& in, std::span<const uint32_t> tuple_of_row,
-                  size_t num_tuples, double rate, trace::PacketVec& out,
                   std::vector<uint32_t>& rows);
+  // The same selection over a batch with its flow table (`flows` built over
+  // `in`): hashes each flow once instead of once per packet.
+  void SampleInto(const trace::PacketVec& in, const trace::FlowTable& flows, double rate,
+                  trace::PacketVec& out, std::vector<uint32_t>& rows);
 
  private:
-  bool Keeps(const net::FiveTuple& tuple, double rate) const;
+  // The seed's hash function, built on first use.
+  const sketch::FusedTupleHasher& Hash();
 
-  sketch::FusedTupleHasher hash_;
   uint64_t seed_;
-  std::vector<uint8_t> decided_;  // keyed SampleInto's per-tuple verdicts
+  std::optional<sketch::FusedTupleHasher> hash_;
+  std::vector<uint8_t> keep_;  // keyed SampleInto's per-flow verdicts
 };
 
 }  // namespace shedmon::shed

@@ -99,6 +99,7 @@ bool Batcher::Next(Batch& out) {
     out.packets.push_back(pkt);
     out.wire_bytes += rec.wire_len;
   }
+  out.flows.Build(out.packets);
   return true;
 }
 

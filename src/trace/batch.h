@@ -6,21 +6,24 @@
 #include <vector>
 
 #include "src/net/packet.h"
+#include "src/trace/flow_table.h"
 #include "src/trace/generator.h"
 
 namespace shedmon::trace {
 
-using PacketVec = std::vector<net::Packet>;
-
 // One 100 ms time bin of traffic (the paper's "batch", §2.4). Owns the
 // materialized payload bytes for its packets in `arena`; Packet views point
-// into the arena, so a Batch is movable but not copyable.
+// into the arena, so a Batch is movable but not copyable. `flows` is the
+// bin's flow table over `packets`, built wherever the batch is materialised
+// (Batcher::Next, api::Pipeline's bin close); code that fills `packets` by
+// hand builds it with flows.Build(packets).
 struct Batch {
   uint64_t start_us = 0;
   uint64_t duration_us = 0;
   PacketVec packets;
   std::vector<uint8_t> arena;
   uint64_t wire_bytes = 0;
+  FlowTable flows;
 
   Batch() = default;
   Batch(const Batch&) = delete;
@@ -55,7 +58,8 @@ class Batcher {
  public:
   Batcher(const Trace& trace, uint64_t bin_us = 100'000);
 
-  // Fills `out` with the next bin; returns false past the end of the trace.
+  // Fills `out` with the next bin and its flow table; returns false past the
+  // end of the trace.
   bool Next(Batch& out);
 
   size_t num_bins() const { return num_bins_; }

@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -32,6 +34,7 @@
 #include "src/obs/snapshot.h"
 #include "src/predict/predictors.h"
 #include "src/query/queries.h"
+#include "src/rt/governor.h"
 #include "src/trace/batch.h"
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
@@ -648,6 +651,127 @@ TEST(PipelineSinks, JsonlSinkWritesOneObjectPerBinWithPerQueryArrays) {
   EXPECT_NE(text.find("\"queries\":[\"counter\",\"flows\"]"), std::string::npos);
   EXPECT_NE(text.find("\"rate\":["), std::string::npos);
   EXPECT_EQ(text.find('\t'), std::string::npos);
+}
+
+// The rows the sinks wrote when they formatted through a std::ostream, kept
+// as the byte-for-byte reference for their to_chars formatting.
+std::string StreamCsvRow(const core::BinLog& log, const api::BinStats& stats) {
+  std::ostringstream row;
+  row << stats.bin_index << ',' << log.start_us << ',' << stats.num_queries << ','
+      << log.packets_in << ',' << log.packets_dropped << ',' << log.packets_unsampled << ','
+      << (log.batch_dropped ? 1 : 0) << ',' << (log.overload ? 1 : 0) << ','
+      << log.predicted_cycles << ',' << log.avail_cycles << ',' << log.query_cycles << ','
+      << log.ps_cycles << ',' << log.ls_cycles << ',' << log.como_cycles << ','
+      << log.backlog_cycles << ',' << log.rtthresh << ',' << stats.utilization << ','
+      << stats.drop_fraction << ',' << stats.shed_fraction << ','
+      << static_cast<int>(log.degradation) << ',' << rt::DegradeActionName(log.degradation) << ','
+      << (log.deadline_missed ? 1 : 0) << ',' << log.deadline_overrun_us << '\n';
+  return row.str();
+}
+
+std::string StreamJsonlRow(const core::BinLog& log, const api::BinStats& stats) {
+  std::ostringstream out;
+  out << "{\"bin\":" << stats.bin_index << ",\"start_us\":" << log.start_us
+      << ",\"packets_in\":" << log.packets_in << ",\"packets_dropped\":" << log.packets_dropped
+      << ",\"packets_unsampled\":" << log.packets_unsampled
+      << ",\"batch_dropped\":" << (log.batch_dropped ? "true" : "false")
+      << ",\"overload\":" << (log.overload ? "true" : "false")
+      << ",\"predicted_cycles\":" << log.predicted_cycles
+      << ",\"avail_cycles\":" << log.avail_cycles << ",\"query_cycles\":" << log.query_cycles
+      << ",\"ps_cycles\":" << log.ps_cycles << ",\"ls_cycles\":" << log.ls_cycles
+      << ",\"como_cycles\":" << log.como_cycles << ",\"backlog_cycles\":" << log.backlog_cycles
+      << ",\"utilization\":" << stats.utilization
+      << ",\"degradation\":" << static_cast<int>(log.degradation) << ",\"degradation_rung\":\""
+      << rt::DegradeActionName(log.degradation)
+      << "\",\"deadline_missed\":" << (log.deadline_missed ? "true" : "false")
+      << ",\"deadline_overrun_us\":" << log.deadline_overrun_us << ",\"queries\":[";
+  for (size_t q = 0; q < stats.query_names.size(); ++q) {
+    out << (q > 0 ? "," : "") << '"' << stats.query_names[q] << '"';
+  }
+  out << "],\"rate\":[";
+  for (size_t q = 0; q < log.rate.size(); ++q) {
+    out << (q > 0 ? "," : "") << log.rate[q];
+  }
+  out << "],\"per_query_cycles\":[";
+  for (size_t q = 0; q < log.per_query_cycles.size(); ++q) {
+    out << (q > 0 ? "," : "") << log.per_query_cycles[q];
+  }
+  out << "],\"disabled\":[";
+  for (size_t q = 0; q < log.disabled.size(); ++q) {
+    out << (q > 0 ? "," : "") << (log.disabled[q] ? "true" : "false");
+  }
+  out << "]}\n";
+  return out.str();
+}
+
+TEST(PipelineSinks, RowsFormatNumbersLikeAStream) {
+  // Every double field takes every awkward value in turn: signed zeros, the
+  // smallest subnormal, exponent-form magnitudes, a value above 2^53,
+  // infinities, NaNs, and ordinary fractions that %g rounds.
+  const double values[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           1e21,
+                           9007199254740993.0,  // 2^53 + 1, rounded to a double
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           1234.56789,
+                           1e-5,
+                           0.1,
+                           123456.5,
+                           1e16};
+  const size_t n = std::size(values);
+  std::ostringstream csv_out;
+  std::ostringstream jsonl_out;
+  api::CsvBinSink csv(csv_out);
+  api::JsonlBinSink jsonl(jsonl_out);
+  std::string csv_want =
+      "bin,start_us,num_queries,packets_in,packets_dropped,packets_unsampled,"
+      "batch_dropped,overload,predicted_cycles,avail_cycles,query_cycles,ps_cycles,"
+      "ls_cycles,como_cycles,backlog_cycles,rtthresh,utilization,drop_fraction,"
+      "shed_fraction,degradation,degradation_rung,deadline_missed,deadline_overrun_us\n";
+  std::string jsonl_want;
+  for (size_t row = 0; row < n; ++row) {
+    auto v = [&](size_t field) { return values[(row + field) % n]; };
+    core::BinLog log;
+    log.start_us = 18'446'744'073'709'551'615ull - row;
+    log.packets_in = row * 1000;
+    log.packets_dropped = row;
+    log.packets_unsampled = v(0);
+    log.batch_dropped = row % 2 == 0;
+    log.overload = row % 3 == 0;
+    log.predicted_cycles = v(1);
+    log.avail_cycles = v(2);
+    log.query_cycles = v(3);
+    log.ps_cycles = v(4);
+    log.ls_cycles = v(5);
+    log.como_cycles = v(6);
+    log.backlog_cycles = v(7);
+    log.rtthresh = v(8);
+    log.degradation = static_cast<uint8_t>(row % 5);
+    log.deadline_missed = row % 4 == 1;
+    log.deadline_overrun_us = v(9);
+    log.rate = {v(10), v(11)};
+    log.per_query_cycles = {v(12), v(13)};
+    log.disabled = {row % 2 == 1, false};
+    api::BinStats stats;
+    stats.bin_index = row;
+    stats.num_queries = 2;
+    stats.utilization = v(10);
+    stats.drop_fraction = v(11);
+    stats.shed_fraction = v(12);
+    stats.query_names = {"counter", "top-k"};
+    csv.OnBin(log, stats);
+    jsonl.OnBin(log, stats);
+    csv_want += StreamCsvRow(log, stats);
+    jsonl_want += StreamJsonlRow(log, stats);
+  }
+  csv.OnRunEnd();
+  jsonl.OnRunEnd();
+  EXPECT_EQ(csv_out.str(), csv_want);
+  EXPECT_EQ(jsonl_out.str(), jsonl_want);
 }
 
 TEST(PipelineSinks, FileSinkThrowsOnUnwritablePath) {

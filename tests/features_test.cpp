@@ -9,6 +9,7 @@
 #include "src/features/extractor.h"
 #include "src/features/features.h"
 #include "src/trace/batch.h"
+#include "src/trace/flow_table.h"
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
 #include "src/util/rng.h"
@@ -292,9 +293,9 @@ void ExpectBitIdentical(const FeatureVector& got, const FeatureVector& want,
 
 TEST(Extractor, KeyedCountingOverRowSubsetsMatchesReference) {
   // The system keys each bin once, then every query's counter re-counts the
-  // rows it kept. Over several intervals, keyed counting of random row
-  // subsets must equal the unkeyed per-aggregate reference run on exactly
-  // those packets, with each side carrying its own interval state.
+  // flows of the rows it kept. Over several intervals, keyed counting of
+  // random row subsets must equal the unkeyed per-aggregate reference run on
+  // exactly those packets, with each side carrying its own interval state.
   const trace::Trace t = trace::TraceGenerator(trace::CescaI()).Generate();
   trace::Batcher batcher(t, 100'000);
   std::vector<trace::Batch> bins;
@@ -330,6 +331,7 @@ TEST(Extractor, KeyedCountingOverRowSubsetsMatchesReference) {
   const FeatureExtractor::Config config;
   FeatureCounter counter(config.mrb_components, config.mrb_bits);
   FeatureExtractor reference;
+  trace::FlowTable kept;
   util::Rng rng(2024);
   for (size_t i = 0; i < inputs.size(); ++i) {
     if (i % 7 == 0) {
@@ -358,7 +360,8 @@ TEST(Extractor, KeyedCountingOverRowSubsetsMatchesReference) {
     if (mode == 1 && i % 8 == 1) {
       ExpectBitIdentical(counter.CountAll(keys), want, where + " CountAll");
     } else {
-      ExpectBitIdentical(counter.Count(keys, rows), want, where);
+      kept.Subset(*keys.flows, rows);
+      ExpectBitIdentical(counter.Count(keys, kept), want, where);
     }
   }
 }
@@ -373,8 +376,9 @@ TEST(Extractor, KeysDedupeTuplesInFirstSeenOrder) {
   FeatureExtractor ex;
   (void)ex.Extract(fx.packets);
   const BinKeys& keys = ex.keys();
-  EXPECT_EQ(keys.tuple, (std::vector<uint32_t>{0, 1, 0, 2}));
-  EXPECT_EQ(keys.wire_len, (std::vector<uint16_t>{100, 200, 300, 400}));
+  ASSERT_NE(keys.flows, nullptr);
+  const auto ids = keys.flows->flow_of_row();
+  EXPECT_EQ(std::vector<uint32_t>(ids.begin(), ids.end()), (std::vector<uint32_t>{0, 1, 0, 2}));
   EXPECT_EQ(keys.bytes, 1000.0);
   ASSERT_EQ(keys.distinct(), 3u);
   const sketch::FusedTupleHasher fused = MakeAggregateHasher(ex.config().seed);

@@ -1,16 +1,28 @@
 // Bitwise comparison of two standard query instances' completed results,
 // for suites that pin two ways of computing them together: sharded vs
-// serial execution, and elided vs replayed references.
+// serial execution, elided vs replayed references, and per-flow queries vs
+// the per-packet loops they replace.
 
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
+#include <cstring>
+#include <set>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "src/net/packet.h"
 #include "src/query/queries.h"
 #include "src/query/query.h"
+#include "src/sketch/bitmap.h"
+#include "src/sketch/h3.h"
+#include "src/trace/batch.h"
 
 namespace shedmon::test_util {
 
@@ -137,5 +149,214 @@ inline std::string ResultsDiff(const query::Query& a, const query::Query& b) {
   }
   return "";
 }
+
+// Per-packet reference implementations of the seven queries that visit
+// flows (counter, application, high-watermark, flows, top-k, autofocus,
+// super-sources): the loops they ran per packet, in row order, with their
+// work weights, sampling-rate rescale and interval-end resets (maps are
+// cleared, keeping their buckets). A per-flow query must end up with these
+// results and work_units() bit for bit — snapshots and ranked tie order.
+class PerPacketReference {
+ public:
+  explicit PerPacketReference(std::string name) : name_(std::move(name)) {}
+
+  void ProcessBatch(const trace::PacketVec& packets, double rate) {
+    const double n = static_cast<double>(packets.size());
+    const double inv = 1.0 / SafeRate(rate);
+    if (name_ == "counter" || name_ == "high-watermark") {
+      double bytes = 0.0;
+      for (const net::Packet& pkt : packets) {
+        bytes += static_cast<double>(pkt.rec->wire_len);
+      }
+      if (name_ == "counter") {
+        counter_cur_.pkts += n * inv;
+        counter_cur_.bytes += bytes * inv;
+        work_ += 40.0 * n;
+      } else {
+        watermark_cur_ = std::max(watermark_cur_, bytes * inv);
+        work_ += 45.0 * n;
+      }
+    } else if (name_ == "application") {
+      std::array<double, net::kNumAppClasses> pkts{};
+      std::array<double, net::kNumAppClasses> bytes{};
+      for (const net::Packet& pkt : packets) {
+        const auto app = static_cast<size_t>(query::ApplicationQuery::ClassifyPorts(pkt.tuple()));
+        pkts[app] += 1.0;
+        bytes[app] += static_cast<double>(pkt.rec->wire_len);
+      }
+      for (size_t c = 0; c < pkts.size(); ++c) {
+        if (pkts[c] != 0.0) {
+          app_cur_.pkts[c] += pkts[c] * inv;
+          app_cur_.bytes[c] += bytes[c] * inv;
+        }
+      }
+      work_ += 70.0 * n;
+    } else if (name_ == "flows") {
+      double inserts = 0.0;
+      for (const net::Packet& pkt : packets) {
+        inserts += flows_.insert(pkt.tuple()).second ? 1.0 : 0.0;
+      }
+      flows_estimate_ += inserts * inv;
+      work_ += 90.0 * n + 700.0 * inserts;
+    } else if (name_ == "top-k" || name_ == "autofocus") {
+      const bool by_dst = name_ == "top-k";
+      std::unordered_map<uint32_t, double> batch;
+      std::vector<uint32_t> order;
+      for (const net::Packet& pkt : packets) {
+        const uint32_t key = by_dst ? pkt.tuple().dst_ip : pkt.tuple().src_ip;
+        auto [it, fresh] = batch.try_emplace(key, 0.0);
+        it->second += static_cast<double>(pkt.rec->wire_len);
+        if (fresh) {
+          order.push_back(key);
+        }
+      }
+      double inserts = 0.0;
+      for (const uint32_t key : order) {
+        auto [it, fresh] = keyed_.try_emplace(key, 0.0);
+        inserts += fresh ? 1.0 : 0.0;
+        it->second += batch.at(key) * inv;
+      }
+      work_ += by_dst ? 110.0 * n + 350.0 * inserts : 80.0 * n + 260.0 * inserts;
+    } else if (name_ == "super-sources") {
+      rate_sum_ += SafeRate(rate);
+      ++rate_batches_;
+      double inserts = 0.0;
+      for (const net::Packet& pkt : packets) {
+        auto [it, fresh] = fanout_.try_emplace(pkt.tuple().src_ip, 128u);
+        inserts += fresh ? 1.0 : 0.0;
+        uint8_t key[4];
+        std::memcpy(key, &pkt.tuple().dst_ip, 4);
+        it->second.Insert(dst_hash_.Hash(key, 4));
+      }
+      work_ += 85.0 * n + 420.0 * inserts;
+    }
+  }
+
+  void EndInterval() {
+    counter_snaps_.push_back(counter_cur_);
+    counter_cur_ = {};
+    app_snaps_.push_back(app_cur_);
+    app_cur_ = {};
+    watermarks_.push_back(watermark_cur_);
+    watermark_cur_ = 0.0;
+    flow_counts_.push_back(flows_estimate_);
+    flows_estimate_ = 0.0;
+    flows_.clear();
+    if (name_ == "top-k") {
+      query::TopKQuery::Snapshot snap;
+      snap.all = keyed_;
+      snap.topk = Ranked(keyed_, 10);
+      topk_snaps_.push_back(std::move(snap));
+    } else if (name_ == "autofocus") {
+      work_ += 30.0 * static_cast<double>(keyed_.size());
+      reports_.push_back(query::AutofocusQuery::ComputeClusters(keyed_, 0.02));
+    }
+    keyed_.clear();
+    query::SuperSourcesQuery::Snapshot snap;
+    const double rate =
+        rate_batches_ > 0 ? rate_sum_ / static_cast<double>(rate_batches_) : 1.0;
+    for (const auto& [src, bitmap] : fanout_) {
+      snap.all[src] = bitmap.Estimate() / SafeRate(rate);
+    }
+    snap.top = Ranked(snap.all, 10);
+    super_snaps_.push_back(std::move(snap));
+    fanout_.clear();
+    rate_sum_ = 0.0;
+    rate_batches_ = 0;
+  }
+
+  double work_units() const { return work_; }
+
+  // Empty when `q`, a query named like this reference, holds the
+  // reference's completed results bit for bit; otherwise what differs.
+  std::string Diff(const query::Query& q) const {
+    if (q.name() != name_) {
+      return "reference for " + name_ + " compared with " + q.name();
+    }
+    const size_t n = q.completed_intervals();
+    if (n != flow_counts_.size()) {
+      return name_ + ": completed intervals differ";
+    }
+    auto at = [&](size_t i) { return name_ + ": results differ at interval " + std::to_string(i); };
+    for (size_t i = 0; i < n; ++i) {
+      if (const auto* x = dynamic_cast<const query::CounterQuery*>(&q)) {
+        const auto& got = x->snapshots()[i];
+        if (!SameBits(got.pkts, counter_snaps_[i].pkts) ||
+            !SameBits(got.bytes, counter_snaps_[i].bytes)) {
+          return at(i);
+        }
+      } else if (const auto* x = dynamic_cast<const query::ApplicationQuery*>(&q)) {
+        const auto& got = x->snapshots()[i];
+        for (size_t c = 0; c < got.pkts.size(); ++c) {
+          if (!SameBits(got.pkts[c], app_snaps_[i].pkts[c]) ||
+              !SameBits(got.bytes[c], app_snaps_[i].bytes[c])) {
+            return at(i);
+          }
+        }
+      } else if (const auto* x = dynamic_cast<const query::HighWatermarkQuery*>(&q)) {
+        if (!SameBits(x->watermarks()[i], watermarks_[i])) {
+          return at(i);
+        }
+      } else if (const auto* x = dynamic_cast<const query::FlowsQuery*>(&q)) {
+        if (!SameBits(x->flow_counts()[i], flow_counts_[i])) {
+          return at(i);
+        }
+      } else if (const auto* x = dynamic_cast<const query::TopKQuery*>(&q)) {
+        const auto& got = x->snapshots()[i];
+        if (!SameBits(got.topk, topk_snaps_[i].topk) || got.all != topk_snaps_[i].all) {
+          return at(i);
+        }
+      } else if (const auto* x = dynamic_cast<const query::AutofocusQuery*>(&q)) {
+        if (x->reports()[i] != reports_[i]) {
+          return at(i);
+        }
+      } else if (const auto* x = dynamic_cast<const query::SuperSourcesQuery*>(&q)) {
+        const auto& got = x->snapshots()[i];
+        if (!SameBits(got.top, super_snaps_[i].top) || got.all != super_snaps_[i].all) {
+          return at(i);
+        }
+      } else {
+        return name_ + ": no per-packet reference";
+      }
+    }
+    return "";
+  }
+
+ private:
+  static double SafeRate(double rate) { return rate > 1e-6 ? rate : 1e-6; }
+
+  // The top `k` entries of `map` by value, sorted in its iteration order
+  // with the queries' unstable sort, so ties fall where theirs do.
+  static std::vector<std::pair<uint32_t, double>> Ranked(
+      const std::unordered_map<uint32_t, double>& map, size_t k) {
+    std::vector<std::pair<uint32_t, double>> sorted(map.begin(), map.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.second > b.second; });
+    if (sorted.size() > k) {
+      sorted.resize(k);
+    }
+    return sorted;
+  }
+
+  std::string name_;
+  double work_ = 0.0;
+  query::CounterQuery::Snapshot counter_cur_;
+  std::vector<query::CounterQuery::Snapshot> counter_snaps_;
+  query::ApplicationQuery::Snapshot app_cur_;
+  std::vector<query::ApplicationQuery::Snapshot> app_snaps_;
+  double watermark_cur_ = 0.0;
+  std::vector<double> watermarks_;
+  std::unordered_set<net::FiveTuple, net::FiveTupleHash> flows_;
+  double flows_estimate_ = 0.0;
+  std::vector<double> flow_counts_;
+  std::unordered_map<uint32_t, double> keyed_;  // top-k by dst, autofocus by src
+  std::vector<query::TopKQuery::Snapshot> topk_snaps_;
+  std::vector<std::set<uint64_t>> reports_;
+  sketch::H3Hash dst_hash_{0xfa11};
+  std::unordered_map<uint32_t, sketch::DirectBitmap> fanout_;
+  double rate_sum_ = 0.0;
+  size_t rate_batches_ = 0;
+  std::vector<query::SuperSourcesQuery::Snapshot> super_snaps_;
+};
 
 }  // namespace shedmon::test_util

@@ -19,6 +19,7 @@
 #include "src/query/queries.h"
 #include "src/query/query.h"
 #include "src/trace/batch.h"
+#include "src/trace/flow_table.h"
 #include "src/util/rng.h"
 #include "tests/query_results.h"
 
@@ -36,13 +37,16 @@ constexpr char kPattern[] = "HTTP/1.1";  // PatternSearchQuery's default
 
 // Owns records and payload bytes; Packets() views stay valid while the
 // FuzzBatch is alive (vectors are sized up front, never reallocated after).
+// `flows` is the packets' flow table, the shard units of the per-flow
+// queries.
 struct FuzzBatch {
   std::vector<net::PacketRecord> records;
   std::vector<std::vector<uint8_t>> payloads;
   trace::PacketVec packets;
+  trace::FlowTable flows;
   std::vector<size_t> pattern_offsets;  // global unit offsets of planted patterns
 
-  BatchInput Input(double rate) const { return BatchInput{packets, 0, 100'000, rate}; }
+  BatchInput Input(double rate) const { return BatchInput{packets, 0, 100'000, rate, &flows}; }
 };
 
 // Effective shard-unit length of a packet in pattern-search's byte stream.
@@ -93,6 +97,7 @@ FuzzBatch MakeBatch(util::Rng& rng, size_t num_packets) {
       pkt.payload_len = static_cast<uint16_t>(batch.payloads[i].size());
     }
   }
+  batch.flows.Build(batch.packets);
   return batch;
 }
 
@@ -253,6 +258,7 @@ TEST(QueryShardSeams, OccurrenceStraddlingSeamCountsExactlyOnce) {
     batch.packets[0].rec = &batch.records[0];
     batch.packets[0].payload = payload.data();
     batch.packets[0].payload_len = static_cast<uint16_t>(payload.size());
+    batch.flows.Build(batch.packets);
 
     query::PatternSearchQuery sharded;
     query::PatternSearchQuery serial;

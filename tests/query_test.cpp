@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "src/query/accuracy.h"
 #include "src/query/queries.h"
+#include "src/shed/sampler.h"
 #include "src/trace/batch.h"
+#include "src/trace/flow_table.h"
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
 #include "src/util/rng.h"
@@ -747,7 +751,7 @@ TEST(ReferenceElision, AdoptThenReplayEqualsReplayFromStart) {
         subject->AdoptFrom(*twin, Query::Adopt::kOpen);
         mode = kReplayed;
       }
-      const BatchInput full{batch.packets, batch.start_us, batch.duration_us, 1.0};
+      const BatchInput full{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
       RunTwinBin(*twin, full, bin);
       replay->ProcessBatch(full);
       if (mode == kReplayed) {
@@ -880,6 +884,154 @@ TEST_P(SamplingSweep, CounterErrorBoundedByRate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, SamplingSweep, ::testing::Values(0.05, 0.1, 0.3, 0.6, 1.0));
+
+// ------------------------------------------------------- per-flow queries --
+
+// A random bin of one of the shapes the per-flow visit must get right: many
+// packets per flow, one packet per flow (the attack case), no packets, one
+// flow. Three wire lengths make ties in the byte rankings common.
+enum class FlowBinKind { kDuplicateHeavy, kOnePacketPerFlow, kEmpty, kSingleFlow };
+
+struct FlowBin {
+  std::vector<net::PacketRecord> records;
+  trace::PacketVec packets;
+  trace::FlowTable flows;
+};
+
+std::unique_ptr<FlowBin> MakeFlowBin(util::Rng& rng, FlowBinKind kind) {
+  auto bin = std::make_unique<FlowBin>();
+  size_t n = 1 + rng.NextBelow(200);
+  if (kind == FlowBinKind::kEmpty) {
+    n = 0;
+  } else if (kind == FlowBinKind::kOnePacketPerFlow) {
+    n = 1 + rng.NextBelow(400);
+  }
+  const uint16_t ports[] = {80, 53, 22, 2000};
+  const uint16_t lengths[] = {40, 576, 1500};
+  bin->records.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    net::FiveTuple& t = bin->records[i].tuple;
+    t = {0x0a000001u, 0xc0a80001u, 4242, 80, net::kProtoTcp};  // kSingleFlow
+    if (kind == FlowBinKind::kDuplicateHeavy) {
+      t.src_ip += static_cast<uint32_t>(rng.NextBelow(6));
+      t.dst_ip += static_cast<uint32_t>(rng.NextBelow(5));
+      t.src_port = static_cast<uint16_t>(1000 + rng.NextBelow(3));
+      t.dst_port = ports[rng.NextBelow(4)];
+      t.proto = rng.NextBelow(2) == 0 ? net::kProtoTcp : net::kProtoUdp;
+    } else if (kind == FlowBinKind::kOnePacketPerFlow) {
+      t.src_ip += static_cast<uint32_t>(rng.NextBelow(50));
+      t.dst_ip += static_cast<uint32_t>(rng.NextBelow(300));
+      t.src_port = static_cast<uint16_t>(i);  // a distinct tuple per packet
+      t.dst_port = ports[rng.NextBelow(4)];
+    }
+    bin->records[i].wire_len = lengths[rng.NextBelow(3)];
+  }
+  for (const net::PacketRecord& rec : bin->records) {
+    bin->packets.push_back(net::Packet::View(rec));
+  }
+  bin->flows.Build(bin->packets);
+  return bin;
+}
+
+// Runs `in` through the shard path in `shards` even ranges of its units.
+void ProcessInShards(Query& q, const BatchInput& in, size_t shards) {
+  ShardableQuery* sh = q.shardable();
+  ASSERT_NE(sh, nullptr);
+  const size_t units = sh->ShardUnits(in);
+  std::vector<std::unique_ptr<ShardState>> states;
+  for (size_t s = 0; s < shards; ++s) {
+    states.push_back(sh->ForkShard());
+    sh->OnShardBatch(*states.back(), in, units * s / shards, units * (s + 1) / shards);
+  }
+  q.ProcessShards(in, std::move(states));
+}
+
+// The queries that visit flows: all but the per-packet three.
+std::vector<std::string> PerFlowQueryNames() {
+  std::vector<std::string> names;
+  for (const std::string& name : AllQueryNames()) {
+    if (name != "trace" && name != "pattern-search" && name != "p2p-detector") {
+      names.push_back(name);
+    }
+  }
+  return names;
+}
+
+class PerFlowQueries : public ::testing::TestWithParam<std::string> {};
+
+// Property: each per-flow query, handed random bins as a whole batch, a
+// packet-sampled view or a flow-sampled view, ends up with the results and
+// work_units() of the per-packet loops (test_util::PerPacketReference), bit
+// for bit, whether it reads the view's flow table, builds its own (no table
+// given) or runs in 2 or 8 shards.
+TEST_P(PerFlowQueries, MatchThePerPacketLoopsOnEveryView) {
+  const std::string name = GetParam();
+  util::Rng rng(0xf10e + std::hash<std::string>{}(name) % 1024);
+  constexpr int kRounds = 6;
+  constexpr int kIntervals = 4;
+  constexpr int kBatchesPerInterval = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    test_util::PerPacketReference reference(name);
+    // Serial on the view's table, serial on a table of its own, 2 shards, 8.
+    std::vector<std::unique_ptr<Query>> subjects;
+    for (int i = 0; i < 4; ++i) {
+      subjects.push_back(MakeQuery(name));
+    }
+    shed::FlowSampler flow_sampler(rng.NextU64());
+    for (int interval = 0; interval < kIntervals; ++interval) {
+      for (int b = 0; b < kBatchesPerInterval; ++b) {
+        const auto bin = MakeFlowBin(rng, static_cast<FlowBinKind>(rng.NextBelow(4)));
+        const int view = static_cast<int>(rng.NextBelow(3));  // whole, packet-, flow-sampled
+        const double rates[] = {0.5, 0.37, 0.08};
+        const double rate = view == 0 ? 1.0 : rates[rng.NextBelow(3)];
+        trace::PacketVec kept;
+        std::vector<uint32_t> rows;
+        if (view == 1) {
+          for (uint32_t row = 0; row < bin->packets.size(); ++row) {
+            if (rng.NextDouble() < rate) {
+              kept.push_back(bin->packets[row]);
+              rows.push_back(row);
+            }
+          }
+        } else if (view == 2) {
+          flow_sampler.SampleInto(bin->packets, bin->flows, rate, kept, rows);
+        }
+        trace::FlowTable kept_flows;
+        kept_flows.Subset(bin->flows, rows);
+        const trace::PacketVec& packets = view == 0 ? bin->packets : kept;
+        const trace::FlowTable* flows = view == 0 ? &bin->flows : &kept_flows;
+        const BatchInput in{packets, 0, 100'000, rate, flows};
+
+        reference.ProcessBatch(packets, rate);
+        subjects[0]->ProcessBatch(in);
+        subjects[1]->ProcessBatch({packets, 0, 100'000, rate});
+        ProcessInShards(*subjects[2], in, 2);
+        ProcessInShards(*subjects[3], in, 8);
+        for (size_t i = 0; i < subjects.size(); ++i) {
+          ASSERT_TRUE(test_util::SameBits(subjects[i]->work_units(), reference.work_units()))
+              << "subject " << i << " interval " << interval << " batch " << b << " view "
+              << view;
+        }
+      }
+      reference.EndInterval();
+      for (const auto& q : subjects) {
+        q->EndInterval();
+      }
+    }
+    for (size_t i = 0; i < subjects.size(); ++i) {
+      EXPECT_EQ(reference.Diff(*subjects[i]), "") << "subject " << i;
+      EXPECT_EQ(test_util::ResultsDiff(*subjects[i], *subjects[0]), "") << "subject " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SevenQueries, PerFlowQueries, ::testing::ValuesIn(PerFlowQueryNames()),
+                         [](const auto& info) {
+                           std::string name = info.param;
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace shedmon::query

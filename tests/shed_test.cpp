@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/shed/enforcement.h"
@@ -128,7 +129,7 @@ TEST(FlowSamplerTest, ReportedRowsSelectKeptPackets) {
   trace::Batch storage;
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
-  const FlowSampler sampler(19);
+  FlowSampler sampler(19);
   trace::PacketVec out;
   std::vector<uint32_t> rows = {3, 1};  // stale contents must be replaced
   for (const double rate : {0.0, 0.05, 0.25, 0.6, 0.999, 1.0}) {
@@ -138,26 +139,20 @@ TEST(FlowSamplerTest, ReportedRowsSelectKeptPackets) {
 }
 
 TEST(FlowSamplerTest, KeyedSelectionMatchesUnkeyed) {
-  // Fed the batch's dense tuple ids, the sampler hashes each distinct flow
-  // once; it must keep exactly the rows the per-packet hash keeps.
+  // Fed the batch's flow table, the sampler hashes each distinct flow once;
+  // it must keep exactly the rows the per-packet hash keeps.
   trace::Batch storage;
   const auto t = SmallTrace();
   const auto packets = FirstBatch(t, storage);
-  std::map<net::FiveTuple, uint32_t> ids;
-  std::vector<uint32_t> tuple_of_row;
-  for (const auto& pkt : packets) {
-    tuple_of_row.push_back(
-        ids.emplace(pkt.rec->tuple, static_cast<uint32_t>(ids.size())).first->second);
-  }
-  ASSERT_LT(ids.size(), packets.size());  // flows repeat, so the memo is exercised
+  ASSERT_LT(storage.flows.num_flows(), packets.size());  // flows repeat
   FlowSampler keyed(23);
-  const FlowSampler unkeyed(23);
+  FlowSampler unkeyed(23);
   trace::PacketVec out;
   std::vector<uint32_t> rows;
   trace::PacketVec want_out;
   std::vector<uint32_t> want_rows;
   for (const double rate : {0.0, 0.1, 0.5, 0.9, 1.0}) {
-    keyed.SampleInto(packets, tuple_of_row, ids.size(), rate, out, rows);
+    keyed.SampleInto(packets, storage.flows, rate, out, rows);
     unkeyed.SampleInto(packets, rate, want_out, want_rows);
     ExpectRowsSelectOut(packets, out, rows, rate);
     EXPECT_EQ(rows, want_rows) << "rate " << rate;
@@ -235,6 +230,69 @@ TEST(FlowSamplerTest, DeterministicWithoutReseed) {
   const auto a = Sampled(sampler, packets, 0.5);
   const auto b = Sampled(sampler, packets, 0.5);
   EXPECT_EQ(a.size(), b.size());
+}
+
+// The rows a sampler keeps at a few rates, unkeyed and from the batch's flow
+// table, in call order.
+std::vector<std::vector<uint32_t>> Selections(FlowSampler& sampler, const trace::Batch& batch) {
+  std::vector<std::vector<uint32_t>> out;
+  trace::PacketVec kept;
+  std::vector<uint32_t> rows;
+  for (const double rate : {0.1, 0.5, 0.9}) {
+    sampler.SampleInto(batch.packets, rate, kept, rows);
+    out.push_back(rows);
+    sampler.SampleInto(batch.packets, batch.flows, rate, kept, rows);
+    out.push_back(rows);
+  }
+  return out;
+}
+
+TEST(FlowSamplerTest, LazyTableSelectsLikeTheLastSeed) {
+  // Reseed only stores the seed and the next SampleInto builds its hash:
+  // however many reseeds pile up between uses, and whether or not the
+  // sampler was used before them, it then selects exactly what a sampler
+  // constructed with the last seed selects.
+  trace::Batch storage;
+  const auto t = SmallTrace();
+  (void)FirstBatch(t, storage);
+  util::Rng seeds(31);
+  for (const size_t reseeds : {1, 2, 7}) {
+    SCOPED_TRACE(std::to_string(reseeds) + " reseeds");
+    FlowSampler used(seeds.NextU64());
+    (void)Selections(used, storage);
+    FlowSampler unused(seeds.NextU64());
+    uint64_t last = 0;
+    for (size_t k = 0; k < reseeds; ++k) {
+      last = seeds.NextU64();
+      used.Reseed(last);
+      unused.Reseed(last);
+    }
+    EXPECT_EQ(used.seed(), last);
+    FlowSampler fresh(last);
+    const auto want = Selections(fresh, storage);
+    EXPECT_EQ(Selections(used, storage), want);
+    EXPECT_EQ(Selections(unused, storage), want);
+  }
+}
+
+TEST(FlowSamplerTest, ReseedWithTheSeedClonesAndRestores) {
+  // Reseed(seed()) is how a snapshot restores a sampler and how a copy is
+  // cloned: the copy selects like the original, whether either had built
+  // its table before.
+  trace::Batch storage;
+  const auto t = SmallTrace();
+  (void)FirstBatch(t, storage);
+  FlowSampler original(41);
+  (void)Selections(original, storage);
+  FlowSampler restored(99);
+  (void)Selections(restored, storage);
+  restored.Reseed(original.seed());
+  EXPECT_EQ(Selections(restored, storage), Selections(original, storage));
+
+  FlowSampler never_used(43);
+  FlowSampler clone(0);
+  clone.Reseed(never_used.seed());
+  EXPECT_EQ(Selections(clone, storage), Selections(never_used, storage));
 }
 
 // --------------------------------------------------------------- strategies --

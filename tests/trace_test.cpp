@@ -4,12 +4,20 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "src/api/pipeline.h"
 #include "src/net/frame.h"
+#include "src/query/query.h"
 #include "src/trace/anomaly.h"
 #include "src/trace/batch.h"
+#include "src/trace/flow_table.h"
 #include "src/trace/generator.h"
 #include "src/trace/pcap.h"
 #include "src/trace/spec.h"
@@ -623,6 +631,191 @@ TEST(TraceIo, RoundTripsPacketsExactly) {
 
 TEST(TraceIo, LoadMissingFileThrows) {
   EXPECT_THROW(LoadTrace("/nonexistent/file.trace"), std::runtime_error);
+}
+
+// ------------------------------------------------------------- flow table --
+
+// From-scratch description of `packets`' flows: first-seen ids per row and
+// exact per-flow totals, keyed by an ordered map instead of the table's
+// open-addressing set. Empty when `table` says the same.
+std::string FlowTableDiff(const FlowTable& table, const PacketVec& packets) {
+  std::map<net::FiveTuple, uint32_t> ids;
+  std::vector<FlowTable::Flow> flows;
+  std::vector<uint32_t> flow_of_row;
+  for (size_t row = 0; row < packets.size(); ++row) {
+    const auto [it, fresh] =
+        ids.emplace(packets[row].rec->tuple, static_cast<uint32_t>(flows.size()));
+    if (fresh) {
+      flows.push_back({static_cast<uint32_t>(row), 0, 0});
+    }
+    flow_of_row.push_back(it->second);
+    ++flows[it->second].packets;
+    flows[it->second].bytes += packets[row].rec->wire_len;
+  }
+  if (table.rows() != packets.size() || table.num_flows() != flows.size()) {
+    return "row or flow count differs";
+  }
+  for (size_t row = 0; row < packets.size(); ++row) {
+    if (table.flow_of_row()[row] != flow_of_row[row]) {
+      return "flow id of row " + std::to_string(row) + " differs";
+    }
+    if (table.wire_len()[row] != packets[row].rec->wire_len) {
+      return "wire length of row " + std::to_string(row) + " differs";
+    }
+  }
+  for (size_t f = 0; f < flows.size(); ++f) {
+    const FlowTable::Flow& got = table.flows()[f];
+    if (got.first_row != flows[f].first_row || got.packets != flows[f].packets ||
+        got.bytes != flows[f].bytes) {
+      return "flow " + std::to_string(f) + " totals differ";
+    }
+  }
+  return "";
+}
+
+// Records with the given (src ip, wire length), other tuple fields fixed.
+std::vector<net::PacketRecord> Records(std::initializer_list<std::pair<uint32_t, uint16_t>> spec) {
+  std::vector<net::PacketRecord> recs;
+  for (const auto& [src, len] : spec) {
+    net::PacketRecord& rec = recs.emplace_back();
+    rec.tuple = {src, 9, 1000, 80, net::kProtoTcp};
+    rec.wire_len = len;
+  }
+  return recs;
+}
+
+PacketVec View(const std::vector<net::PacketRecord>& recs) {
+  PacketVec packets;
+  for (const auto& rec : recs) {
+    packets.push_back(net::Packet::View(rec));
+  }
+  return packets;
+}
+
+TEST(FlowTable, IdsAreDenseInFirstSeenOrderWithExactTotals) {
+  const auto recs = Records({{7, 100}, {3, 60}, {7, 1500}, {5, 40}, {3, 60}, {7, 1}});
+  FlowTable table;
+  table.Build(View(recs));
+  const std::vector<uint32_t> want_ids = {0, 1, 0, 2, 1, 0};
+  EXPECT_TRUE(std::equal(want_ids.begin(), want_ids.end(), table.flow_of_row().begin(),
+                         table.flow_of_row().end()));
+  ASSERT_EQ(table.num_flows(), 3u);
+  EXPECT_EQ(table.flows()[0].first_row, 0u);
+  EXPECT_EQ(table.flows()[0].packets, 3u);
+  EXPECT_EQ(table.flows()[0].bytes, 1601u);
+  EXPECT_EQ(table.flows()[1].first_row, 1u);
+  EXPECT_EQ(table.flows()[1].packets, 2u);
+  EXPECT_EQ(table.flows()[1].bytes, 120u);
+  EXPECT_EQ(table.flows()[2].first_row, 3u);
+  EXPECT_EQ(table.flows()[2].packets, 1u);
+  EXPECT_EQ(table.flows()[2].bytes, 40u);
+  EXPECT_TRUE(table.parent_flow().empty());
+}
+
+TEST(FlowTable, ReuseAcrossBinsForgetsThePreviousBin) {
+  // One table rebuilt bin after bin (the epoch reset) must describe each bin
+  // exactly as a fresh table does: repeated, reordered, shrinking, empty and
+  // growing bins, the last one large enough to regrow the tuple set.
+  std::vector<std::vector<net::PacketRecord>> bins = {
+      Records({{1, 10}, {2, 20}, {1, 30}}),
+      Records({{2, 5}, {1, 5}, {2, 5}, {4, 5}}),
+      Records({{4, 7}}),
+      {},
+  };
+  std::vector<net::PacketRecord> big;
+  for (uint32_t i = 0; i < 5000; ++i) {
+    net::PacketRecord& rec = big.emplace_back();
+    rec.tuple = {i % 700, i % 3, static_cast<uint16_t>(i % 11), 80, net::kProtoUdp};
+    rec.wire_len = static_cast<uint16_t>(40 + i % 1400);
+  }
+  bins.push_back(big);
+  bins.push_back(Records({{1, 10}, {2, 20}, {1, 30}}));
+  FlowTable reused;
+  for (size_t b = 0; b < bins.size(); ++b) {
+    SCOPED_TRACE("bin " + std::to_string(b));
+    const PacketVec packets = View(bins[b]);
+    reused.Build(packets);
+    EXPECT_EQ(FlowTableDiff(reused, packets), "");
+    FlowTable fresh;
+    fresh.Build(packets);
+    EXPECT_EQ(FlowTableDiff(fresh, packets), "");
+  }
+}
+
+TEST(FlowTable, BatcherBinsCarryTheirTable) {
+  const Trace t = TraceGenerator(SmallSpec()).Generate();
+  Batcher batcher(t, 100'000);
+  Batch batch;
+  size_t repeated = 0;
+  while (batcher.Next(batch)) {
+    ASSERT_EQ(FlowTableDiff(batch.flows, batch.packets), "") << "bin at " << batch.start_us;
+    repeated += batch.size() - batch.flows.num_flows();
+  }
+  EXPECT_GT(repeated, 0u);
+}
+
+TEST(FlowTable, SubsetTotalsTheKeptRowsInFirstKeptOrder) {
+  // Rows 1 and 4 are kept from flow 1 and row 2 from flow 0: the subset
+  // meets flow 1 first, so the ids swap relative to the parent.
+  const auto recs = Records({{7, 100}, {3, 60}, {7, 1500}, {5, 40}, {3, 61}, {7, 1}});
+  const PacketVec packets = View(recs);
+  FlowTable parent;
+  parent.Build(packets);
+  const std::vector<uint32_t> rows = {1, 2, 4};
+  PacketVec kept;
+  for (const uint32_t row : rows) {
+    kept.push_back(packets[row]);
+  }
+  FlowTable subset;
+  subset.Subset(parent, rows);
+  EXPECT_EQ(FlowTableDiff(subset, kept), "");
+  ASSERT_EQ(subset.num_flows(), 2u);
+  EXPECT_EQ(subset.parent_flow()[0], 1u);
+  EXPECT_EQ(subset.parent_flow()[1], 0u);
+  EXPECT_EQ(subset.flows()[0].bytes, 121u);
+  EXPECT_EQ(subset.flows()[1].first_row, 1u);
+
+  subset.Subset(parent, {});
+  EXPECT_EQ(subset.rows(), 0u);
+  EXPECT_EQ(subset.num_flows(), 0u);
+}
+
+// Checks, for every batch a per-flow consumer is handed, that its flow table
+// describes exactly the packets of that batch.
+class FlowTableProbe : public query::Query {
+ public:
+  FlowTableProbe() : Query("flow-table-probe", 10) {}
+  size_t checked() const { return checked_; }
+
+ protected:
+  void OnBatch(const query::BatchInput& in) override {
+    ASSERT_NE(in.flows, nullptr);
+    ASSERT_EQ(FlowTableDiff(*in.flows, in.packets), "") << "bin at " << in.start_us;
+    ++checked_;
+  }
+  void OnEndInterval(size_t) override {}
+
+ private:
+  size_t checked_ = 0;
+};
+
+TEST(FlowTable, IngestCapDropOldestTablesCoverThePostEvictionRows) {
+  // Evicting the oldest records of the open bin shifts every surviving row:
+  // the table a pipeline builds at the bin close must index the batch's
+  // packets, not the ingest buffer.
+  auto pipeline = api::PipelineBuilder()
+                      .Shedder(core::ShedderKind::kNoShed)
+                      .IngestCap(300, rt::OverflowPolicy::kDropOldest)
+                      .TrackAccuracy(false)
+                      .BuildUnique();
+  auto probe = std::make_unique<FlowTableProbe>();
+  const FlowTableProbe& checks = *probe;
+  pipeline->AddQuery(std::move(probe));
+  const Trace t = TraceGenerator(SmallSpec()).Generate();
+  pipeline->Push(t);
+  pipeline->Finish();
+  EXPECT_GT(pipeline->ingest_dropped(), 0u);
+  EXPECT_EQ(checks.checked(), pipeline->log().size());
 }
 
 }  // namespace
