@@ -27,6 +27,7 @@
 #include "src/features/extractor.h"
 #include "src/predict/fcbf.h"
 #include "src/predict/predictors.h"
+#include "src/query/accuracy.h"
 #include "src/query/queries.h"
 #include "src/query/search.h"
 #include "src/shed/sampler.h"
@@ -424,6 +425,53 @@ BENCHMARK_CAPTURE(BM_QueryBin, super_sources, "super-sources");
 BENCHMARK_CAPTURE(BM_QueryBin, trace, "trace");
 BENCHMARK_CAPTURE(BM_QueryBin, pattern_search, "pattern-search");
 BENCHMARK_CAPTURE(BM_QueryBin, p2p_detector, "p2p-detector");
+
+// Consecutive 100 ms bins of a seeded UPC-I trace with their payloads and
+// flow tables: the bins overload-payload's references read.
+const std::vector<trace::Batch>& UpcPayloadBatches() {
+  static const trace::Trace trace = [] {
+    trace::TraceSpec spec = trace::UpcI();
+    spec.duration_s = 2.0;
+    return trace::TraceGenerator(spec).Generate();
+  }();
+  static const std::vector<trace::Batch> batches = [] {
+    std::vector<trace::Batch> out;
+    trace::Batcher batcher(trace, 100'000);
+    for (trace::Batch batch; batcher.Next(batch);) {
+      out.push_back(std::move(batch));
+    }
+    return out;
+  }();
+  return batches;
+}
+
+// One UPC-I bin through the ten references as query::MakeReference builds
+// them (trace and pattern-search as packet counters), at rate 1 with
+// payloads; every tenth bin also closes the measurement interval.
+void BM_ReferenceBin(benchmark::State& state) {
+  const auto& batches = UpcPayloadBatches();
+  std::vector<std::unique_ptr<query::Query>> references;
+  for (const std::string& name : query::AllQueryNames()) {
+    references.push_back(query::MakeReference(name));
+  }
+  size_t i = 0;
+  int64_t packets = 0;
+  for (auto _ : state) {
+    const trace::Batch& batch = batches[i % batches.size()];
+    const query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0,
+                               &batch.flows};
+    const bool interval_end = ++i % 10 == 0;
+    for (auto& reference : references) {
+      reference->ProcessBatch(in);
+      if (interval_end) {
+        reference->EndInterval();
+      }
+    }
+    packets += static_cast<int64_t>(batch.size());
+  }
+  state.SetItemsProcessed(packets);
+}
+BENCHMARK(BM_ReferenceBin)->Unit(benchmark::kMicrosecond);
 
 std::vector<uint8_t> RandomBytes(size_t len) {
   std::vector<uint8_t> text(len);

@@ -367,11 +367,14 @@ Pipeline::Pipeline(const core::SystemConfig& config, core::OracleKind oracle_kin
     throw ConfigError("Pipeline: time_bin_us must be positive");
   }
   system_ = std::make_unique<core::MonitoringSystem>(config, core::MakeOracle(oracle_kind));
-  const char* ref_help = "Reference bins replayed over the unsampled stream, or elided";
+  const char* ref_help =
+      "Reference bins replayed over the unsampled stream, elided, or counted as packets";
   m_ref_replayed_ = &system_->metrics().GetCounter("shedmon_reference_bins_total",
                                                    {{"mode", "replayed"}}, ref_help);
   m_ref_elided_ = &system_->metrics().GetCounter("shedmon_reference_bins_total",
                                                  {{"mode", "elided"}}, ref_help);
+  m_ref_counted_ = &system_->metrics().GetCounter("shedmon_reference_bins_total",
+                                                  {{"mode", "counted"}}, ref_help);
   fork_hook_ = [this](std::span<const core::QueryRun> runs) { ForkInexact(runs); };
   RefreshStats();
 }
@@ -502,7 +505,7 @@ QueryHandle Pipeline::AddQuery(std::string_view name) {
 
 QueryHandle Pipeline::AddQuery(std::string_view name, const core::QueryConfig& config) {
   return Register(config, query::MakeQuery(name),
-                  track_accuracy_ ? query::MakeQuery(name) : nullptr, /*elidable=*/true);
+                  track_accuracy_ ? query::MakeReference(name) : nullptr, /*built=*/true);
 }
 
 QueryHandle Pipeline::AddQuery(std::unique_ptr<query::Query> query,
@@ -511,18 +514,19 @@ QueryHandle Pipeline::AddQuery(std::unique_ptr<query::Query> query,
   if (query == nullptr) {
     throw std::invalid_argument("Pipeline::AddQuery: query must not be null");
   }
-  return Register(config, std::move(query), std::move(reference), /*elidable=*/false);
+  return Register(config, std::move(query), std::move(reference), /*built=*/false);
 }
 
 QueryHandle Pipeline::Register(const core::QueryConfig& config,
                                std::unique_ptr<query::Query> query,
-                               std::unique_ptr<query::Query> reference, bool elidable) {
+                               std::unique_ptr<query::Query> reference, bool built) {
   EnsureOpen("AddQuery");
-  system_->AddQuery(std::move(query), config);
   Slot slot;
-  slot.id = next_id_++;
+  slot.counted = built && reference != nullptr && !query->error_reads_results();
+  slot.elidable = built && !slot.counted;
   slot.reference = std::move(reference);
-  slot.elidable = elidable;
+  system_->AddQuery(std::move(query), config);
+  slot.id = next_id_++;
   slots_.push_back(std::move(slot));
   if (logger_ != nullptr) {
     logger_->Write(obs::LogEvent("query_added")
@@ -613,14 +617,14 @@ void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payl
   }
   records_.push_back(record);
   if (record.payload_len > 0) {
-    const size_t offset = arena_.size();
-    arena_.resize(offset + record.payload_len);
-    uint8_t* dst = arena_.data() + offset;
     if (payload_bytes != nullptr) {
-      std::copy_n(payload_bytes, record.payload_len, dst);
+      // One pass: a resize would zero the bytes the copy then overwrites.
+      arena_.insert(arena_.end(), payload_bytes, payload_bytes + record.payload_len);
       ingest_copied_bytes_ += record.payload_len;
     } else {
-      trace::MaterializePayload(record, dst);
+      const size_t offset = arena_.size();
+      arena_.resize(offset + record.payload_len);
+      trace::MaterializePayload(record, arena_.data() + offset);
     }
   }
   wire_bytes_ += record.wire_len;
@@ -678,8 +682,9 @@ void Pipeline::CloseOpenBin() {
     // With a pool, the reference replay (§2.2.1) starts before the system's
     // waves and overlaps them: it reads only batch_ and each replaying
     // slot's own reference, never the system or its oracle, so BinLogs and
-    // accuracies cannot move. Elided slots are not in the job, so the fork
-    // hook may switch them to replaying without a race. If ProcessBatch
+    // accuracies cannot move. Elided and counted slots are not in the job,
+    // so the fork hook may switch elided ones to replaying without a race,
+    // and FinishReferences counts the rest on the coordinator. If ProcessBatch
     // throws, the Job's destructor stops the unclaimed replays and waits out
     // the running ones before batch_ dies.
     PlanReferences();
@@ -732,7 +737,7 @@ void Pipeline::PlanReferences() {
   replay_.clear();
   for (size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
-    if (slot.reference == nullptr) {
+    if (slot.reference == nullptr || slot.counted) {
       continue;
     }
     if (slot.ref_bins_in_interval == 0) {
@@ -773,8 +778,15 @@ void Pipeline::FinishReferences() {
     ReplayReference(i);
   }
   size_t elided = 0;
+  size_t counted = 0;
   for (size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
+    if (slot.counted) {
+      // A packet counter's ProcessBatch only adds the bin's packet count.
+      ReplayReference(i);
+      ++counted;
+      continue;
+    }
     if (!slot.elided) {
       continue;
     }
@@ -787,6 +799,7 @@ void Pipeline::FinishReferences() {
   }
   m_ref_replayed_->Add(static_cast<double>(replay_.size() + forked_.size()));
   m_ref_elided_->Add(static_cast<double>(elided));
+  m_ref_counted_->Add(static_cast<double>(counted));
 }
 
 void Pipeline::ReplayReference(size_t i) {

@@ -111,7 +111,10 @@ class QueryHandle {
   // Null when the pipeline does not track accuracy for this query. Its
   // closed intervals are the full-rate results, whether the reference
   // replayed them or copied them from the query (see TrackAccuracy); its
-  // work_units() counts only the bins it replayed.
+  // work_units() counts only the bins it replayed. For trace and
+  // pattern-search, whose error reads only packet counts, it is a
+  // query::PacketCountQuery: the full-rate packet count of each interval,
+  // and no results to cast to the query's type.
   const query::Query* reference() const;
   bool has_reference() const { return reference() != nullptr; }
 
@@ -166,8 +169,11 @@ class PipelineBuilder {
   // at rate 1, no custom shedding, no dropped bin) does not replay it: it
   // copies the query's result at the interval's end, or the query's open
   // interval at the first inexact bin and replays from there. Results are
-  // bit-identical to a full replay; shedmon_reference_bins_total{mode=}
-  // counts replayed and elided bins.
+  // bit-identical to a full replay. A query whose error reads only packet
+  // counts (trace, pattern-search) gets a packet-count reference
+  // (query::MakeReference) that never replays: it adds each bin's packet
+  // count on the coordinator. shedmon_reference_bins_total{mode=} counts
+  // replayed, elided and counted bins.
   PipelineBuilder& TrackAccuracy(bool enable = true);
   // Apply core::DefaultMinRate to queries added by name without an explicit
   // QueryConfig (default on).
@@ -504,6 +510,10 @@ class Pipeline {
     // a twin the reference may copy (query::Query::AdoptFrom). A
     // user-supplied pair always replays: its twin may differ.
     bool elidable = false;
+    // The pipeline built a packet-count reference (query::MakeReference):
+    // never replayed, elided or forked, it adds every closed bin's packet
+    // count on the coordinator in FinishReferences.
+    bool counted = false;
     // The reference is not fed this interval: the system query has run
     // every bin of it exactly so far and stands in for the reference.
     bool elided = false;
@@ -525,8 +535,9 @@ class Pipeline {
 
   size_t FindSlot(uint64_t id) const noexcept;  // npos when unknown/removed
   size_t SlotIndex(uint64_t id) const;          // throws std::logic_error when stale
+  // `built`: the pipeline made query and reference from one name.
   QueryHandle Register(const core::QueryConfig& config, std::unique_ptr<query::Query> query,
-                       std::unique_ptr<query::Query> reference, bool elidable);
+                       std::unique_ptr<query::Query> reference, bool built);
   // Appends one record to the open bin, closing earlier bins first; null
   // payload bytes mean "materialize deterministically from the record".
   void AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes);
@@ -543,8 +554,9 @@ class Pipeline {
   // query's open interval before the waves touch it and joins forked_.
   void ForkInexact(std::span<const core::QueryRun> runs);
   // After the system's bin: replays the forked slots, advances the elided
-  // ones (adopting the query's result at their interval end) and counts the
-  // bin's replayed and elided references.
+  // ones (adopting the query's result at their interval end) and the
+  // counted ones, and counts the bin's replayed, elided and counted
+  // references.
   void FinishReferences();
   // Advances slot i's reference instance over the closing bin's full batch.
   // Reads only batch_ and slots_[i], so CloseOpenBin may replay different
@@ -578,6 +590,7 @@ class Pipeline {
   core::PreExecuteHook fork_hook_;
   obs::Counter* m_ref_replayed_ = nullptr;
   obs::Counter* m_ref_elided_ = nullptr;
+  obs::Counter* m_ref_counted_ = nullptr;
 
   // Open-bin assembler: records and payload bytes accumulate in push order,
   // so record i's payload starts at the sum of payload_len over

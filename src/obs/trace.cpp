@@ -164,7 +164,14 @@ void Tracer::ExportChromeTrace(std::ostream& out) const {
     }
     out << "}}";
   }
-  out << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_spans\":" << dropped() << "}}\n";
+  // Each ring keeps the first spans of its stripe and drops the rest, so
+  // the kept window says which stretch of the run the trace covers.
+  out << "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_spans\":" << dropped();
+  if (!spans.empty()) {
+    out << ",\"kept_first_ts_us\":" << spans.front().ts_us
+        << ",\"kept_last_ts_us\":" << spans.back().ts_us;
+  }
+  out << "}}\n";
 }
 
 std::string Tracer::ExportChromeTrace() const {

@@ -98,7 +98,9 @@ class Tracer {
 
   // Chrome trace-event JSON ({"traceEvents":[...]}): complete "X" events
   // (instant "i" for zero-duration markers), ts/dur in microseconds, one
-  // tid per stripe. Loadable in Perfetto / chrome://tracing.
+  // tid per stripe. Loadable in Perfetto / chrome://tracing. Its otherData
+  // carries dropped_spans and, when any span was kept, the kept window's
+  // first and last start (kept_first_ts_us, kept_last_ts_us).
   void ExportChromeTrace(std::ostream& out) const;
   std::string ExportChromeTrace() const;
   bool WriteChromeTrace(const std::string& path) const;

@@ -8,12 +8,20 @@
 
 namespace shedmon::query {
 
+std::unique_ptr<Query> MakeReference(std::string_view name) {
+  std::unique_ptr<Query> query = MakeQuery(name);
+  if (query->error_reads_results()) {
+    return query;
+  }
+  return std::make_unique<PacketCountQuery>(query->name(), query->interval_bins());
+}
+
 std::vector<std::unique_ptr<Query>> RunReference(const std::vector<std::string>& names,
                                                  const trace::Trace& trace, uint64_t bin_us) {
   std::vector<std::unique_ptr<Query>> queries;
   queries.reserve(names.size());
   for (const auto& name : names) {
-    queries.push_back(MakeQuery(name));
+    queries.push_back(MakeReference(name));
   }
 
   trace::Batcher batcher(trace, bin_us);

@@ -3,6 +3,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/query/query.h"
@@ -10,8 +12,29 @@
 
 namespace shedmon::query {
 
-// Runs fresh instances of the named queries over the full, unsampled trace;
-// the returned instances hold the ground-truth per-interval results every
+// The reference of a query whose IntervalError reads only processed-packet
+// counts (Query::error_reads_results() is false): it carries the query's
+// name and interval length and counts the packets of every batch it is fed,
+// and keeps no other state, so feeding it costs nothing per packet.
+class PacketCountQuery final : public Query {
+ public:
+  PacketCountQuery(std::string name, size_t interval_bins)
+      : Query(std::move(name), interval_bins) {}
+  bool error_reads_results() const override { return false; }
+
+ protected:
+  void OnBatch(const BatchInput& /*in*/) override {}
+  void OnEndInterval(size_t /*interval_index*/) override {}
+};
+
+// The reference instance for the named standard query: a PacketCountQuery
+// when its error reads only packet counts (trace, pattern-search), else
+// MakeQuery(name). Every pipeline-managed and offline reference is built
+// here. Throws std::invalid_argument on an unknown name, like MakeQuery.
+std::unique_ptr<Query> MakeReference(std::string_view name);
+
+// Runs fresh references (MakeReference) of the named queries over the full,
+// unsampled trace; the returned instances hold the ground truth every
 // accuracy comparison in the paper is measured against (§2.2.1: "the actual
 // value in our experiments is obtained from a complete packet trace").
 std::vector<std::unique_ptr<Query>> RunReference(const std::vector<std::string>& names,

@@ -228,6 +228,7 @@ class TraceQuery : public Query {
     double bytes_stored = 0.0;
   };
   const std::vector<Snapshot>& snapshots() const { return snaps_; }
+  bool error_reads_results() const override { return false; }
 
  protected:
   void OnBatch(const BatchInput& in) override;
@@ -252,6 +253,7 @@ class PatternSearchQuery : public Query, public ShardableQuery {
   explicit PatternSearchQuery(std::string pattern = "HTTP/1.1", size_t interval_bins = 10);
 
   const std::vector<double>& match_counts() const { return snaps_; }
+  bool error_reads_results() const override { return false; }
 
   // Intra-query sharding over *scanned bytes*, not packets: shard units are
   // the concatenated effective payload stream, so a seam may fall inside a

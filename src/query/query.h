@@ -111,7 +111,8 @@ class ShardableQuery {
 // Accuracy evaluation follows §2.2.1: a second instance of the same query is
 // run over the unsampled stream and IntervalError compares per-interval
 // results. The base-class default implements the processed-packet-fraction
-// error used for trace and pattern-search.
+// error used for trace and pattern-search, which reads nothing of the
+// reference but its processed-packet counts (see error_reads_results).
 class Query {
  public:
   Query(std::string name, size_t interval_bins);
@@ -150,8 +151,17 @@ class Query {
   size_t completed_intervals() const { return intervals_done_; }
 
   // Relative error of this instance's results for `interval` against a
-  // reference instance that processed the full stream (§2.2.1).
+  // reference instance that processed the full stream (§2.2.1). The base
+  // version is one minus the fraction of the reference's packets this
+  // instance processed; it reads only reference.IntervalPacketsProcessed, so
+  // a packet-count reference (query::MakeReference) serves it exactly.
   virtual double IntervalError(const Query& reference, size_t interval) const;
+  // Whether IntervalError reads the reference's results (true, the safe
+  // default) or only its processed-packet counts (false). A property of the
+  // query, not a setting: only a query that keeps the base IntervalError may
+  // answer false, and query::MakeReference then builds a reference that
+  // counts packets and keeps no other state.
+  virtual bool error_reads_results() const { return true; }
   // Mean error across all intervals completed by both instances.
   double MeanError(const Query& reference) const;
 

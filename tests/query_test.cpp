@@ -674,6 +674,23 @@ TEST(RunReferenceTest, ReferenceIsSelfConsistent) {
   EXPECT_NEAR(a[0]->MeanError(*b[0]), 0.0, 1e-12);
 }
 
+// Only trace and pattern-search keep the base packet-fraction error, so
+// only their references are packet counters; each carries its query's
+// name and interval length.
+TEST(RunReferenceTest, PacketCountReferencesForCountOnlyErrors) {
+  for (const std::string& name : AllQueryNames()) {
+    SCOPED_TRACE(name);
+    const auto query = MakeQuery(name);
+    const auto reference = MakeReference(name);
+    const bool counts_only = name == "trace" || name == "pattern-search";
+    EXPECT_EQ(query->error_reads_results(), !counts_only);
+    EXPECT_EQ(dynamic_cast<const PacketCountQuery*>(reference.get()) != nullptr, counts_only);
+    EXPECT_EQ(reference->name(), name);
+    EXPECT_EQ(reference->interval_bins(), query->interval_bins());
+  }
+  EXPECT_THROW(MakeReference("no-such-query"), std::invalid_argument);
+}
+
 // ------------------------------------------------- exact reference elision --
 
 // A synthetic trace whose every packet has the same wire length, so byte

@@ -1,10 +1,13 @@
-// Exact reference elision end to end: a Pipeline's reference instances,
-// which skip the intervals their query ran exactly and copy its result
-// instead, must hold what an offline query::RunReference over the whole
-// trace holds — snapshots, ranked tie order, ErrorSeries and the pipeline's
-// accuracies, bit for bit — across presets, thread and shard counts, rates
-// that cross 1 mid-interval, dropped and truncated bins, a mid-interval
-// Detach and a Finish in a partial interval.
+// Exact reference elision and packet-count references end to end: a
+// Pipeline's reference instances, which skip the intervals their query ran
+// exactly and copy its result instead, or (trace, pattern-search) only
+// count packets, must hold what an offline query::RunReference over the
+// whole trace holds — snapshots, ranked tie order, packet counts — and
+// score the system's queries exactly as a full replay of every query does:
+// ErrorSeries and the pipeline's accuracies, bit for bit. Across presets,
+// thread and shard counts, overload, rates that cross 1 mid-interval,
+// dropped and truncated bins, a mid-interval Detach and a Finish in a
+// partial interval.
 
 #include <gtest/gtest.h>
 
@@ -51,9 +54,50 @@ double ReferenceBins(const api::Pipeline& pipeline, const std::string& mode) {
   return -1.0;
 }
 
-// Every tracked reference of `pipeline` against a fresh offline replay of
-// `trace`: results, the ErrorSeries the system's query scores against it,
-// and the pipeline's accuracy summaries, all bit-identical.
+// Every closed bin advances every tracked reference exactly one way.
+void ExpectEveryBinAccounted(const api::Pipeline& pipeline, size_t tracked) {
+  const double bins = static_cast<double>(pipeline.log().size());
+  EXPECT_EQ(ReferenceBins(pipeline, "replayed") + ReferenceBins(pipeline, "elided") +
+                ReferenceBins(pipeline, "counted"),
+            bins * static_cast<double>(tracked));
+}
+
+// A full instance of every named query (MakeQuery, never a packet counter)
+// replayed over the whole trace: the ground truth before packet-count
+// references existed, which every error series must still match.
+std::vector<std::unique_ptr<query::Query>> FullReplay(const std::vector<std::string>& names,
+                                                      const trace::Trace& trace,
+                                                      uint64_t bin_us) {
+  std::vector<std::unique_ptr<query::Query>> full;
+  for (const std::string& name : names) {
+    full.push_back(query::MakeQuery(name));
+  }
+  trace::Batcher batcher(trace, bin_us);
+  trace::Batch batch;
+  size_t bins = 0;
+  while (batcher.Next(batch)) {
+    const query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0,
+                               &batch.flows};
+    ++bins;
+    for (auto& q : full) {
+      q->ProcessBatch(in);
+      if (bins % q->interval_bins() == 0) {
+        q->EndInterval();
+      }
+    }
+  }
+  for (auto& q : full) {
+    if (bins % q->interval_bins() != 0) {
+      q->EndInterval();
+    }
+  }
+  return full;
+}
+
+// Every tracked reference of `pipeline` against a fresh offline
+// RunReference of `trace` (results and packet counts), and the ErrorSeries
+// the system's queries score and the pipeline's accuracy summaries against
+// a full replay of every query, all bit-identical.
 void ExpectReferencesMatchOffline(const api::Pipeline& pipeline,
                                   const std::vector<api::QueryHandle>& handles,
                                   const trace::Trace& trace) {
@@ -62,7 +106,9 @@ void ExpectReferencesMatchOffline(const api::Pipeline& pipeline,
   for (size_t q = 0; q < system.num_queries(); ++q) {
     names.push_back(system.query(q).name());
   }
-  const auto offline = query::RunReference(names, trace, system.config().time_bin_us);
+  const uint64_t bin_us = system.config().time_bin_us;
+  const auto offline = query::RunReference(names, trace, bin_us);
+  const auto full = FullReplay(names, trace, bin_us);
   double sum = 0.0;
   double min = 1.0;
   for (size_t q = 0; q < names.size(); ++q) {
@@ -70,10 +116,11 @@ void ExpectReferencesMatchOffline(const api::Pipeline& pipeline,
     const query::Query* reference = handles[q].reference();
     ASSERT_NE(reference, nullptr);
     EXPECT_EQ(ResultsDiff(*reference, *offline[q]), "");
+    EXPECT_EQ(ResultsDiff(*reference, *full[q]), "");
     EXPECT_TRUE(SameBits(query::ErrorSeries(system.query(q), *reference),
-                         query::ErrorSeries(system.query(q), *offline[q])));
+                         query::ErrorSeries(system.query(q), *full[q])));
     const double accuracy = std::clamp(
-        1.0 - query::SummarizeAccuracy(system.query(q), *offline[q]).mean_error, 0.0, 1.0);
+        1.0 - query::SummarizeAccuracy(system.query(q), *full[q]).mean_error, 0.0, 1.0);
     sum += accuracy;
     min = std::min(min, accuracy);
   }
@@ -93,9 +140,11 @@ std::vector<api::QueryHandle> AddAllQueries(api::Pipeline& pipeline,
   return handles;
 }
 
-// Every synthetic preset at capacity twice its demand, so most queries run
-// at rate 1 after warm-up and their references are elided, at threads
-// {0, 2} x shards {1, 2}.
+// Every synthetic preset at threads {0, 2} x shards {1, 2}, at capacity
+// twice its demand, so most queries run at rate 1 after warm-up and their
+// references are elided, and at half its demand (overload-payload's K), so
+// every query is shed and trace's and pattern-search's packet counters
+// score shed intervals.
 TEST(ReferenceElisionPipeline, MatchesOfflineReferenceOnEveryPreset) {
   const std::vector<std::pair<std::string, trace::TraceSpec>> presets = {
       {"cesca1", trace::CescaI()},
@@ -107,24 +156,39 @@ TEST(ReferenceElisionPipeline, MatchesOfflineReferenceOnEveryPreset) {
     const trace::Trace trace = PresetTrace(spec);
     const double demand =
         core::MeasureMeanDemand(query::AllQueryNames(), trace, core::OracleKind::kModel);
-    for (const size_t threads : {size_t{0}, size_t{2}}) {
-      for (const size_t shards : {size_t{1}, size_t{2}}) {
-        if (shards > 1 && threads == 0) {
-          continue;  // sharding needs a pool
+    for (const double capacity : {2.0, 0.5}) {
+      for (const size_t threads : {size_t{0}, size_t{2}}) {
+        for (const size_t shards : {size_t{1}, size_t{2}}) {
+          if (shards > 1 && threads == 0) {
+            continue;  // sharding needs a pool
+          }
+          SCOPED_TRACE(label + " capacity " + std::to_string(capacity) + " threads " +
+                       std::to_string(threads) + " shards " + std::to_string(shards));
+          auto pipeline = api::PipelineBuilder()
+                              .CyclesPerBin(capacity * demand)
+                              .Threads(threads)
+                              .MaxShardsPerQuery(shards)
+                              .BuildUnique();
+          const auto handles = AddAllQueries(*pipeline);
+          pipeline->Push(trace);
+          pipeline->Finish();
+          ExpectReferencesMatchOffline(*pipeline, handles, trace);
+          ExpectEveryBinAccounted(*pipeline, handles.size());
+          EXPECT_GT(ReferenceBins(*pipeline, "replayed"), 0.0);
+          // trace and pattern-search count every closed bin, never replay it.
+          EXPECT_EQ(ReferenceBins(*pipeline, "counted"),
+                    2.0 * static_cast<double>(pipeline->log().size()));
+          if (capacity > 1.0) {
+            EXPECT_GT(ReferenceBins(*pipeline, "elided"), 0.0);
+            continue;
+          }
+          // Not vacuous: a packet counter scores a shed query.
+          const api::QueryHandle& trace_handle = handles.back();
+          ASSERT_EQ(trace_handle.name(), "trace");
+          ASSERT_NE(dynamic_cast<const query::PacketCountQuery*>(trace_handle.reference()),
+                    nullptr);
+          EXPECT_GT(trace_handle.Accuracy().mean_error, 0.0);
         }
-        SCOPED_TRACE(label + " threads " + std::to_string(threads) + " shards " +
-                     std::to_string(shards));
-        auto pipeline = api::PipelineBuilder()
-                            .CyclesPerBin(2.0 * demand)
-                            .Threads(threads)
-                            .MaxShardsPerQuery(shards)
-                            .BuildUnique();
-        const auto handles = AddAllQueries(*pipeline);
-        pipeline->Push(trace);
-        pipeline->Finish();
-        ExpectReferencesMatchOffline(*pipeline, handles, trace);
-        EXPECT_GT(ReferenceBins(*pipeline, "elided"), 0.0);
-        EXPECT_GT(ReferenceBins(*pipeline, "replayed"), 0.0);
       }
     }
   }
@@ -191,10 +255,13 @@ TEST(ReferenceElisionPipeline, NoSheddingElidesEveryIntervalAfterTheFirst) {
   const auto handles = AddAllQueries(*pipeline);
   pipeline->Push(CescaTrace());
   pipeline->Finish();
-  const double queries = static_cast<double>(handles.size());
-  EXPECT_EQ(ReferenceBins(*pipeline, "replayed"), 10.0 * queries);
+  // trace and pattern-search have packet-count references, never elided.
+  const double elidable = static_cast<double>(handles.size() - 2);
+  EXPECT_EQ(ReferenceBins(*pipeline, "replayed"), 10.0 * elidable);
   EXPECT_EQ(ReferenceBins(*pipeline, "elided"),
-            static_cast<double>(pipeline->log().size() - 10) * queries);
+            static_cast<double>(pipeline->log().size() - 10) * elidable);
+  EXPECT_EQ(ReferenceBins(*pipeline, "counted"),
+            2.0 * static_cast<double>(pipeline->log().size()));
   ExpectReferencesMatchOffline(*pipeline, handles, CescaTrace());
 }
 
@@ -230,6 +297,8 @@ TEST(ReferenceElisionPipeline, GovernorTruncationAndDroppedBinsFork) {
     EXPECT_TRUE(log[26].batch_dropped);
     EXPECT_GT(ReferenceBins(*pipeline, "elided"), 0.0);
     ExpectReferencesMatchOffline(*pipeline, handles, CescaTrace());
+    // The dropped bin 26 is counted too.
+    ExpectEveryBinAccounted(*pipeline, handles.size());
   }
 }
 
@@ -377,6 +446,32 @@ TEST(ReferenceElisionPipeline, UserSuppliedPairsAlwaysReplay) {
   EXPECT_EQ(ReferenceBins(*pipeline, "elided"), 0.0);
   EXPECT_EQ(ReferenceBins(*pipeline, "replayed"), static_cast<double>(pipeline->log().size()));
   ExpectReferencesMatchOffline(*pipeline, handles, CescaTrace());
+}
+
+// A user-supplied pattern-search pair is replayed in full, never turned into
+// a packet counter: its reference's match counts are an offline replay's.
+TEST(PacketCountReferences, UserSuppliedPatternSearchPairStillReplays) {
+  const trace::Trace trace = PresetTrace(trace::UpcI());
+  const double demand =
+      core::MeasureMeanDemand({"pattern-search"}, trace, core::OracleKind::kModel);
+  auto pipeline = api::PipelineBuilder().CyclesPerBin(0.5 * demand).BuildUnique();
+  const api::QueryHandle handle = pipeline->AddQuery(query::MakeQuery("pattern-search"), {},
+                                                     query::MakeQuery("pattern-search"));
+  pipeline->Push(trace);
+  pipeline->Finish();
+  EXPECT_EQ(ReferenceBins(*pipeline, "counted"), 0.0);
+  EXPECT_EQ(ReferenceBins(*pipeline, "replayed"), static_cast<double>(pipeline->log().size()));
+
+  const auto full = FullReplay({"pattern-search"}, trace, 100'000);
+  const auto* reference = dynamic_cast<const query::PatternSearchQuery*>(handle.reference());
+  ASSERT_NE(reference, nullptr);
+  const auto& offline = dynamic_cast<const query::PatternSearchQuery&>(*full[0]);
+  EXPECT_TRUE(SameBits(reference->match_counts(), offline.match_counts()));
+  double matches = 0.0;
+  for (const double m : offline.match_counts()) {
+    matches += m;
+  }
+  EXPECT_GT(matches, 0.0);  // a payload trace, so the counts have teeth
 }
 
 }  // namespace

@@ -238,6 +238,26 @@ TEST(Tracing, DroppedSpansAreCountedNeverSilent) {
   EXPECT_NE(tracer.ExportChromeTrace().find("\"dropped_spans\":"), std::string::npos);
 }
 
+// A ring keeps a run's head and drops its tail; the export states both the
+// loss and the stretch of time the kept spans cover.
+TEST(Tracing, ExportStatesTheKeptWindow) {
+  obs::Tracer tracer(/*spans_per_stripe=*/2);
+  for (uint32_t i = 0; i < 5; ++i) {
+    tracer.Record(obs::Stage::kQuery, /*start_us=*/100 + 10 * i, /*dur_us=*/1, i);
+  }
+  EXPECT_EQ(tracer.dropped(), 3u);
+  const std::string json = tracer.ExportChromeTrace();
+  EXPECT_NE(json.find("\"otherData\":{\"dropped_spans\":3,\"kept_first_ts_us\":100,"
+                      "\"kept_last_ts_us\":110}"),
+            std::string::npos)
+      << json;
+
+  // Nothing kept, no window.
+  const obs::Tracer idle;
+  EXPECT_NE(idle.ExportChromeTrace().find("\"otherData\":{\"dropped_spans\":0}"),
+            std::string::npos);
+}
+
 TEST(Tracing, StageWallHistogramsRideTheSameSpans) {
   auto pipeline = BuildPipeline(0, 1, /*tracing=*/true, /*serve=*/false);
   pipeline->Push(TracingTrace());
