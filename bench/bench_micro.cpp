@@ -473,6 +473,37 @@ void BM_ReferenceBin(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceBin)->Unit(benchmark::kMicrosecond);
 
+// The work of the bin that closes an interval: untimed, `name` runs one
+// interval of bins at rate 1 (UPC-I for super-sources, as overload-payload
+// feeds it; Abilene otherwise); timed, it closes the interval and a twin
+// adopts the closed interval, as an elided pipeline reference does.
+void BM_IntervalEnd(benchmark::State& state, const char* name) {
+  const std::string kind(name);
+  const auto& batches = kind == "super-sources" ? UpcPayloadBatches() : AbileneBatches();
+  std::unique_ptr<query::Query> q = query::MakeQuery(kind);
+  std::unique_ptr<query::Query> twin = query::MakeQuery(kind);
+  size_t i = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (size_t b = 0; b < q->interval_bins(); ++b, ++i) {
+      const trace::Batch& batch = batches[i % batches.size()];
+      q->ProcessBatch({batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows});
+    }
+    state.ResumeTiming();
+    q->EndInterval();
+    twin->AdoptFrom(*q, query::Query::Adopt::kLastClosed);
+  }
+}
+BENCHMARK_CAPTURE(BM_IntervalEnd, top_k, "top-k")
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(500);
+BENCHMARK_CAPTURE(BM_IntervalEnd, super_sources, "super-sources")
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(500);
+BENCHMARK_CAPTURE(BM_IntervalEnd, flows, "flows")
+    ->Unit(benchmark::kMicrosecond)
+    ->Iterations(500);
+
 std::vector<uint8_t> RandomBytes(size_t len) {
   std::vector<uint8_t> text(len);
   util::Rng rng(8);

@@ -7,6 +7,7 @@
 #include <iterator>
 #include <span>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "src/trace/batch.h"
 #include "src/util/stats.h"
@@ -41,31 +42,45 @@ const net::FiveTuple& TupleOf(const BatchInput& in, const Flow& flow) {
   return in.packets[flow.first_row].rec->tuple;
 }
 
-// Query::AdoptFrom's copy of an unordered container: copy-construct, then
-// move in, so it takes the twin's bucket count and node order (and with them
-// its iteration order), whatever this instance held before. After
-// kLastClosed the twin's container is freshly reset: empty, it carries only
-// its bucket count, which matters only where iteration order reaches a
-// result (tie order; see TopKQuery::CanAdopt). So it is cleared instead,
-// unless its order matters and the bucket counts differ.
+// Query::AdoptFrom's copy of an open-interval container. No result reads a
+// container's iteration order, so after kLastClosed, where the twin's
+// container is freshly reset, clearing this one is as good as a copy.
 template <typename T>
-void AdoptContainer(T& into, const T& from, Query::Adopt what, bool order_matters) {
-  if (what == Query::Adopt::kLastClosed && from.empty() &&
-      (!order_matters || into.bucket_count() == from.bucket_count())) {
+void AdoptContainer(T& into, const T& from, Query::Adopt what) {
+  if (what == Query::Adopt::kLastClosed && from.empty()) {
     into.clear();
   } else {
-    into = T(from);
+    into = from;
   }
 }
 
 // Query::AdoptFrom's history half: kLastClosed appends the interval the twin
-// has just closed.
+// has just closed (a shared_ptr to an immutable snapshot is shared, not
+// copied).
 template <typename Snapshot>
 void AppendLastClosed(std::vector<Snapshot>& into, const std::vector<Snapshot>& from,
                       Query::Adopt what) {
   if (what == Query::Adopt::kLastClosed) {
     into.push_back(from.back());
   }
+}
+
+// The ranked lists' total order: value descending, then key ascending. A
+// ranking is then a function of the interval's (key, value) pairs alone,
+// not of the order a hash map iterates them in, which depends on how many
+// keys earlier intervals held.
+constexpr auto kRanksBefore = [](const auto& a, const auto& b) {
+  return a.second > b.second || (a.second == b.second && a.first < b.first);
+};
+
+// The first `n` entries of `values` under kRanksBefore, in that order: a
+// bounded heap selection, which under a total order returns exactly the
+// list a full sort would cut to `n`.
+std::vector<std::pair<uint32_t, double>> TopRanked(
+    const std::unordered_map<uint32_t, double>& values, size_t n) {
+  std::vector<std::pair<uint32_t, double>> top(std::min(n, values.size()));
+  std::partial_sort_copy(values.begin(), values.end(), top.begin(), top.end(), kRanksBefore);
+  return top;
 }
 
 // Work-unit weights per query (arbitrary "model cycles"; relative magnitudes
@@ -434,7 +449,7 @@ void FlowsQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t be
     s.pkts += static_cast<double>(flow.packets);
     const net::FiveTuple& tuple = TupleOf(in, flow);
     // flows_ is pre-batch interval state, stable while shards run.
-    if (flows_.count(tuple) == 0) {
+    if (!flows_.contains(tuple)) {
       s.order.push_back(tuple);
     }
   }
@@ -468,7 +483,7 @@ void FlowsQuery::OnEndInterval(size_t /*interval_index*/) {
 
 void FlowsQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const FlowsQuery&>(twin);
-  AdoptContainer(flows_, t.flows_, what, /*order_matters=*/false);  // a count
+  AdoptContainer(flows_, t.flows_, what);
   estimate_ = t.estimate_;
   AppendLastClosed(snaps_, t.snaps_, what);
 }
@@ -490,8 +505,7 @@ namespace {
 // Shared partial for the per-key byte aggregators (top-k, autofocus): exact
 // integer byte sums per key plus the keys in first-touch order, so the merged
 // order is the batch's first-occurrence order — the order the serial loop
-// inserts keys in, which keeps downstream sorted-snapshot tie-breaking
-// bit-identical across shard counts.
+// inserts keys in, so the map is filled alike at every shard count.
 struct KeyedBytesShard : ShardState {
   double pkts = 0.0;
   std::unordered_map<uint32_t, double> bytes;
@@ -600,39 +614,23 @@ void TopKQuery::OnCustomBatch(const BatchInput& in, double fraction) {
 }
 
 void TopKQuery::OnEndInterval(size_t /*interval_index*/) {
-  // The snapshot takes the interval's map; the fresh map gets the old bucket
-  // count, which is all clear() would have kept, so the next interval grows
-  // (and ties iterate) as if the map had been cleared.
-  Snapshot snap;
-  const size_t buckets = bytes_.bucket_count();
-  snap.all = std::move(bytes_);
-  bytes_.clear();
-  if (buckets > 1) {
-    bytes_.rehash(buckets);
-  }
-  std::vector<std::pair<uint32_t, double>> sorted(snap.all.begin(), snap.all.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (sorted.size() > k_) {
-    sorted.resize(k_);
-  }
-  snap.topk = std::move(sorted);
+  // The snapshot takes the interval's map; the fresh one is sized for as
+  // many keys, so the next interval does not grow it bin by bin.
+  auto snap = std::make_shared<Snapshot>();
+  snap->all = std::move(bytes_);
+  bytes_ = {};
+  bytes_.reserve(snap->all.size());
+  snap->topk = TopRanked(snap->all, k_);
   snaps_.push_back(std::move(snap));
 }
 
 bool TopKQuery::CanAdopt(const Query& twin) const {
-  // The snapshot sorts bytes_ in iteration order and std::sort is unstable,
-  // so ties keep their order only if both maps grew through the same bucket
-  // counts: clear() keeps a map's buckets, so a reference that once held
-  // more keys than its twin (an interval the twin sampled) iterates
-  // differently until their bucket counts meet again.
-  const auto& t = static_cast<const TopKQuery&>(twin);
-  return k_ == t.k_ && bytes_.bucket_count() == t.bytes_.bucket_count();
+  return k_ == static_cast<const TopKQuery&>(twin).k_;
 }
 
 void TopKQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const TopKQuery&>(twin);
-  AdoptContainer(bytes_, t.bytes_, what, /*order_matters=*/true);
+  AdoptContainer(bytes_, t.bytes_, what);
   AppendLastClosed(snaps_, t.snaps_, what);
 }
 
@@ -641,8 +639,8 @@ double TopKQuery::IntervalMisrankedPairs(const Query& reference, size_t interval
   if (ref == nullptr || interval >= snaps_.size() || interval >= ref->snaps_.size()) {
     return static_cast<double>(k_ * k_);
   }
-  const Snapshot& est = snaps_[interval];
-  const Snapshot& truth = ref->snaps_[interval];
+  const Snapshot& est = *snaps_[interval];
+  const Snapshot& truth = *ref->snaps_[interval];
 
   std::unordered_set<uint32_t> in_list;
   for (const auto& [ip, by] : est.topk) {
@@ -941,7 +939,7 @@ void P2pDetectorQuery::OnEndInterval(size_t /*interval_index*/) {
 
 void P2pDetectorQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const P2pDetectorQuery&>(twin);
-  AdoptContainer(table_, t.table_, what, /*order_matters=*/false);  // an ordered set
+  AdoptContainer(table_, t.table_, what);
   AppendLastClosed(snaps_, t.snaps_, what);
 }
 
@@ -1052,6 +1050,7 @@ std::set<uint64_t> AutofocusQuery::ComputeClusters(
   if (bytes.empty()) {
     return report;
   }
+  // lint: order-insensitive keys are unique, so the key sort below is total
   std::vector<std::pair<uint32_t, double>> sorted(bytes.begin(), bytes.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -1108,8 +1107,7 @@ bool AutofocusQuery::CanAdopt(const Query& twin) const {
 
 void AutofocusQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const AutofocusQuery&>(twin);
-  // Clusters come from the key-sorted map, whatever its iteration order.
-  AdoptContainer(src_bytes_, t.src_bytes_, what, /*order_matters=*/false);
+  AdoptContainer(src_bytes_, t.src_bytes_, what);
   AppendLastClosed(snaps_, t.snaps_, what);
 }
 
@@ -1220,20 +1218,15 @@ void SuperSourcesQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
 }
 
 void SuperSourcesQuery::OnEndInterval(size_t /*interval_index*/) {
-  Snapshot snap;
+  auto snap = std::make_shared<Snapshot>();
   const double rate =
       rate_batches_ > 0 ? rate_sum_ / static_cast<double>(rate_batches_) : 1.0;
-  // lint: order-insensitive keyed assignment into snap.all commutes
+  snap->all.reserve(fanout_.size());
+  // lint: order-insensitive keyed assignment into snap->all commutes
   for (const auto& [src, bitmap] : fanout_) {
-    snap.all[src] = bitmap.Estimate() / SafeRate(rate);
+    snap->all.emplace(src, bitmap.Estimate() / SafeRate(rate));
   }
-  std::vector<std::pair<uint32_t, double>> sorted(snap.all.begin(), snap.all.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (sorted.size() > top_n_) {
-    sorted.resize(top_n_);
-  }
-  snap.top = std::move(sorted);
+  snap->top = TopRanked(snap->all, top_n_);
   snaps_.push_back(std::move(snap));
   fanout_.clear();
   rate_sum_ = 0.0;
@@ -1241,14 +1234,12 @@ void SuperSourcesQuery::OnEndInterval(size_t /*interval_index*/) {
 }
 
 bool SuperSourcesQuery::CanAdopt(const Query& twin) const {
-  // Same tie-order argument as TopKQuery::CanAdopt, for fanout_.
-  const auto& t = static_cast<const SuperSourcesQuery&>(twin);
-  return top_n_ == t.top_n_ && fanout_.bucket_count() == t.fanout_.bucket_count();
+  return top_n_ == static_cast<const SuperSourcesQuery&>(twin).top_n_;
 }
 
 void SuperSourcesQuery::OnAdoptFrom(const Query& twin, Adopt what) {
   const auto& t = static_cast<const SuperSourcesQuery&>(twin);
-  AdoptContainer(fanout_, t.fanout_, what, /*order_matters=*/true);
+  AdoptContainer(fanout_, t.fanout_, what);
   rate_sum_ = t.rate_sum_;
   rate_batches_ = t.rate_batches_;
   AppendLastClosed(snaps_, t.snaps_, what);
@@ -1259,8 +1250,8 @@ double SuperSourcesQuery::IntervalError(const Query& reference, size_t interval)
   if (ref == nullptr || interval >= snaps_.size() || interval >= ref->snaps_.size()) {
     return 1.0;
   }
-  const Snapshot& est = snaps_[interval];
-  const Snapshot& truth = ref->snaps_[interval];
+  const Snapshot& est = *snaps_[interval];
+  const Snapshot& truth = *ref->snaps_[interval];
   if (truth.top.empty()) {
     return 0.0;
   }

@@ -8,7 +8,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "src/query/search.h"
 #include "src/sketch/bitmap.h"
 #include "src/sketch/h3.h"
+#include "src/trace/flow_table.h"
 #include "src/util/rng.h"
 
 namespace shedmon::query {
@@ -161,7 +161,7 @@ class FlowsQuery : public Query, public ShardableQuery {
   void OnAdoptFrom(const Query& twin, Adopt what) override;
 
  private:
-  std::unordered_set<net::FiveTuple, net::FiveTupleHash> flows_;
+  trace::TupleSet flows_;  // the interval's tuples; clear() is O(1)
   double estimate_ = 0.0;
   std::vector<double> snaps_;
 };
@@ -174,11 +174,14 @@ class TopKQuery : public Query, public ShardableQuery {
  public:
   explicit TopKQuery(size_t k = 10, size_t interval_bins = 10);
 
+  // One closed interval. Immutable once closed and shared, not copied, by
+  // every instance that adopts it (Query::AdoptFrom).
   struct Snapshot {
-    std::vector<std::pair<uint32_t, double>> topk;  // (dst ip, bytes), sorted desc
-    std::unordered_map<uint32_t, double> all;       // full per-key estimates
+    // (dst ip, bytes), top k by bytes descending, then dst ip ascending.
+    std::vector<std::pair<uint32_t, double>> topk;
+    std::unordered_map<uint32_t, double> all;  // full per-key estimates
   };
-  const std::vector<Snapshot>& snapshots() const { return snaps_; }
+  const std::vector<std::shared_ptr<const Snapshot>>& snapshots() const { return snaps_; }
   size_t k() const { return k_; }
 
   // Raw misranked-pair count (Table 4.1 reports this un-normalized).
@@ -207,7 +210,7 @@ class TopKQuery : public Query, public ShardableQuery {
   size_t k_;
   std::unordered_map<uint32_t, double> bytes_;
   util::Rng admit_rng_;
-  std::vector<Snapshot> snaps_;
+  std::vector<std::shared_ptr<const Snapshot>> snaps_;
   // Reused per-batch scratch for OnBatch's exact-integer accumulation
   // (cleared each batch, capacity kept so the serial hot path stays
   // allocation-free after warm-up).
@@ -399,12 +402,14 @@ class SuperSourcesQuery : public Query, public ShardableQuery {
 
   SamplingMethod preferred_sampling() const override { return SamplingMethod::kFlow; }
 
+  // One closed interval, immutable and shared as TopKQuery's.
   struct Snapshot {
-    // (src ip, estimated fan-out), sorted by fan-out descending, top-N.
+    // (src ip, estimated fan-out), top N by fan-out descending, then src ip
+    // ascending.
     std::vector<std::pair<uint32_t, double>> top;
     std::unordered_map<uint32_t, double> all;
   };
-  const std::vector<Snapshot>& snapshots() const { return snaps_; }
+  const std::vector<std::shared_ptr<const Snapshot>>& snapshots() const { return snaps_; }
 
   double IntervalError(const Query& reference, size_t interval) const override;
 
@@ -428,7 +433,7 @@ class SuperSourcesQuery : public Query, public ShardableQuery {
   std::unordered_map<uint32_t, sketch::DirectBitmap> fanout_;
   double rate_sum_ = 0.0;
   size_t rate_batches_ = 0;
-  std::vector<Snapshot> snaps_;
+  std::vector<std::shared_ptr<const Snapshot>> snaps_;
 };
 
 // ---------------------------------------------------------------------------

@@ -186,19 +186,17 @@ class Query {
   };
   // True when AdoptFrom(twin, ...) will leave this instance bit-identical to
   // a replay of the twin's packets: same dynamic type, parameters, interval
-  // length and completed-interval count, and the containers whose iteration
-  // order reaches a result laid out alike (so equal inserts iterate alike).
+  // length and completed-interval count. No result reads a container's
+  // iteration order (ranked lists break ties by key), so what earlier
+  // intervals left in either instance's containers does not matter.
   bool AdoptableFrom(const Query& twin) const;
   // Copies the twin's open-interval state (kOpen), or appends its last
   // closed interval and takes its freshly reset open state (kLastClosed).
-  // Containers are copy-constructed, so they keep the twin's layout and with
-  // it the twin's tie order (equal to a replay's while AdoptableFrom holds;
-  // the reset state carries the layout into the next interval). A reset
-  // container is only cleared: when no result depends on its order, or when
-  // its bucket count already matches the twin's. The rest of
-  // this instance's history is kept. Reads `twin` only. Throws
-  // std::logic_error when the twin is not of this type or its interval count
-  // does not line up with `what`.
+  // Closed snapshots are immutable, so a large one is shared rather than
+  // copied; a reset container is only cleared. The rest of this instance's
+  // history is kept. Reads `twin` only. Throws std::logic_error when the
+  // twin is not of this type or its interval count does not line up with
+  // `what`.
   void AdoptFrom(const Query& twin, Adopt what);
 
   // Raw packets examined in a completed interval (reference instances see

@@ -1,5 +1,8 @@
 #include "src/sketch/bitmap.h"
 
+#include <array>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <mutex>
@@ -19,6 +22,33 @@ double LinearCount(uint32_t bits, uint32_t set) {
   return -static_cast<double>(bits) *
          std::log(static_cast<double>(zeros) / static_cast<double>(bits));
 }
+
+// LinearCount(bits, set) for set = 0..bits, for a power-of-two `bits`,
+// shared by every bitmap of that size. Each size's table is built once, on
+// first use, and kept for the life of the process, so a bitmap holds a
+// plain pointer and finding the table costs one atomic load.
+const double* LinearCountTable(uint32_t bits) {
+  constexpr size_t kSizes = 32;  // by log2(bits)
+  static std::array<std::atomic<const double*>, kSizes> tables{};
+  static std::array<std::vector<double>, kSizes> storage;
+  static std::mutex mu;
+  const int log2 = std::countr_zero(bits);
+  const double* table = tables[log2].load(std::memory_order_acquire);
+  if (table == nullptr) {
+    const std::lock_guard<std::mutex> lock(mu);
+    table = tables[log2].load(std::memory_order_relaxed);
+    if (table == nullptr) {
+      std::vector<double>& counts = storage[log2];
+      counts.resize(static_cast<size_t>(bits) + 1);
+      for (uint32_t set = 0; set <= bits; ++set) {
+        counts[set] = LinearCount(bits, set);
+      }
+      table = counts.data();
+      tables[log2].store(table, std::memory_order_release);
+    }
+  }
+  return table;
+}
 }  // namespace
 
 DirectBitmap::DirectBitmap(uint32_t bits) : size_bits_(bits), mask_(bits - 1) {
@@ -26,9 +56,10 @@ DirectBitmap::DirectBitmap(uint32_t bits) : size_bits_(bits), mask_(bits - 1) {
     throw std::invalid_argument("DirectBitmap size must be a power of two");
   }
   words_.resize((bits + 63) / 64, 0);
+  linear_count_ = LinearCountTable(bits);
 }
 
-double DirectBitmap::Estimate() const { return LinearCount(size_bits_, bits_set_); }
+double DirectBitmap::Estimate() const { return linear_count_[bits_set_]; }
 
 void DirectBitmap::Clear() {
   for (auto& w : words_) {
@@ -72,10 +103,7 @@ std::shared_ptr<const MultiResBitmap::Tables> MultiResBitmap::TablesFor(uint32_t
   auto& slot = cache[{components, component_bits}];
   if (slot == nullptr) {
     auto t = std::make_shared<Tables>();
-    t->linear_count.resize(static_cast<size_t>(component_bits) + 1);
-    for (uint32_t set = 0; set <= component_bits; ++set) {
-      t->linear_count[set] = LinearCount(component_bits, set);
-    }
+    t->linear_count = LinearCountTable(component_bits);
     const uint32_t c = components;
     t->probability_sum.resize(c);
     for (uint32_t base = 0; base < c; ++base) {

@@ -9,6 +9,8 @@ namespace shedmon::sketch {
 
 // Plain bitmap with the linear-counting cardinality estimator
 // (Whang et al.): n_hat = -b * ln(z / b) with z the number of zero bits.
+// Estimates are read from a table of every occupancy, built once per size
+// and shared with MultiResBitmap components of that size.
 class DirectBitmap {
  public:
   explicit DirectBitmap(uint32_t bits);
@@ -44,6 +46,7 @@ class DirectBitmap {
   uint32_t mask_;
   uint32_t bits_set_ = 0;
   std::vector<uint64_t> words_;
+  const double* linear_count_;  // [set] = estimate, this size's shared table
 };
 
 // Multi-resolution bitmap after Estan, Varghese and Fisk, the counting
@@ -110,7 +113,9 @@ class MultiResBitmap {
   // estimator would otherwise evaluate on every call, so estimates stay
   // bit-identical while costing table reads instead of logarithms.
   struct Tables {
-    std::vector<double> linear_count;  // [set] = linear count at that occupancy
+    // [set] = linear count at that occupancy: the per-size table
+    // DirectBitmap reads too.
+    const double* linear_count = nullptr;
     // [base] = sum over components i >= base of the component's sampling
     // probability, accumulated in ascending i.
     std::vector<double> probability_sum;

@@ -1,44 +1,46 @@
 #include "src/trace/flow_table.h"
 
 #include <limits>
+#include <utility>
 
 namespace shedmon::trace {
+
+void TupleSet::reserve(size_t n) {
+  size_t slots = kMinSlots;
+  while (slots < 2 * n) {
+    slots <<= 1;
+  }
+  if (slots > slots_.size()) {
+    Rehash(slots);
+  }
+}
+
+void TupleSet::Rehash(size_t slots) {
+  const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(slots));
+  for (const Slot& slot : old) {
+    if (slot.epoch == epoch_) {
+      slots_[Probe(slot.tuple)] = slot;
+    }
+  }
+}
 
 void FlowTable::Build(const PacketVec& packets) {
   flow_of_row_.resize(packets.size());
   wire_len_.resize(packets.size());
   flows_.clear();
   parent_flow_.clear();
-
-  // Size the set to keep the load factor under one half.
-  size_t cap = 64;
-  while (cap < 2 * packets.size()) {
-    cap <<= 1;
-  }
-  if (slots_.size() < cap) {
-    slots_.assign(cap, Slot{});
-  }
-  const size_t mask = slots_.size() - 1;
-  const uint64_t epoch = ++epoch_;
-  const net::FiveTupleHash fingerprint;
+  tuples_.clear();
+  tuples_.reserve(packets.size());
 
   for (size_t row = 0; row < packets.size(); ++row) {
     const net::PacketRecord& rec = *packets[row].rec;
-    const net::FiveTuple& t = rec.tuple;
-    size_t idx = fingerprint(t) & mask;
-    while (slots_[idx].epoch == epoch && !(slots_[idx].tuple == t)) {
-      idx = (idx + 1) & mask;
-    }
-    Slot& slot = slots_[idx];
-    if (slot.epoch != epoch) {
-      slot.epoch = epoch;
-      slot.tuple = t;
-      slot.id = static_cast<uint32_t>(flows_.size());
+    const auto [id, fresh] = tuples_.insert(rec.tuple);
+    if (fresh) {
       flows_.push_back({static_cast<uint32_t>(row), 0, 0});
     }
-    flow_of_row_[row] = slot.id;
+    flow_of_row_[row] = id;
     wire_len_[row] = rec.wire_len;
-    Flow& flow = flows_[slot.id];
+    Flow& flow = flows_[id];
     ++flow.packets;
     flow.bytes += rec.wire_len;
   }

@@ -1,8 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/net/packet.h"
@@ -10,6 +12,70 @@
 namespace shedmon::trace {
 
 using PacketVec = std::vector<net::Packet>;
+
+// A set of 5-tuples, each numbered densely in insertion order: linear
+// probing over an epoch-stamped slot array, so clear() is O(1) (it bumps
+// the epoch; stale slots read as empty) and a set reused across bins or
+// intervals allocates nothing once it has held its largest population. The
+// load factor stays at or under one half; insert() doubles the array when
+// it would pass that, so reserve() up front keeps a known-size fill from
+// ever growing.
+class TupleSet {
+ public:
+  // Inserts `t` if absent. Returns its id (the set's size when it was
+  // inserted) and whether this call inserted it.
+  std::pair<uint32_t, bool> insert(const net::FiveTuple& t) {
+    if (2 * (size_ + 1) > slots_.size()) {
+      Rehash(std::max<size_t>(kMinSlots, 2 * slots_.size()));
+    }
+    Slot& slot = slots_[Probe(t)];
+    if (slot.epoch == epoch_) {
+      return {slot.id, false};
+    }
+    slot.epoch = epoch_;
+    slot.tuple = t;
+    slot.id = static_cast<uint32_t>(size_++);
+    return {slot.id, true};
+  }
+
+  bool contains(const net::FiveTuple& t) const {
+    return !slots_.empty() && slots_[Probe(t)].epoch == epoch_;
+  }
+
+  // Room for `n` tuples without growing.
+  void reserve(size_t n);
+  void clear() {
+    ++epoch_;
+    size_ = 0;
+  }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  static constexpr size_t kMinSlots = 64;
+
+  struct Slot {
+    uint64_t epoch = 0;
+    net::FiveTuple tuple;
+    uint32_t id = 0;
+  };
+
+  // The slot holding `t`, or the empty slot where it would go.
+  size_t Probe(const net::FiveTuple& t) const {
+    const size_t mask = slots_.size() - 1;
+    size_t idx = net::FiveTupleHash{}(t) & mask;
+    while (slots_[idx].epoch == epoch_ && !(slots_[idx].tuple == t)) {
+      idx = (idx + 1) & mask;
+    }
+    return idx;
+  }
+  // Moves the live slots into a fresh array of `slots` (a power of two).
+  void Rehash(size_t slots);
+
+  std::vector<Slot> slots_;
+  uint64_t epoch_ = 1;  // slots stamped with an older epoch are empty
+  size_t size_ = 0;
+};
 
 // The flows of one packet vector: its distinct 5-tuples, numbered densely in
 // first-seen order, with every row's flow id and wire length and every
@@ -27,9 +93,9 @@ class FlowTable {
     uint64_t bytes = 0;      // their wire bytes
   };
 
-  // Overwrites the table with the flows of `packets`. The dedupe is an
-  // epoch-stamped open-addressing set, so a table reused across bins resets
-  // in O(1) and allocates nothing once it has seen the largest bin.
+  // Overwrites the table with the flows of `packets`. The dedupe is a
+  // TupleSet, so a table reused across bins resets in O(1) and allocates
+  // nothing once it has seen the largest bin.
   void Build(const PacketVec& packets);
 
   // Overwrites the table with the flows of rows `rows` (ascending) of the
@@ -49,18 +115,11 @@ class FlowTable {
   std::span<const uint32_t> parent_flow() const { return parent_flow_; }
 
  private:
-  struct Slot {
-    uint64_t epoch = 0;
-    net::FiveTuple tuple;
-    uint32_t id = 0;
-  };
-
   std::vector<uint32_t> flow_of_row_;
   std::vector<uint16_t> wire_len_;
   std::vector<Flow> flows_;
   std::vector<uint32_t> parent_flow_;
-  std::vector<Slot> slots_;      // Build's tuple set
-  uint64_t epoch_ = 0;
+  TupleSet tuples_;  // Build's dedupe
   std::vector<uint32_t> remap_;  // Subset's parent id -> own id
 };
 

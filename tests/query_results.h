@@ -119,8 +119,8 @@ inline std::string ResultsDiff(const query::Query& a, const query::Query& b) {
   } else if (const auto* x = dynamic_cast<const TopKQuery*>(&a)) {
     const auto& y = dynamic_cast<const TopKQuery&>(b);
     for (size_t i = 0; i < n; ++i) {
-      const auto& p = x->snapshots()[i];
-      const auto& q = y.snapshots()[i];
+      const auto& p = *x->snapshots()[i];
+      const auto& q = *y.snapshots()[i];
       if (!SameBits(p.topk, q.topk) || p.all != q.all) {
         return at(i);
       }
@@ -149,8 +149,8 @@ inline std::string ResultsDiff(const query::Query& a, const query::Query& b) {
   } else if (const auto* x = dynamic_cast<const SuperSourcesQuery*>(&a)) {
     const auto& y = dynamic_cast<const SuperSourcesQuery&>(b);
     for (size_t i = 0; i < n; ++i) {
-      const auto& p = x->snapshots()[i];
-      const auto& q = y.snapshots()[i];
+      const auto& p = *x->snapshots()[i];
+      const auto& q = *y.snapshots()[i];
       if (!SameBits(p.top, q.top) || p.all != q.all) {
         return at(i);
       }
@@ -164,9 +164,9 @@ inline std::string ResultsDiff(const query::Query& a, const query::Query& b) {
 // Per-packet reference implementations of the seven queries that visit
 // flows (counter, application, high-watermark, flows, top-k, autofocus,
 // super-sources): the loops they ran per packet, in row order, with their
-// work weights, sampling-rate rescale and interval-end resets (maps are
-// cleared, keeping their buckets). A per-flow query must end up with these
-// results and work_units() bit for bit — snapshots and ranked tie order.
+// work weights, sampling-rate rescale and interval-end resets, and ranked
+// lists by a full sort. A per-flow query must end up with these results and
+// work_units() bit for bit — snapshots and ranked lists.
 class PerPacketReference {
  public:
   explicit PerPacketReference(std::string name) : name_(std::move(name)) {}
@@ -313,7 +313,7 @@ class PerPacketReference {
           return at(i);
         }
       } else if (const auto* x = dynamic_cast<const query::TopKQuery*>(&q)) {
-        const auto& got = x->snapshots()[i];
+        const auto& got = *x->snapshots()[i];
         if (!SameBits(got.topk, topk_snaps_[i].topk) || got.all != topk_snaps_[i].all) {
           return at(i);
         }
@@ -322,7 +322,7 @@ class PerPacketReference {
           return at(i);
         }
       } else if (const auto* x = dynamic_cast<const query::SuperSourcesQuery*>(&q)) {
-        const auto& got = x->snapshots()[i];
+        const auto& got = *x->snapshots()[i];
         if (!SameBits(got.top, super_snaps_[i].top) || got.all != super_snaps_[i].all) {
           return at(i);
         }
@@ -336,13 +336,14 @@ class PerPacketReference {
  private:
   static double SafeRate(double rate) { return rate > 1e-6 ? rate : 1e-6; }
 
-  // The top `k` entries of `map` by value, sorted in its iteration order
-  // with the queries' unstable sort, so ties fall where theirs do.
+  // The top `k` entries of `map`: every entry sorted by value descending,
+  // then key ascending, and cut to `k`.
   static std::vector<std::pair<uint32_t, double>> Ranked(
       const std::unordered_map<uint32_t, double>& map, size_t k) {
     std::vector<std::pair<uint32_t, double>> sorted(map.begin(), map.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const auto& a, const auto& b) { return a.second > b.second; });
+    std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+      return a.second > b.second || (a.second == b.second && a.first < b.first);
+    });
     if (sorted.size() > k) {
       sorted.resize(k);
     }

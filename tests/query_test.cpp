@@ -354,7 +354,7 @@ TEST(TopKQueryTest, RanksDestinationsByBytes) {
   TopKQuery q(5);
   q.ProcessBatch(Input(packets));
   q.EndInterval();
-  const auto& snap = q.snapshots()[0];
+  const auto& snap = *q.snapshots()[0];
   ASSERT_GE(snap.topk.size(), 2u);
   EXPECT_EQ(snap.topk[0].first, 100u);
   EXPECT_DOUBLE_EQ(snap.topk[0].second, 30000.0);
@@ -419,8 +419,8 @@ TEST(TopKQueryTest, SampleAndHoldKeepsHeavyHitters) {
   TopKQuery q(3);
   q.ProcessCustom(Input(packets), 0.3);
   q.EndInterval();
-  ASSERT_FALSE(q.snapshots()[0].topk.empty());
-  EXPECT_EQ(q.snapshots()[0].topk[0].first, 100u);
+  ASSERT_FALSE(q.snapshots()[0]->topk.empty());
+  EXPECT_EQ(q.snapshots()[0]->topk[0].first, 100u);
 }
 
 // ---------------------------------------------- trace and pattern-search --
@@ -609,7 +609,7 @@ TEST(SuperSourcesQueryTest, IdentifiesLargestFanOut) {
   SuperSourcesQuery q(3);
   q.ProcessBatch(Input(packets));
   q.EndInterval();
-  const auto& snap = q.snapshots()[0];
+  const auto& snap = *q.snapshots()[0];
   ASSERT_FALSE(snap.top.empty());
   EXPECT_EQ(snap.top[0].first, 999u);
   EXPECT_NEAR(snap.top[0].second, 80.0, 16.0);
@@ -695,7 +695,7 @@ TEST(RunReferenceTest, PacketCountReferencesForCountOnlyErrors) {
 
 // A synthetic trace whose every packet has the same wire length, so byte
 // totals tie whenever packet counts do: top-k, super-sources and autofocus
-// keys tie often, and a copy that changed unordered iteration order would
+// keys tie often, and a ranking that read unordered iteration order would
 // reorder their ranked results. 64 bins: six whole intervals, then four
 // bins of a partial one.
 const trace::Trace& TieHeavyTrace() {
@@ -736,7 +736,7 @@ void RunTwinBin(Query& twin, const BatchInput& in, size_t bin) {
 // adopts the twin's closed interval (never forked), adopts the twin's open
 // interval at a random bin and replays the rest (forked), or replays the
 // whole interval itself ends up bit-identical to a from-start replay —
-// snapshots, ranked tie order and the ErrorSeries of a sampled estimate.
+// snapshots, ranked lists and the ErrorSeries of a sampled estimate.
 TEST(ReferenceElision, AdoptThenReplayEqualsReplayFromStart) {
   constexpr size_t kIntervalBins = 10;
   for (const std::string& name : AllQueryNames()) {
@@ -812,16 +812,17 @@ TEST(ReferenceElision, AdoptThenReplayEqualsReplayFromStart) {
   }
 }
 
-// Top-k's snapshot breaks byte ties in map iteration order, so a reference
-// whose map grew larger than its twin's (an interval the twin sampled) is
-// not adoptable until their bucket counts meet again.
-TEST(ReferenceElision, BucketCountMismatchIsNotAdoptable) {
+// Ranks break ties by key, so a reference whose map grew larger than its
+// twin's (an interval the twin sampled) is adoptable, and adopting the
+// twin's next closed interval, 500 tied destinations, gives what replaying
+// it would.
+TEST(ReferenceElision, LargerHistoryIsAdoptable) {
   TopKQuery big;
   TopKQuery small;
-  EXPECT_TRUE(big.AdoptableFrom(small));
+  TopKQuery replayed;
   std::vector<net::PacketRecord> recs(500);
   for (size_t i = 0; i < recs.size(); ++i) {
-    recs[i].tuple.dst_ip = static_cast<uint32_t>(i + 1);
+    recs[i].tuple.dst_ip = static_cast<uint32_t>(i + 1) * 0x9e3779b1u;
     recs[i].wire_len = 100;
   }
   trace::PacketVec all;
@@ -830,11 +831,118 @@ TEST(ReferenceElision, BucketCountMismatchIsNotAdoptable) {
   }
   const trace::PacketVec few(all.begin(), all.begin() + 5);
   big.ProcessBatch({all, 0, 100'000, 1.0});
+  replayed.ProcessBatch({all, 0, 100'000, 1.0});
   small.ProcessBatch({few, 0, 100'000, 0.01});
   big.EndInterval();
+  replayed.EndInterval();
   small.EndInterval();
-  EXPECT_FALSE(big.AdoptableFrom(small));
-  EXPECT_FALSE(small.AdoptableFrom(big));
+  EXPECT_TRUE(big.AdoptableFrom(small));
+  EXPECT_TRUE(small.AdoptableFrom(big));
+
+  small.ProcessBatch({all, 100'000, 100'000, 1.0});
+  replayed.ProcessBatch({all, 100'000, 100'000, 1.0});
+  small.EndInterval();
+  replayed.EndInterval();
+  big.AdoptFrom(small, Query::Adopt::kLastClosed);
+  EXPECT_EQ(test_util::ResultsDiff(big, replayed), "");
+  EXPECT_EQ(big.snapshots()[1], small.snapshots()[1]);  // shared, not copied
+}
+
+// Property: top-k's and super-sources' snapshot of an interval (every key's
+// estimate and the ranked list) depends on that interval's packets only, not
+// on how many keys earlier intervals held (0 to 10k, some sampled) or at
+// what rate they ran. The interval is tie-heavy: 600 destinations and 120
+// sources with equal byte totals and fan-outs, plus random traffic.
+TEST(HistoryFreeRanks, IntervalSnapshotsIgnoreEarlierIntervals) {
+  util::Rng rng(2718);
+  auto random_bin = [&rng](size_t n, uint32_t keys) {
+    std::vector<net::PacketRecord> recs(n);
+    for (net::PacketRecord& rec : recs) {
+      rec.tuple = {static_cast<uint32_t>(rng.NextBelow(keys)) * 0x9e3779b1u,
+                   static_cast<uint32_t>(rng.NextBelow(keys)) * 0x85ebca6bu,
+                   static_cast<uint16_t>(rng.NextBelow(4)), 80, net::kProtoTcp};
+      rec.wire_len = static_cast<uint16_t>(40 + 40 * rng.NextBelow(3));
+    }
+    return recs;
+  };
+  std::vector<std::vector<net::PacketRecord>> interval;
+  for (size_t b = 0; b < 10; ++b) {
+    std::vector<net::PacketRecord> recs = random_bin(300, 5000);
+    for (uint32_t i = 0; i < 1200; ++i) {
+      net::PacketRecord rec;
+      rec.tuple = {(1'000'000 + i % 120) * 0x9e3779b1u, (2'000'000 + i % 600) * 0x85ebca6bu,
+                   1234, 80, net::kProtoTcp};
+      rec.wire_len = 500;
+      recs.push_back(rec);
+    }
+    interval.push_back(std::move(recs));
+  }
+  // Runs `q` over `history`'s earlier intervals, then `interval`; returns
+  // the last snapshot's holder.
+  auto run = [&](Query& q, const std::vector<std::pair<size_t, double>>& history) {
+    uint64_t start = 0;
+    for (const auto& [keys, rate] : history) {
+      for (size_t b = 0; b < 10; ++b) {
+        const auto recs = random_bin(keys == 0 ? 0 : 1 + keys / 5, static_cast<uint32_t>(keys + 1));
+        trace::PacketVec packets;
+        for (const auto& rec : recs) {
+          packets.push_back(net::Packet::View(rec));
+        }
+        q.ProcessBatch({packets, start, 100'000, rate});
+        start += 100'000;
+      }
+      q.EndInterval();
+    }
+    for (const auto& recs : interval) {
+      trace::PacketVec packets;
+      for (const auto& rec : recs) {
+        packets.push_back(net::Packet::View(rec));
+      }
+      q.ProcessBatch({packets, start, 100'000, 1.0});
+      start += 100'000;
+    }
+    q.EndInterval();
+  };
+  auto same_all = [](const std::unordered_map<uint32_t, double>& a,
+                     const std::unordered_map<uint32_t, double>& b) {
+    return a.size() == b.size() && std::all_of(a.begin(), a.end(), [&b](const auto& kv) {
+             const auto it = b.find(kv.first);
+             return it != b.end() && test_util::SameBits(it->second, kv.second);
+           });
+  };
+
+  TopKQuery topk_fresh;
+  SuperSourcesQuery super_fresh;
+  run(topk_fresh, {});
+  run(super_fresh, {});
+  const TopKQuery::Snapshot& topk_want = *topk_fresh.snapshots().back();
+  const SuperSourcesQuery::Snapshot& super_want = *super_fresh.snapshots().back();
+  ASSERT_EQ(topk_want.topk.size(), 10u);
+  ASSERT_EQ(super_want.top.size(), 10u);
+  // The tied keys fill both lists, so a ranking by anything but the key
+  // would show.
+  EXPECT_EQ(topk_want.topk.front().second, topk_want.topk.back().second);
+  EXPECT_EQ(super_want.top.front().second, super_want.top.back().second);
+
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE(trial);
+    std::vector<std::pair<size_t, double>> history;
+    const size_t intervals = 1 + rng.NextBelow(3);
+    for (size_t i = 0; i < intervals; ++i) {
+      const size_t keys = trial == 0 ? 0 : rng.NextBelow(10'001);
+      history.emplace_back(keys, rng.NextBelow(2) == 0 ? 1.0 : 0.1 + 0.8 * rng.NextDouble());
+    }
+    TopKQuery topk;
+    SuperSourcesQuery super;
+    run(topk, history);
+    run(super, history);
+    const TopKQuery::Snapshot& topk_got = *topk.snapshots().back();
+    const SuperSourcesQuery::Snapshot& super_got = *super.snapshots().back();
+    EXPECT_TRUE(test_util::SameBits(topk_got.topk, topk_want.topk));
+    EXPECT_TRUE(same_all(topk_got.all, topk_want.all));
+    EXPECT_TRUE(test_util::SameBits(super_got.top, super_want.top));
+    EXPECT_TRUE(same_all(super_got.all, super_want.all));
+  }
 }
 
 TEST(ReferenceElision, OnlyTwinsAtTheSameIntervalAdopt) {

@@ -2,7 +2,7 @@
 // Pipeline's reference instances, which skip the intervals their query ran
 // exactly and copy its result instead, or (trace, pattern-search) only
 // count packets, must hold what an offline query::RunReference over the
-// whole trace holds — snapshots, ranked tie order, packet counts — and
+// whole trace holds — snapshots, ranked lists, packet counts — and
 // score the system's queries exactly as a full replay of every query does:
 // ErrorSeries and the pipeline's accuracies, bit for bit. Across presets,
 // thread and shard counts, overload, rates that cross 1 mid-interval,
@@ -364,14 +364,15 @@ TEST(ReferenceElisionPipeline, MidIntervalDetachCarriesTheOpenInterval) {
   }
 }
 
-// Top-k and super-sources rank their snapshot in map iteration order, so
-// equal totals tie by bucket layout, and clear() keeps a map's buckets. In
-// this trace bins 0-4 hold 7000 distinct sources and destinations, which the
-// system samples at the 0.1 warm-up rate while the reference takes them all;
-// from bin 5 on 140 sources each reach 5 of 700 destinations, 2 packets per
-// destination per bin, so every later interval is one big tie. The system's
-// smaller maps then rank those ties differently from a replay, and the
-// references must keep replaying instead of copying its results.
+// Top-k and super-sources rank by value descending, then key ascending, so
+// a ranking is a function of the interval's packets alone. In this trace
+// bins 0-4 hold 7000 distinct sources and destinations, which the system
+// samples at the 0.1 warm-up rate while the reference takes them all, so
+// their maps end interval 0 with very different bucket counts. From bin 5
+// on 140 sources each reach 5 of 700 destinations, 2 packets per
+// destination per bin, so every later interval is one big tie. The system
+// ranks those ties as a replay does, and every reference, top-k's and
+// super-sources' included, is elided from interval 2 on.
 // A bijective bit mixer: addresses drawn through it share buckets the way
 // real ones do (consecutive integers would fill a map's buckets one each,
 // and a collision-free map iterates in insertion order at any size).
@@ -419,18 +420,26 @@ TEST(ReferenceElisionPipeline, TiedRanksKeepTheReplayOrder) {
   pipeline->Finish();
   ExpectReferencesMatchOffline(*pipeline, handles, trace);
 
-  // The scenario has teeth: the system ran intervals 1-3 exactly, yet its
-  // own top-k ranking of interval 2 differs from the replayed one.
+  // The scenario has teeth: the system ran intervals 1-3 exactly, and its
+  // top-k list of interval 2 is ten equal totals, ranked by key.
   const auto& log = pipeline->log();
   for (size_t b = 10; b < log.size(); ++b) {
     ASSERT_TRUE(Exact(log[b], 0)) << "bin " << b;
   }
   const auto& system_topk = dynamic_cast<const query::TopKQuery&>(handles[0].query());
   const auto& reference_topk = dynamic_cast<const query::TopKQuery&>(*handles[0].reference());
-  EXPECT_EQ(system_topk.snapshots()[2].all, reference_topk.snapshots()[2].all);
-  EXPECT_FALSE(SameBits(system_topk.snapshots()[2].topk, reference_topk.snapshots()[2].topk));
-  // Only the counter's reference was elided (intervals 2 and 3).
-  EXPECT_EQ(ReferenceBins(*pipeline, "elided"), static_cast<double>(log.size() - 20));
+  const auto& topk = system_topk.snapshots()[2]->topk;
+  ASSERT_EQ(topk.size(), 10u);
+  for (size_t r = 1; r < topk.size(); ++r) {
+    EXPECT_EQ(topk[r].second, topk[0].second);
+    EXPECT_LT(topk[r - 1].first, topk[r].first);
+  }
+  // The offline replay (checked above) ranks the tie alike, so the
+  // reference adopted the system's closed interval instead of replaying it.
+  EXPECT_TRUE(SameBits(topk, reference_topk.snapshots()[2]->topk));
+  EXPECT_EQ(system_topk.snapshots()[2], reference_topk.snapshots()[2]);
+  // All three references were elided in intervals 2 and 3.
+  EXPECT_EQ(ReferenceBins(*pipeline, "elided"), 3.0 * static_cast<double>(log.size() - 20));
 }
 
 // A user-supplied (query, reference) pair may differ in type or parameters,

@@ -212,6 +212,28 @@ TEST(DirectBitmap, UnionMatchesSetUnion) {
   EXPECT_NEAR(a.Estimate(), 90.0, 10.0);
 }
 
+// The estimate is read from a per-size table; it must equal the
+// linear-counting formula bit for bit at every occupancy, for the sizes in
+// use (super-sources' 128 bits, this suite's 256-1024).
+TEST(DirectBitmap, TableEqualsFormulaAtEveryOccupancy) {
+  for (const uint32_t bits : {128u, 256u, 512u, 1024u}) {
+    SCOPED_TRACE(bits);
+    const double b = static_cast<double>(bits);
+    DirectBitmap bm(bits);
+    for (uint32_t set = 0;; ++set) {
+      ASSERT_EQ(bm.bits_set(), set);
+      const uint32_t zeros = bits - set;
+      const double want = zeros == 0 ? b * std::log(b)
+                                     : -b * std::log(static_cast<double>(zeros) / b);
+      ASSERT_EQ(std::bit_cast<uint64_t>(bm.Estimate()), std::bit_cast<uint64_t>(want)) << set;
+      if (set == bits) {
+        break;
+      }
+      bm.Insert(set);
+    }
+  }
+}
+
 TEST(DirectBitmap, UnionSizeMismatchThrows) {
   DirectBitmap a(256);
   DirectBitmap b(512);

@@ -742,6 +742,41 @@ TEST(FlowTable, ReuseAcrossBinsForgetsThePreviousBin) {
   }
 }
 
+// The set FlowTable dedupes with and FlowsQuery keeps its interval in:
+// insertion-order ids, growth past the half-load threshold without losing
+// members or ids, and an O(1) clear that forgets every member, used
+// interval after interval against a std::set.
+TEST(TupleSet, GrowsKeepingIdsAndClearsEveryMember) {
+  TupleSet set;
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.contains({1, 2, 3, 4, net::kProtoTcp}));
+  uint32_t next = 1;
+  for (const size_t members : {5u, 3000u, 0u, 40u, 3000u}) {
+    SCOPED_TRACE(members);
+    set.clear();
+    std::map<net::FiveTuple, uint32_t> want;
+    for (size_t i = 0; i < 2 * members; ++i) {
+      // Every member is inserted twice; keys change from round to round.
+      const net::FiveTuple t = {next + static_cast<uint32_t>(i % members), 9,
+                                static_cast<uint16_t>(i % members), 80, net::kProtoUdp};
+      const auto [id, fresh] = set.insert(t);
+      const auto [it, inserted] = want.try_emplace(t, static_cast<uint32_t>(want.size()));
+      EXPECT_EQ(fresh, inserted);
+      EXPECT_EQ(id, it->second);
+    }
+    EXPECT_EQ(set.size(), want.size());
+    for (const auto& [t, id] : want) {
+      EXPECT_TRUE(set.contains(t));
+      EXPECT_EQ(set.insert(t), std::make_pair(id, false));
+    }
+    EXPECT_FALSE(set.contains({next + 7000, 9, 0, 80, net::kProtoUdp}));
+    next += 10'000;
+  }
+  set.clear();
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.contains({next - 10'000, 9, 0, 80, net::kProtoUdp}));
+}
+
 TEST(FlowTable, BatcherBinsCarryTheirTable) {
   const Trace t = TraceGenerator(SmallSpec()).Generate();
   Batcher batcher(t, 100'000);

@@ -24,10 +24,14 @@ they compile:
                   instruments, never read them back — that is what makes a
                   scraper unable to perturb a run.
   unordered-iter  Range-for over an unordered_{map,set,multimap,multiset} in
-                  a decision subsystem. Iteration order is
-                  implementation-defined, so anything accumulated in loop
-                  order can leak nondeterminism into BinLog or accuracy
-                  output. Annotate genuinely order-insensitive loops.
+                  a decision subsystem, or an iterator-range copy of one
+                  into a sequence (`std::vector<T> v(m.begin(), m.end())`,
+                  `v.assign(m.begin(), m.end())`,
+                  `v.insert(pos, m.begin(), m.end())`). Iteration order is
+                  implementation-defined, so anything accumulated or copied
+                  in that order can leak nondeterminism into BinLog or
+                  accuracy output. Annotate genuinely order-insensitive
+                  loops and copies.
 
 Suppression grammar (same line or the line directly above):
 
@@ -494,6 +498,95 @@ def range_for_findings(lexed: LexedFile, extra_symbol_text: str) -> List[Finding
     return findings
 
 
+EXPR = r"(?:[A-Za-z_]\w*\s*(?:\.|->)\s*)*[A-Za-z_]\w*"
+RANGE_RE = re.compile(r"(" + EXPR + r")\s*(?:\.|->)\s*c?begin\s*\(\s*\)\s*,\s*"
+                      r"(" + EXPR + r")\s*(?:\.|->)\s*c?end\s*\(\s*\)")
+SEQUENCE_TYPES = ("vector", "deque", "list")
+TRAILING_IDENT_RE = re.compile(r"([A-Za-z_]\w*)\s*$")
+
+
+def enclosing_open(text: str, i: int) -> int:
+    """Index of the unmatched ( or { that encloses text[i], or -1."""
+    depth = 0
+    while i > 0:
+        i -= 1
+        ch = text[i]
+        if ch in ")]}":
+            depth += 1
+        elif ch in "([{":
+            if depth == 0:
+                return i if ch in "({" else -1
+            depth -= 1
+    return -1
+
+
+def constructs_sequence(prefix: str) -> bool:
+    """Whether the code before a ( or { constructs a sequence container:
+    `vector<T>(`, `std::vector<T> name(`, `std::deque name{` (CTAD)."""
+    p = prefix.rstrip()
+    for _ in range(2):  # the declarator's name, then the type
+        if p.endswith("->"):
+            return False
+        if p.endswith(">"):
+            depth = 0
+            i = len(p) - 1
+            while i >= 0:
+                if p[i] == ">":
+                    depth += 1
+                elif p[i] == "<":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                i -= 1
+            head = TRAILING_IDENT_RE.search(p[:max(i, 0)])
+            return i >= 0 and head is not None and head.group(1) in SEQUENCE_TYPES
+        ident = TRAILING_IDENT_RE.search(p)
+        if ident is None:
+            return False
+        if ident.group(1) in SEQUENCE_TYPES:
+            return True
+        p = p[:ident.start()].rstrip()
+    return False
+
+
+def range_copy_findings(lexed: LexedFile, extra_symbol_text: str) -> List[Finding]:
+    """Iterator-range copies of an unordered container into a sequence:
+    construction, assign() and positional insert()."""
+    text, line_starts = lexed.flat()
+    symbols = unordered_symbols(text) | unordered_symbols(extra_symbol_text)
+    if not symbols:
+        return []
+    findings = []
+    for m in RANGE_RE.finditer(text):
+        container = re.sub(r"\s+", "", m.group(1))
+        if container != re.sub(r"\s+", "", m.group(2)):
+            continue
+        hit = IDENT_RE.findall(container)[-1]
+        if hit not in symbols:
+            continue
+        open_idx = enclosing_open(text, m.start())
+        if open_idx == -1:
+            continue
+        prefix = text[:open_idx].rstrip()
+        before_range = text[open_idx + 1:m.start()].strip()
+        copies = (re.search(r"(?:\.|->)\s*assign$", prefix) is not None or
+                  (re.search(r"(?:\.|->)\s*insert$", prefix) is not None and
+                   before_range.endswith(",")) or
+                  constructs_sequence(prefix))
+        if not copies:
+            continue
+        line = LexedFile.line_of(m.start(), line_starts)
+        first = LexedFile.line_of(open_idx, line_starts)
+        if suppressed(lexed, line, "unordered-iter") or suppressed(lexed, first, "unordered-iter"):
+            continue
+        findings.append(Finding(
+            lexed.path, line, "unordered-iter",
+            f"iterator-range copy of unordered container '{hit}' keeps its "
+            "implementation-defined iteration order; sort the copy by a total order "
+            "or annotate `// lint: order-insensitive`"))
+    return findings
+
+
 # --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
@@ -554,6 +647,7 @@ def lint_file(root: str, rel_path: str, text: str, cindex,
     if "unordered-iter" in active:
         extra = "" if virtual_path else sibling_header_text(root, rel_path)
         findings += range_for_findings(lexed, extra)
+        findings += range_copy_findings(lexed, extra)
     return findings
 
 
