@@ -31,25 +31,19 @@ namespace shedmon::bench {
 // over one exec::ThreadPool — results are bit-identical to --threads=0
 // under the model oracle, only wall-clock changes. Each cell's system stays
 // serial inside (SystemConfig::num_threads is not set from this flag: grid
-// and per-query parallelism would multiply thread counts). --shards=N flips
-// drivers that support it to the other parallelism axis: cells run
-// sequentially but each cell's system runs num_threads=--threads workers
-// with intra-query sharding up to N — still bit-identical under the model
-// oracle.
+// and per-query parallelism would multiply thread counts).
 struct BenchArgs {
   bool quick = false;
   uint64_t seed_offset = 0;
   core::OracleKind oracle = core::OracleKind::kModel;
   size_t threads = 0;
-  size_t shards = 0;
 
   // Any other argument, or a value that is not a whole number, prints usage
   // and exits 2: `--oracle measured` must not silently run the model oracle.
   static BenchArgs Parse(int argc, char** argv) {
     const auto usage = [&](std::FILE* out) {
       std::fprintf(out,
-                   "usage: %s [--quick] [--seed=N] [--oracle=model|measured] [--threads=N] "
-                   "[--shards=N]\n",
+                   "usage: %s [--quick] [--seed=N] [--oracle=model|measured] [--threads=N]\n",
                    argv[0]);
     };
     const auto reject = [&](const std::string& arg) {
@@ -75,8 +69,6 @@ struct BenchArgs {
         args.seed_offset = number(arg, 7);
       } else if (arg.rfind("--threads=", 0) == 0) {
         args.threads = number(arg, 10);
-      } else if (arg.rfind("--shards=", 0) == 0) {
-        args.shards = number(arg, 9);
       } else if (arg == "--oracle=measured") {
         args.oracle = core::OracleKind::kMeasured;
       } else if (arg == "--oracle=model") {
@@ -89,16 +81,6 @@ struct BenchArgs {
       }
     }
     return args;
-  }
-
-  // Applies the --shards axis to one cell's system config: per-query worker
-  // parallelism (from --threads) with intra-query sharding on top. Callers
-  // that use this run their grid cells without a shared pool (see above).
-  void ApplyIntraQuerySharding(api::PipelineBuilder& builder) const {
-    if (shards == 0) {
-      return;
-    }
-    builder.Threads(threads).MaxShardsPerQuery(shards);
   }
 
   // Pool shared by a driver's grid cells; null (serial) when --threads=0.

@@ -28,19 +28,15 @@ int main(int argc, char** argv) {
 
   // Both system runs are independent; --threads=N runs them concurrently
   // over the pool with bit-identical results. Each cell drives the
-  // api::Pipeline facade. --shards=N moves the parallelism inside each cell
-  // instead: cells run sequentially, each with --threads workers and
-  // intra-query sharding up to N — outputs are byte-identical either way.
+  // api::Pipeline facade.
   const double demand = core::MeasureMeanDemand(names, trace, args.oracle);
-  const auto pool = args.shards > 0 ? nullptr : args.MakePool();
+  const auto pool = args.MakePool();
   const auto results = api::RunPipelineGrid(
       systems.size(),
       [&](size_t cell) {
-        auto builder = bench::SpecAtOverload(demand, names, 0.5, core::ShedderKind::kPredictive,
-                                             systems[cell].strategy, args, systems[cell].custom,
-                                             /*default_min_rates=*/true);
-        args.ApplyIntraQuerySharding(builder);
-        return builder;
+        return bench::SpecAtOverload(demand, names, 0.5, core::ShedderKind::kPredictive,
+                                     systems[cell].strategy, args, systems[cell].custom,
+                                     /*default_min_rates=*/true);
       },
       trace, pool.get());
 

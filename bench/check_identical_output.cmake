@@ -2,7 +2,7 @@
 # comma-separated flag list), and fails unless both runs exit 0 and print
 # byte-identical output.
 #
-#   cmake -DFIGURE=<path> -DEXTRA_ARGS=--threads=2,--shards=2 -P check_identical_output.cmake
+#   cmake -DFIGURE=<path> -DEXTRA_ARGS=--threads=2 -P check_identical_output.cmake
 string(REPLACE "," ";" extra "${EXTRA_ARGS}")
 execute_process(COMMAND ${FIGURE} --quick OUTPUT_VARIABLE plain RESULT_VARIABLE plain_rc)
 execute_process(COMMAND ${FIGURE} --quick ${extra} OUTPUT_VARIABLE varied RESULT_VARIABLE varied_rc)

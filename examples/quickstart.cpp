@@ -46,8 +46,8 @@ int main() {
       core::MeasureMeanDemand({"counter", "flows"}, traffic, core::OracleKind::kModel);
 
   // 3. The pipeline: fluent configuration, then stable handles per query.
-  //    Threads(2) shards per-query work (and the reference instances) over
-  //    two workers; results are bit-identical to the serial run.
+  //    Threads(2) runs the queries (and the reference instances) on two
+  //    workers; results are bit-identical to the serial run.
   auto pipeline = PipelineBuilder()
                       .Shedder(core::ShedderKind::kPredictive)
                       .Strategy(shed::StrategyKind::kMmfsPkt)

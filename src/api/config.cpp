@@ -136,7 +136,6 @@ std::span<const ConfigKey> ConfigKeys() {
       {"system.shedder", "shedder", [](B& b, V v) { b.Shedder(Enum(v, kShedders)); }},
       {"system.strategy", "strategy", [](B& b, V v) { b.Strategy(Enum(v, kStrategies)); }},
       {"system.threads", "threads", [](B& b, V v) { b.Threads(Unsigned(v)); }},
-      {"system.shards", "shards", [](B& b, V v) { b.MaxShardsPerQuery(Unsigned(v)); }},
       {"system.seed", "", [](B& b, V v) { b.Seed(Unsigned(v)); }},
       {"system.buffer_bins", "", [](B& b, V v) { b.BufferBins(Number(v)); }},
       {"system.ewma_alpha", "", [](B& b, V v) { b.config_.ewma_alpha = Number(v); }},

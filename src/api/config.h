@@ -33,7 +33,6 @@ class ConfigError : public std::invalid_argument {
 //   shedder           --shedder           predictive | reactive | noshed (none)
 //   strategy          --strategy          eq_srates | mmfs_cpu | mmfs_pkt (eq | cpu | pkt)
 //   threads           --threads           unsigned
-//   shards            --shards            unsigned
 //   seed                                  unsigned
 //   buffer_bins                           number
 //   ewma_alpha                            number

@@ -157,9 +157,9 @@ class PipelineBuilder {
   PipelineBuilder& BufferBins(double bins);
   PipelineBuilder& CustomShedding(bool enable = true);
   PipelineBuilder& Threads(size_t num_threads);
-  // Upper bound on intra-query data parallelism: split one query's bin batch
-  // into up to `n` shards across the worker pool (no-op without Threads).
-  // Results stay bit-identical at any value; see SystemConfig.
+  // Does nothing and stores nothing: a query's batch always runs whole on
+  // one worker. Kept only because perfbench/perfbench.cpp still calls it;
+  // the benchmark change that drops that call deletes this method.
   PipelineBuilder& MaxShardsPerQuery(size_t n);
   PipelineBuilder& Seed(uint64_t seed);
   PipelineBuilder& Oracle(core::OracleKind kind);
@@ -195,10 +195,10 @@ class PipelineBuilder {
 
   // ---- Tracing & HTTP endpoint (src/obs) ----------------------------------
   // Per-stage span tracing (extraction, prediction, shedding decision,
-  // per-query and per-shard execution, merges, references, sinks, rt ladder
-  // transitions). One-way like the metrics: BinLogs are bit-identical with
-  // tracing on or off. Export with Pipeline::DumpTrace (Chrome trace-event
-  // JSON, loadable in Perfetto) or scrape GET /trace.
+  // per-query execution, references, sinks, rt ladder transitions). One-way
+  // like the metrics: BinLogs are bit-identical with tracing on or off.
+  // Export with Pipeline::DumpTrace (Chrome trace-event JSON, loadable in
+  // Perfetto) or scrape GET /trace.
   PipelineBuilder& Tracing(bool enable = true);
   // Embedded HTTP observability endpoint on 127.0.0.1:<port> serving
   // GET /metrics (Prometheus), /healthz, /stats and /trace. Port 0 picks an

@@ -61,7 +61,6 @@ void WriteSystemConfig(obs::SnapshotWriter& w, const core::SystemConfig& c) {
   w.I64(c.enforcement.penalty_bins);
   w.U64(c.seed);
   w.U64(c.num_threads);
-  w.U64(c.max_shards_per_query);
 }
 
 uint8_t CheckedEnum(uint8_t value, uint8_t max, const char* what) {
@@ -102,7 +101,6 @@ core::SystemConfig ReadSystemConfig(obs::SnapshotReader& r) {
   c.enforcement.penalty_bins = static_cast<int>(r.I64());
   c.seed = r.U64();
   c.num_threads = static_cast<size_t>(r.U64());
-  c.max_shards_per_query = static_cast<size_t>(r.U64());
   return c;
 }
 

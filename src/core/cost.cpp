@@ -7,13 +7,11 @@
 
 namespace shedmon::core {
 
-double MeasuredCostOracle::Run(WorkKind /*kind*/, const WorkHint& hint,
+double MeasuredCostOracle::Run(WorkKind /*kind*/, const WorkHint& /*hint*/,
                                const std::function<void()>& fn) {
   const util::CycleTimer timer;
   fn();
-  // shard_cycles carries the worker-timed cost of shard tasks that already
-  // ran for this unit of work (see WorkHint); fn here is only the merge.
-  return static_cast<double>(timer.Elapsed()) + hint.shard_cycles;
+  return static_cast<double>(timer.Elapsed());
 }
 
 double MeasuredCostOracle::DefaultBinBudget(uint64_t bin_us) const {

@@ -27,13 +27,6 @@ struct WorkHint {
   const query::Query* query = nullptr;
   const trace::PacketVec* packets = nullptr;
   double aux = 0.0;  // kind-specific scale (e.g. regression history length)
-  // Cycles already spent on this unit of work outside `fn`: intra-query
-  // shard tasks run (and are TSC-timed) on workers before the ordered merge
-  // executes under the kQuery charge. Wall-measuring oracles must add this
-  // to fn's own elapsed time or a sharded query's scan cost vanishes from
-  // the books; the model oracle ignores it — its query charge is the
-  // work-unit delta, which the merge applies inside fn.
-  double shard_cycles = 0.0;
 };
 
 // Source of truth for "how many CPU cycles did this work cost". The paper
@@ -44,7 +37,8 @@ struct WorkHint {
 //
 // Thread-safety contract (src/exec/ parallel pipelines): Run/RunAt may be
 // invoked concurrently as long as concurrent calls reference *distinct*
-// queries in their hints — exactly what sharding per-query work guarantees.
+// queries in their hints — exactly what running each query as one task
+// guarantees.
 // Sequenced charging keeps the model oracle deterministic under that
 // concurrency: a coordinator reserves one sequence slot per upcoming call in
 // the serial order (ReserveSequence), workers then charge at their assigned

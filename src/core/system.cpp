@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/obs/trace.h"
-#include "src/util/cycle_clock.h"
 
 namespace shedmon::core {
 
@@ -92,7 +91,7 @@ void MonitoringSystem::InitInstruments() {
     pool_->SetMetrics(hooks);
     executor_.SetMetrics(
         &reg.GetHistogram("shedmon_exec_wave_seconds", {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0}, {},
-                          "Per-bin shard-wave fan-out wall time in seconds"));
+                          "Per-bin query-wave wall time in seconds"));
   }
 }
 
@@ -225,7 +224,6 @@ void MonitoringSystem::ProcessBatch(const trace::Batch& batch,
     injector_->OnBinStart(log_.size());
   }
   executor_.SetBinIndex(log_.size());
-  executor_.SetTraceStage(obs::Stage::kQuery);  // wave-1 default; shard waves override
 
   BinLog log;
   log.start_us = batch.start_us;
@@ -334,14 +332,15 @@ uint64_t MonitoringSystem::PlanCustomOracleCalls(double rate) {
   return std::clamp(rate, 0.0, 1.0) >= kNearFullRate ? 3 : 1;
 }
 
-void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                                       const SharedExtraction* shared, uint64_t base_seq,
-                                       QueryExec& ex, QueryTaskResult& result) {
+MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteQuery(QueryRuntime& qr,
+                                                                 const trace::Batch& batch,
+                                                                 double rate,
+                                                                 const SharedExtraction* shared,
+                                                                 uint64_t base_seq) {
+  QueryTaskResult result;
   rate = std::clamp(rate, 0.0, 1.0);
-  ex.rate = rate;
-  ex.update_history = shared != nullptr;
-  ex.packets = &batch.packets;
-  ex.flows = flows_;
+  const trace::PacketVec* packets = &batch.packets;
+  const trace::FlowTable* flows = flows_;
   if (rate < 1.0 - kEps) {
     WorkHint sample_hint{qr.query.get(), &batch.packets, 0.0};
     result.AddCharge(/*ls=*/true,
@@ -355,8 +354,8 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
                        }
                        qr.sample_flows.Subset(*flows_, qr.sample_rows);
                      }));
-    ex.packets = &qr.sample_buf;
-    ex.flows = &qr.sample_flows;
+    packets = &qr.sample_buf;
+    flows = &qr.sample_flows;
   }
 
   // Re-extract features on the packets the query actually processes so the
@@ -365,125 +364,42 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
   // the load shedding subsystem. At full rate the prediction-stage
   // extraction is reused (§3.4.4 sharing). Reactive mode keeps no history
   // and skips this entirely.
+  features::FeatureVector features{};
   if (shared != nullptr) {
     if (rate >= 1.0 - kEps) {
-      ex.features = shared->features;
+      features = shared->features;
     } else {
-      WorkHint extract_hint{qr.query.get(), ex.packets, 0.0};
+      WorkHint extract_hint{qr.query.get(), packets, 0.0};
       result.AddCharge(/*ls=*/true,
                        oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-                         ex.features = qr.engine.counter().Count(shared->keys, qr.sample_flows);
+                         features = qr.engine.counter().Count(shared->keys, qr.sample_flows);
                        }));
     }
   }
-  ex.next_seq = base_seq;
 
-  // Intra-query shard plan over the sampled view. The plan only shapes the
-  // fan-out: any shard count (including 1) produces bit-identical results
-  // and charges, so the decision is free to depend on the pool width.
-  ex.ranges.clear();
-  ex.states.clear();
-  ex.shard_cycles.clear();
-  query::ShardableQuery* shardable = qr.query->shardable();
-  if (shardable != nullptr && config_.max_shards_per_query > 1) {
-    query::BatchInput in{*ex.packets, batch.start_us, batch.duration_us, rate, ex.flows};
-    const size_t units = shardable->ShardUnits(in);
-    const size_t shards = executor_.PlanShards(units, config_.max_shards_per_query,
-                                               shardable->MinShardUnits());
-    if (shards > 1) {
-      ex.ranges = exec::QueryExecutor::SplitUnits(units, shards);
-      ex.states.reserve(ex.ranges.size());
-      for (size_t s = 0; s < ex.ranges.size(); ++s) {
-        ex.states.push_back(shardable->ForkShard());
-      }
-      ex.shard_cycles.assign(ex.ranges.size(), 0.0);
-    }
-  }
-}
+  query::BatchInput in{*packets, batch.start_us, batch.duration_us, rate, flows};
+  WorkHint query_hint{qr.query.get(), packets, 0.0};
+  const double used = oracle_->RunAt(base_seq++, WorkKind::kQuery, query_hint,
+                                     [&] { qr.query->ProcessBatch(in); });
 
-void MonitoringSystem::ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& batch,
-                                        QueryExec& ex, QueryTaskResult& result) {
-  query::BatchInput in{*ex.packets, batch.start_us, batch.duration_us, ex.rate, ex.flows};
-  WorkHint query_hint{qr.query.get(), ex.packets, 0.0};
-  double used = 0.0;
-  if (ex.sharded()) {
-    // Ordered shard merge inside the single reserved kQuery slot: the model
-    // charge is the query's work-unit delta, which the mergeable-state
-    // discipline makes equal to the serial delta — same slot, same noise,
-    // same charge. The worker-timed shard cycles travel in the hint so a
-    // wall-measuring oracle charges the scans too, not just this merge.
-    for (const double cycles : ex.shard_cycles) {
-      query_hint.shard_cycles += cycles;
-    }
-    obs::Span merge_span(tracer_, obs::Stage::kMerge, static_cast<uint32_t>(log_.size()));
-    used = oracle_->RunAt(ex.next_seq++, WorkKind::kQuery, query_hint,
-                          [&] { qr.query->ProcessShards(in, std::move(ex.states)); });
-  } else {
-    used = oracle_->RunAt(ex.next_seq++, WorkKind::kQuery, query_hint,
-                          [&] { qr.query->ProcessBatch(in); });
-  }
-
-  if (ex.update_history) {
+  if (shared != nullptr) {
     WorkHint fit_hint{qr.query.get(), nullptr,
                       static_cast<double>(config_.predictor.history)};
     result.AddCharge(/*ls=*/false,
-                     oracle_->RunAt(ex.next_seq++, WorkKind::kFcbfMlr, fit_hint, [&] {
-                       qr.engine.ObserveActual(ex.features, used);
+                     oracle_->RunAt(base_seq++, WorkKind::kFcbfMlr, fit_hint, [&] {
+                       qr.engine.ObserveActual(features, used);
                      }));
   }
 
   result.unsampled =
-      (static_cast<double>(batch.size()) - static_cast<double>(ex.packets->size())) /
+      (static_cast<double>(batch.size()) - static_cast<double>(packets->size())) /
       std::max<double>(1.0, static_cast<double>(queries_.size()));
   // Drop the sampled view before the batch (and its payload arena) can be
   // recycled; the buffers keep their capacity for the next bin.
   qr.sample_buf.clear();
   qr.sample_rows.clear();
   result.used = used;
-}
-
-void MonitoringSystem::RunShardWaves(const trace::Batch& batch, std::vector<QueryExec>& ex,
-                                     std::vector<QueryTaskResult>& results) {
-  struct ShardTask {
-    size_t query;
-    size_t shard;
-  };
-  std::vector<ShardTask> tasks;
-  std::vector<size_t> sharded;  // queries with a pending post phase
-  for (size_t q = 0; q < ex.size(); ++q) {
-    if (!ex[q].sharded()) {
-      continue;
-    }
-    sharded.push_back(q);
-    for (size_t s = 0; s < ex[q].states.size(); ++s) {
-      tasks.push_back({q, s});
-    }
-  }
-  if (tasks.empty()) {
-    return;
-  }
-  // Wave 2: every (query, shard) range on any worker in any order — shards
-  // only touch their own partial plus the query's stable pre-batch state.
-  // Each task is TSC-timed so wall-measuring oracles can charge this work
-  // at the query's merge (the model oracle ignores the timings).
-  executor_.SetTraceStage(obs::Stage::kShard);
-  executor_.Run(tasks.size(), [&](size_t t) {
-    const ShardTask& task = tasks[t];
-    QueryRuntime& qr = *queries_[task.query];
-    QueryExec& e = ex[task.query];
-    query::BatchInput in{*e.packets, batch.start_us, batch.duration_us, e.rate, e.flows};
-    const util::CycleTimer timer;
-    qr.query->shardable()->OnShardBatch(*e.states[task.shard], in, e.ranges[task.shard].begin,
-                                        e.ranges[task.shard].end);
-    e.shard_cycles[task.shard] = static_cast<double>(timer.Elapsed());
-  });
-  // Wave 3: fold the partials (per query, in shard-index order) and finish
-  // the per-query pipeline; only the sharded queries have work left.
-  executor_.SetTraceStage(obs::Stage::kQuery);
-  executor_.Run(sharded.size(), [&](size_t i) {
-    const size_t q = sharded[i];
-    ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
-  });
+  return result;
 }
 
 MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& qr,
@@ -710,12 +626,8 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
     }
   }
 
-  // Wave 1: the whole per-query pipeline for unsharded queries, and the
-  // sampling/extraction pre-phase (plus the shard plan) for queries whose
-  // batch splits further. Waves 2/3 (RunShardWaves) then run the (query,
-  // shard) ranges and the ordered per-query merges.
+  // One wave: each query's whole pipeline is one task.
   std::vector<QueryTaskResult> results(n);
-  std::vector<QueryExec> ex(n);
   executor_.Run(n, [&](size_t q) {
     const QueryPlan& p = plan[q];
     if (!p.execute) {
@@ -725,14 +637,10 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
     if (p.custom) {
       assert(shared != nullptr);
       results[q] = ExecuteCustom(qr, batch, p.rate, p.expected, *shared, p.base_seq);
-      return;
-    }
-    ExecuteQueryPre(qr, batch, p.rate, shared, p.base_seq, ex[q], results[q]);
-    if (!ex[q].sharded()) {
-      ExecuteQueryPost(qr, batch, ex[q], results[q]);
+    } else {
+      results[q] = ExecuteQuery(qr, batch, p.rate, shared, p.base_seq);
     }
   });
-  RunShardWaves(batch, ex, results);
 
   // The fold replays registration order on the coordinator, charge by
   // charge, exactly as the serial schedule would have accumulated it.

@@ -91,17 +91,8 @@ struct SystemConfig {
   // accuracies under the deterministic model oracle: per-query work fans out
   // over an exec::ThreadPool while cost charges are sequenced and results
   // folded into the BinLog in registration order on the coordinating thread.
+  // A query's batch always runs whole, as one task on one worker.
   size_t num_threads = 0;
-  // Upper bound on intra-query data parallelism: how many shards one query's
-  // bin batch may be split into when the query implements
-  // query::ShardableQuery and a pool is available (num_threads > 0). 1, the
-  // default, keeps batches whole. Any value yields BinLogs, query results and
-  // accuracies bit-identical to the serial path: shard partials are exact and
-  // folded in shard-index order, and sharding consumes no extra cost-oracle
-  // slots — the per-query kQuery charge is applied once, at the merge, from
-  // the same reserved sequence slot as the unsharded path, so shedding
-  // decisions cannot depend on the shard count.
-  size_t max_shards_per_query = 1;
 };
 
 // Everything the system recorded about one time bin, the raw material for
@@ -198,8 +189,8 @@ class MonitoringSystem {
   const obs::MetricsRegistry& metrics() const { return *registry_; }
 
   // Optional span tracer: when set, every bin records per-stage spans
-  // (shared extraction, prediction, shedding decision, per-query and
-  // per-shard execution waves, ordered merges). Borrowed pointer; nullptr
+  // (shared extraction, prediction, shedding decision, per-query
+  // execution). Borrowed pointer; nullptr
   // (the default) detaches. Spans are write-only like the metrics, so traced
   // runs stay bit-identical.
   void SetTracer(obs::Tracer* tracer);
@@ -261,8 +252,8 @@ class MonitoringSystem {
     // sample_rows[i] is the row of sample_buf[i] in the batch, and
     // sample_flows totals those rows per flow (a FlowTable::Subset of the
     // bin's table): what the query and the history update visit. Valid only
-    // within the bin's execute waves — the Packets point into the current
-    // Batch's arena — so ExecuteQueryPost clears the buffers (capacity kept)
+    // within the bin's query wave — the Packets point into the current
+    // Batch's arena — so ExecuteQuery clears the buffers (capacity kept)
     // and none of the three may be read between bins.
     trace::PacketVec sample_buf;
     std::vector<uint32_t> sample_rows;
@@ -305,9 +296,9 @@ class MonitoringSystem {
   // allocation, in place; shared by the predictive and reactive paths.
   void ApplyDegradation(std::vector<double>& rate, std::vector<bool>& disabled);
   // Runs one bin's plan: reserves the charge slots in registration order,
-  // fans the queries out (wave 1, then RunShardWaves), and folds their
-  // results into `log` in registration order — charges, packets shed,
-  // per-query and total query cycles. A non-null `shared` (predictive only)
+  // fans the queries out in one wave, and folds their results into `log` in
+  // registration order — charges, packets shed, per-query and total query
+  // cycles. A non-null `shared` (predictive only)
   // feeds the cost models from the prediction-stage extraction.
   BinTotals ExecuteBin(const trace::Batch& batch, std::vector<QueryPlan>& plan,
                        const SharedExtraction* shared, BinLog& log);
@@ -337,56 +328,23 @@ class MonitoringSystem {
     }
   };
 
-  // Number of oracle calls the pre+post execution of one query will make for
-  // the given parameters; the coordinator reserves exactly this many charge
-  // slots per query (in registration order) before fanning tasks out, so
-  // sequenced charges match the serial call schedule no matter which worker
-  // runs when. Intra-query sharding never changes this count: a sharded
-  // batch is still charged through the single reserved kQuery slot.
+  // Number of oracle calls one query's execution will make for the given
+  // parameters; the coordinator reserves exactly this many charge slots per
+  // query (in registration order) before fanning tasks out, so sequenced
+  // charges match the serial call schedule no matter which worker runs when.
   static uint64_t PlanOracleCalls(double rate, bool update_history);
   static uint64_t PlanCustomOracleCalls(double rate);
 
-  // Per-query execution context threaded through the fan-out waves of one
-  // bin: the packet and flow view after sampling, the re-extracted features,
-  // the next reserved charge slot, and the intra-query shard plan (partials
-  // forked in the pre phase, filled by (query, shard) tasks, folded by the
-  // post phase in shard-index order).
-  struct QueryExec {
-    double rate = 1.0;
-    bool update_history = false;
-    const trace::PacketVec* packets = nullptr;
-    const trace::FlowTable* flows = nullptr;  // the flows of *packets
-    features::FeatureVector features{};
-    uint64_t next_seq = 0;
-    std::vector<exec::ShardRange> ranges;
-    std::vector<std::unique_ptr<query::ShardState>> states;
-    // TSC cycles each shard task spent in OnShardBatch, summed into the
-    // kQuery WorkHint so wall-measuring oracles charge the scans that ran
-    // on workers, not just the merge (the model oracle ignores it).
-    std::vector<double> shard_cycles;
-    bool sharded() const { return states.size() > 1; }
-  };
-
-  // First half of the per-query pipeline: samples the batch (totalling the
-  // kept rows per flow) and, when `shared` is set, re-counts the kept flows'
+  // The per-query pipeline for one bin: samples the batch (totalling the
+  // kept rows per flow); when `shared` is set, re-counts the kept flows'
   // features for the history update (reusing the shared features at full
-  // rate — the §3.4.4 computation sharing), consuming reserved slots from
-  // `base_seq`; then plans the intra-query shard fan-out over the sampled
-  // view. Safe to call concurrently for distinct queries.
-  void ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                       const SharedExtraction* shared, uint64_t base_seq, QueryExec& ex,
-                       QueryTaskResult& result);
-  // Second half: the query charge itself — ProcessBatch, or the ordered
-  // shard merge when the pre phase split the batch — then the model fit
-  // (Alg. 1 line 12). Must run after every shard task of this query.
-  void ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& batch, QueryExec& ex,
-                        QueryTaskResult& result);
-  // Runs the (query, shard) tasks of every sharded entry in `ex` over the
-  // pool, then the post phase of those queries; no-op when nothing sharded.
-  void RunShardWaves(const trace::Batch& batch, std::vector<QueryExec>& ex,
-                     std::vector<QueryTaskResult>& results);
-  // Custom-shedding execution path (Ch. 6); custom batches are never sharded
-  // (the method owns its own traversal order). Only the predictive shedder
+  // rate — the §3.4.4 computation sharing); runs the query over the sampled
+  // view; then fits the cost model (Alg. 1 line 12). Consumes reserved
+  // charge slots from `base_seq`. Safe to call concurrently for distinct
+  // queries.
+  QueryTaskResult ExecuteQuery(QueryRuntime& qr, const trace::Batch& batch, double rate,
+                               const SharedExtraction* shared, uint64_t base_seq);
+  // Custom-shedding execution path (Ch. 6). Only the predictive shedder
   // delegates, so the shared extraction is always there.
   QueryTaskResult ExecuteCustom(QueryRuntime& qr, const trace::Batch& batch, double rate,
                                 double granted, const SharedExtraction& shared,

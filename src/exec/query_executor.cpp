@@ -1,7 +1,5 @@
 #include "src/exec/query_executor.h"
 
-#include <algorithm>
-
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -9,34 +7,6 @@
 #include "src/util/cycle_clock.h"
 
 namespace shedmon::exec {
-
-size_t QueryExecutor::PlanShards(size_t units, size_t max_shards, size_t min_units) const {
-  if (pool_ == nullptr || max_shards <= 1) {
-    return 1;
-  }
-  size_t shards = std::min(max_shards, pool_->num_threads() + 1);
-  if (min_units > 0) {
-    shards = std::min(shards, units / min_units);
-  }
-  return std::max<size_t>(1, shards);
-}
-
-std::vector<ShardRange> QueryExecutor::SplitUnits(size_t units, size_t shards) {
-  // Re-check the grain against the actual unit count: a 1-unit batch split
-  // "eight ways" must yield one 1-unit range, not seven empty ones.
-  shards = std::max<size_t>(1, std::min(shards, std::max<size_t>(units, 1)));
-  std::vector<ShardRange> ranges;
-  ranges.reserve(shards);
-  const size_t base = units / shards;
-  const size_t rem = units % shards;
-  size_t lo = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    const size_t hi = lo + base + (s < rem ? 1 : 0);
-    ranges.push_back({lo, hi});
-    lo = hi;
-  }
-  return ranges;
-}
 
 void QueryExecutor::Run(size_t n, const std::function<void(size_t)>& raw_task) const {
   std::function<void(size_t)> task = raw_task;
@@ -53,10 +23,9 @@ void QueryExecutor::Run(size_t n, const std::function<void(size_t)>& raw_task) c
     // trace should show the wall time a task actually took.
     const std::function<void(size_t)> inner = task;
     obs::Tracer* tracer = tracer_;
-    const obs::Stage stage = trace_stage_;
     const uint32_t bin = static_cast<uint32_t>(bin_index_);
-    task = [tracer, stage, bin, inner](size_t i) {
-      obs::Span span(tracer, stage, bin, static_cast<int64_t>(i));
+    task = [tracer, bin, inner](size_t i) {
+      obs::Span span(tracer, obs::Stage::kQuery, bin, static_cast<int64_t>(i));
       inner(i);
     };
   }

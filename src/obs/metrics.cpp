@@ -23,9 +23,9 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
     throw std::logic_error("Histogram: bucket bounds must be ascending");
   }
-  shards_.reserve(kMetricStripes);
+  stripes_.reserve(kMetricStripes);
   for (size_t s = 0; s < kMetricStripes; ++s) {
-    shards_.push_back(std::make_unique<Shard>(bounds_.size() + 1));
+    stripes_.push_back(std::make_unique<Stripe>(bounds_.size() + 1));
   }
 }
 
@@ -34,20 +34,20 @@ void Histogram::Observe(double value) {
   // absorbs everything beyond the last bound.
   const size_t bucket = static_cast<size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin());
-  Shard& shard = *shards_[internal::StripeIndex()];
-  shard.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.sum.Add(value);
+  Stripe& stripe = *stripes_[internal::StripeIndex()];
+  stripe.counts[bucket].fetch_add(1, std::memory_order_relaxed);
+  stripe.sum.Add(value);
 }
 
 Histogram::Data Histogram::Read() const {
   Data data;
   data.bounds = bounds_;
   data.counts.assign(bounds_.size() + 1, 0);
-  for (const auto& shard : shards_) {
-    for (size_t b = 0; b < shard->counts.size(); ++b) {
-      data.counts[b] += shard->counts[b].load(std::memory_order_relaxed);
+  for (const auto& stripe : stripes_) {
+    for (size_t b = 0; b < stripe->counts.size(); ++b) {
+      data.counts[b] += stripe->counts[b].load(std::memory_order_relaxed);
     }
-    data.sum += shard->sum.value.load(std::memory_order_relaxed);
+    data.sum += stripe->sum.value.load(std::memory_order_relaxed);
   }
   for (const uint64_t c : data.counts) {
     data.count += c;

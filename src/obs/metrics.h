@@ -110,14 +110,14 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
 
  private:
-  struct Shard {
-    explicit Shard(size_t buckets) : counts(buckets) {}
+  struct Stripe {
+    explicit Stripe(size_t buckets) : counts(buckets) {}
     std::vector<std::atomic<uint64_t>> counts;
     internal::AtomicCell sum;
   };
 
   std::vector<double> bounds_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Stripe>> stripes_;
 };
 
 enum class MetricType { kCounter, kGauge, kHistogram };

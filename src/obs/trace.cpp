@@ -33,10 +33,6 @@ const char* StageName(Stage stage) {
       return "shed_decision";
     case Stage::kQuery:
       return "query";
-    case Stage::kShard:
-      return "shard";
-    case Stage::kMerge:
-      return "merge";
     case Stage::kReference:
       return "reference";
     case Stage::kSink:

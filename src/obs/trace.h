@@ -33,9 +33,7 @@ enum class Stage : uint8_t {
   kExtraction,       // shared feature extraction (prediction phase 1)
   kPrediction,       // per-query cycle prediction
   kShedDecision,     // resource allocation + sampling-rate selection
-  kQuery,            // one per-query execution task (wave 1)
-  kShard,            // one shard-unit task (waves 2/3)
-  kMerge,            // a sharded query folding its shard partials in order
+  kQuery,            // one per-query execution task
   kReference,        // reference (unsampled) replay the bin close waits for:
                      // all of it when serial; the job's start and its join
                      // when it overlaps waves
@@ -46,12 +44,12 @@ enum class Stage : uint8_t {
   kIntervalEnd,      // closing due measurement intervals (every query's
                      // EndInterval, sampler reseeds) at the end of a bin
 };
-inline constexpr size_t kStageCount = 13;
+inline constexpr size_t kStageCount = 11;
 
 const char* StageName(Stage stage);
 
-// One completed span. `arg` is a stage-specific index (query slot, shard
-// unit, ladder rung); negative means "no argument".
+// One completed span. `arg` is a stage-specific index (query slot, ladder
+// rung); negative means "no argument".
 struct SpanRecord {
   uint64_t ts_us = 0;   // start, relative to the tracer's epoch
   uint64_t dur_us = 0;  // 0 for instant events

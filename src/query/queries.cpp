@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
-#include <iterator>
-#include <span>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -18,26 +16,10 @@ namespace {
 // A query must not divide by a vanishing sampling rate.
 double SafeRate(double rate) { return rate > 1e-6 ? rate : 1e-6; }
 
-// Serial OnBatch via the shard path: one shard over the whole unit range, so
-// serial and sharded execution literally share their code (the partials are
-// exact, which is what makes every shard count bit-identical; see
-// query::ShardableQuery). Queries whose shard partials are heavier than a
-// direct loop (keyed maps, per-source bitmaps, match-index vectors) instead
-// implement a direct OnBatch twin with the *same arithmetic*; the
-// query_shard_fuzz_test differential suite pins the twins together.
-void RunAsSingleShard(ShardableQuery& q, const BatchInput& in) {
-  std::unique_ptr<ShardState> shard = q.ForkShard();
-  q.OnShardBatch(*shard, in, 0, q.ShardUnits(in));
-  q.ApplyShards(in, std::move(*shard));
-}
-
-// The per-flow queries' view of a batch: flows [begin, end) of its table,
-// and the record of a flow's first packet (every packet of a flow shares its
-// 5-tuple, which is all these queries key on).
+// The per-flow queries' view of a batch: the record of a flow's first packet
+// (every packet of a flow shares its 5-tuple, which is all these queries key
+// on).
 using Flow = trace::FlowTable::Flow;
-std::span<const Flow> FlowRange(const BatchInput& in, size_t begin, size_t end) {
-  return in.flow_table().flows().subspan(begin, end - begin);
-}
 const net::FiveTuple& TupleOf(const BatchInput& in, const Flow& flow) {
   return in.packets[flow.first_row].rec->tuple;
 }
@@ -113,43 +95,20 @@ constexpr double kSuperSrcInsert = 420.0;
 
 // ---------------------------------------------------------------- counter --
 
-namespace {
-struct CounterShard : ShardState {
-  double pkts = 0.0;   // exact integer-valued partials
-  double bytes = 0.0;
-};
-}  // namespace
-
 CounterQuery::CounterQuery(size_t interval_bins) : Query("counter", interval_bins) {}
 
-void CounterQuery::OnBatch(const BatchInput& in) { RunAsSingleShard(*this, in); }
-
-std::unique_ptr<ShardState> CounterQuery::ForkShard() const {
-  return std::make_unique<CounterShard>();
-}
-
-void CounterQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                                size_t end) const {
-  auto& s = static_cast<CounterShard&>(shard);
-  for (const Flow& flow : FlowRange(in, begin, end)) {
-    s.pkts += static_cast<double>(flow.packets);
-    s.bytes += static_cast<double>(flow.bytes);
+void CounterQuery::OnBatch(const BatchInput& in) {
+  // Exact integer sums over the flows, then one rescale by 1/rate.
+  double pkts = 0.0;
+  double bytes = 0.0;
+  for (const Flow& flow : in.flow_table().flows()) {
+    pkts += static_cast<double>(flow.packets);
+    bytes += static_cast<double>(flow.bytes);
   }
-}
-
-void CounterQuery::MergeShard(ShardState& into, ShardState&& from) const {
-  auto& a = static_cast<CounterShard&>(into);
-  auto& b = static_cast<CounterShard&>(from);
-  a.pkts += b.pkts;
-  a.bytes += b.bytes;
-}
-
-void CounterQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
-  auto& s = static_cast<CounterShard&>(merged);
   const double inv = 1.0 / SafeRate(in.sampling_rate);
-  cur_.pkts += s.pkts * inv;
-  cur_.bytes += s.bytes * inv;
-  ChargeWork(work::kCounterPkt * s.pkts);
+  cur_.pkts += pkts * inv;
+  cur_.bytes += bytes * inv;
+  ChargeWork(work::kCounterPkt * pkts);
 }
 
 void CounterQuery::OnEndInterval(size_t /*interval_index*/) {
@@ -224,54 +183,26 @@ net::AppClass ApplicationQuery::ClassifyPorts(const net::FiveTuple& tuple) {
   return classify_one(tuple.src_port);
 }
 
-namespace {
-struct ApplicationShard : ShardState {
+void ApplicationQuery::OnBatch(const BatchInput& in) {
+  // Exact integer sums per class, then one rescale by 1/rate.
   double pkts = 0.0;
   std::array<double, net::kNumAppClasses> class_pkts{};
   std::array<double, net::kNumAppClasses> class_bytes{};
-};
-}  // namespace
-
-void ApplicationQuery::OnBatch(const BatchInput& in) { RunAsSingleShard(*this, in); }
-
-std::unique_ptr<ShardState> ApplicationQuery::ForkShard() const {
-  return std::make_unique<ApplicationShard>();
-}
-
-void ApplicationQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                                    size_t end) const {
-  auto& s = static_cast<ApplicationShard&>(shard);
-  for (const Flow& flow : FlowRange(in, begin, end)) {
+  for (const Flow& flow : in.flow_table().flows()) {
     const auto app = static_cast<size_t>(ClassifyPorts(TupleOf(in, flow)));
-    s.pkts += static_cast<double>(flow.packets);
-    s.class_pkts[app] += static_cast<double>(flow.packets);
-    s.class_bytes[app] += static_cast<double>(flow.bytes);
+    pkts += static_cast<double>(flow.packets);
+    class_pkts[app] += static_cast<double>(flow.packets);
+    class_bytes[app] += static_cast<double>(flow.bytes);
   }
-}
-
-void ApplicationQuery::MergeShard(ShardState& into, ShardState&& from) const {
-  auto& a = static_cast<ApplicationShard&>(into);
-  auto& b = static_cast<ApplicationShard&>(from);
-  a.pkts += b.pkts;
-  for (int c = 0; c < net::kNumAppClasses; ++c) {
-    const auto i = static_cast<size_t>(c);
-    a.class_pkts[i] += b.class_pkts[i];
-    a.class_bytes[i] += b.class_bytes[i];
-  }
-}
-
-void ApplicationQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
-  auto& s = static_cast<ApplicationShard&>(merged);
   const double inv = 1.0 / SafeRate(in.sampling_rate);
-  for (int c = 0; c < net::kNumAppClasses; ++c) {
-    const auto i = static_cast<size_t>(c);
-    if (s.class_pkts[i] == 0.0) {
+  for (size_t i = 0; i < class_pkts.size(); ++i) {
+    if (class_pkts[i] == 0.0) {
       continue;  // untouched classes stay bit-for-bit untouched
     }
-    cur_.pkts[i] += s.class_pkts[i] * inv;
-    cur_.bytes[i] += s.class_bytes[i] * inv;
+    cur_.pkts[i] += class_pkts[i] * inv;
+    cur_.bytes[i] += class_bytes[i] * inv;
   }
-  ChargeWork(work::kApplicationPkt * s.pkts);
+  ChargeWork(work::kApplicationPkt * pkts);
 }
 
 void ApplicationQuery::OnEndInterval(size_t /*interval_index*/) {
@@ -333,40 +264,16 @@ double ApplicationQuery::IntervalError(const Query& reference, size_t interval) 
 HighWatermarkQuery::HighWatermarkQuery(size_t interval_bins)
     : Query("high-watermark", interval_bins) {}
 
-namespace {
-struct WatermarkShard : ShardState {
+void HighWatermarkQuery::OnBatch(const BatchInput& in) {
   double pkts = 0.0;
   double bytes = 0.0;
-};
-}  // namespace
-
-void HighWatermarkQuery::OnBatch(const BatchInput& in) { RunAsSingleShard(*this, in); }
-
-std::unique_ptr<ShardState> HighWatermarkQuery::ForkShard() const {
-  return std::make_unique<WatermarkShard>();
-}
-
-void HighWatermarkQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                                      size_t end) const {
-  auto& s = static_cast<WatermarkShard&>(shard);
-  for (const Flow& flow : FlowRange(in, begin, end)) {
-    s.pkts += static_cast<double>(flow.packets);
-    s.bytes += static_cast<double>(flow.bytes);
+  for (const Flow& flow : in.flow_table().flows()) {
+    pkts += static_cast<double>(flow.packets);
+    bytes += static_cast<double>(flow.bytes);
   }
-}
-
-void HighWatermarkQuery::MergeShard(ShardState& into, ShardState&& from) const {
-  auto& a = static_cast<WatermarkShard&>(into);
-  auto& b = static_cast<WatermarkShard&>(from);
-  a.pkts += b.pkts;
-  a.bytes += b.bytes;
-}
-
-void HighWatermarkQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
-  auto& s = static_cast<WatermarkShard&>(merged);
   const double inv = 1.0 / SafeRate(in.sampling_rate);
-  cur_watermark_ = std::max(cur_watermark_, s.bytes * inv);
-  ChargeWork(work::kWatermarkPkt * s.pkts);
+  cur_watermark_ = std::max(cur_watermark_, bytes * inv);
+  ChargeWork(work::kWatermarkPkt * pkts);
 }
 
 void HighWatermarkQuery::OnCustomBatch(const BatchInput& in, double fraction) {
@@ -412,20 +319,9 @@ double HighWatermarkQuery::IntervalError(const Query& reference, size_t interval
 
 FlowsQuery::FlowsQuery(size_t interval_bins) : Query("flows", interval_bins) {}
 
-namespace {
-struct FlowsShard : ShardState {
-  double pkts = 0.0;
-  // Tuples of this range that are new to the interval, in first-touch order.
-  // A view's flows are distinct, so no two shards hold the same tuple.
-  std::vector<net::FiveTuple> order;
-};
-}  // namespace
-
 void FlowsQuery::OnBatch(const BatchInput& in) {
-  // Direct serial twin of the shard path: one insert per flow both tests
-  // and adds, and the estimate/work arithmetic below is the same
-  // single-rounding expression ApplyShards evaluates, so serial == sharded
-  // bit for bit (differentially enforced by query_shard_fuzz_test).
+  // One insert per flow both tests and adds; the estimate is rescaled once
+  // per batch.
   const double inv = 1.0 / SafeRate(in.sampling_rate);
   double inserts = 0.0;
   for (const Flow& flow : in.flow_table().flows()) {
@@ -436,43 +332,6 @@ void FlowsQuery::OnBatch(const BatchInput& in) {
   estimate_ += inserts * inv;
   ChargeWork(work::kFlowsPkt * static_cast<double>(in.packets.size()) +
              work::kFlowsInsert * inserts);
-}
-
-std::unique_ptr<ShardState> FlowsQuery::ForkShard() const {
-  return std::make_unique<FlowsShard>();
-}
-
-void FlowsQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                              size_t end) const {
-  auto& s = static_cast<FlowsShard&>(shard);
-  for (const Flow& flow : FlowRange(in, begin, end)) {
-    s.pkts += static_cast<double>(flow.packets);
-    const net::FiveTuple& tuple = TupleOf(in, flow);
-    // flows_ is pre-batch interval state, stable while shards run.
-    if (!flows_.contains(tuple)) {
-      s.order.push_back(tuple);
-    }
-  }
-}
-
-void FlowsQuery::MergeShard(ShardState& into, ShardState&& from) const {
-  auto& a = static_cast<FlowsShard&>(into);
-  auto& b = static_cast<FlowsShard&>(from);
-  a.pkts += b.pkts;
-  a.order.insert(a.order.end(), b.order.begin(), b.order.end());
-}
-
-void FlowsQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
-  auto& s = static_cast<FlowsShard&>(merged);
-  const double inv = 1.0 / SafeRate(in.sampling_rate);
-  double inserts = 0.0;
-  for (const net::FiveTuple& tuple : s.order) {
-    if (flows_.insert(tuple).second) {
-      inserts += 1.0;
-    }
-  }
-  estimate_ += inserts * inv;
-  ChargeWork(work::kFlowsPkt * s.pkts + work::kFlowsInsert * inserts);
 }
 
 void FlowsQuery::OnEndInterval(size_t /*interval_index*/) {
@@ -501,41 +360,10 @@ double FlowsQuery::IntervalError(const Query& reference, size_t interval) const 
 TopKQuery::TopKQuery(size_t k, size_t interval_bins)
     : Query("top-k", interval_bins), k_(k), admit_rng_(0xabba) {}
 
-namespace {
-// Shared partial for the per-key byte aggregators (top-k, autofocus): exact
-// integer byte sums per key plus the keys in first-touch order, so the merged
-// order is the batch's first-occurrence order — the order the serial loop
-// inserts keys in, so the map is filled alike at every shard count.
-struct KeyedBytesShard : ShardState {
-  double pkts = 0.0;
-  std::unordered_map<uint32_t, double> bytes;
-  std::vector<uint32_t> order;
-
-  void Accumulate(uint32_t key, double wire_len) {
-    auto [it, inserted] = bytes.try_emplace(key, 0.0);
-    it->second += wire_len;
-    if (inserted) {
-      order.push_back(key);
-    }
-  }
-
-  void MergeFrom(KeyedBytesShard&& from) {
-    pkts += from.pkts;
-    for (const uint32_t key : from.order) {
-      auto [it, inserted] = bytes.try_emplace(key, 0.0);
-      it->second += from.bytes.at(key);
-      if (inserted) {
-        order.push_back(key);
-      }
-    }
-  }
-};
-}  // namespace
-
 void TopKQuery::OnBatch(const BatchInput& in) {
-  // Direct serial twin of the shard path, with the same exact-integer
-  // per-key accumulation and single rounding per key (see ApplyShards), in
-  // reused scratch so the hot path allocates nothing after warm-up.
+  // Exact integer byte sums per key, in first-touch order, then one
+  // rescale per key into the interval map. The scratch is reused, so the
+  // hot path allocates nothing after warm-up.
   batch_bytes_.clear();
   batch_order_.clear();
   for (const Flow& flow : in.flow_table().flows()) {
@@ -557,37 +385,6 @@ void TopKQuery::OnBatch(const BatchInput& in) {
   }
   ChargeWork(work::kTopKPkt * static_cast<double>(in.packets.size()) +
              work::kTopKInsert * inserts);
-}
-
-std::unique_ptr<ShardState> TopKQuery::ForkShard() const {
-  return std::make_unique<KeyedBytesShard>();
-}
-
-void TopKQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                             size_t end) const {
-  auto& s = static_cast<KeyedBytesShard&>(shard);
-  for (const Flow& flow : FlowRange(in, begin, end)) {
-    s.pkts += static_cast<double>(flow.packets);
-    s.Accumulate(TupleOf(in, flow).dst_ip, static_cast<double>(flow.bytes));
-  }
-}
-
-void TopKQuery::MergeShard(ShardState& into, ShardState&& from) const {
-  static_cast<KeyedBytesShard&>(into).MergeFrom(std::move(static_cast<KeyedBytesShard&>(from)));
-}
-
-void TopKQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
-  auto& s = static_cast<KeyedBytesShard&>(merged);
-  const double inv = 1.0 / SafeRate(in.sampling_rate);
-  double inserts = 0.0;
-  for (const uint32_t key : s.order) {
-    auto [it, inserted] = bytes_.try_emplace(key, 0.0);
-    if (inserted) {
-      inserts += 1.0;
-    }
-    it->second += s.bytes.at(key) * inv;
-  }
-  ChargeWork(work::kTopKPkt * s.pkts + work::kTopKInsert * inserts);
 }
 
 void TopKQuery::OnCustomBatch(const BatchInput& in, double fraction) {
@@ -719,29 +516,21 @@ void TraceQuery::OnAdoptFrom(const Query& twin, Adopt what) {
 // --------------------------------------------------------- pattern-search --
 
 namespace {
-// The byte stream a packet contributes to the shard-unit space. Header-only
-// traces scan the record bytes so the per-packet work stays real (the thesis
-// runs this query on header-only captures too).
+// The bytes a packet contributes to the scan. Header-only traces scan the
+// record bytes so the per-packet work stays real (the thesis runs this query
+// on header-only captures too).
 size_t EffectiveLen(const net::Packet& pkt) {
   return pkt.payload_len > 0 ? pkt.payload_len : sizeof(net::PacketRecord);
 }
 const uint8_t* EffectiveBytes(const net::Packet& pkt) {
   return pkt.payload_len > 0 ? pkt.payload : reinterpret_cast<const uint8_t*>(pkt.rec);
 }
-
-struct PatternShard : ShardState {
-  double owned_pkts = 0.0;   // packets whose first byte falls in this range
-  double owned_units = 0.0;  // effective bytes owned (no seam overlap)
-  std::vector<size_t> matched;  // ascending packet indices with an owned occurrence
-};
 }  // namespace
 
 PatternSearchQuery::PatternSearchQuery(std::string pattern, size_t interval_bins)
     : Query("pattern-search", interval_bins), matcher_(std::move(pattern)) {}
 
 void PatternSearchQuery::OnBatch(const BatchInput& in) {
-  // Direct serial twin of the shard path: whole payloads, no seam handling,
-  // same single-rounding match/work arithmetic as ApplyShards.
   double scanned = 0.0;
   double found = 0.0;
   for (const net::Packet& pkt : in.packets) {
@@ -754,74 +543,6 @@ void PatternSearchQuery::OnBatch(const BatchInput& in) {
   cur_matches_ += found * inv;
   ChargeWork(work::kPatternPkt * static_cast<double>(in.packets.size()) +
              work::kPatternByte * scanned);
-}
-
-size_t PatternSearchQuery::ShardUnits(const BatchInput& in) const {
-  size_t units = 0;
-  for (const net::Packet& pkt : in.packets) {
-    units += EffectiveLen(pkt);
-  }
-  return units;
-}
-
-std::unique_ptr<ShardState> PatternSearchQuery::ForkShard() const {
-  return std::make_unique<PatternShard>();
-}
-
-void PatternSearchQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                                      size_t end) const {
-  auto& s = static_cast<PatternShard&>(shard);
-  const size_t m = matcher_.needle().size();
-  // The offset walk below runs from packet 0 in every shard (O(packets) adds
-  // per shard before its range starts); that is dwarfed by the byte scan a
-  // shard then does, so no prefix-sum cache is kept.
-  size_t off = 0;
-  for (size_t i = 0; i < in.packets.size() && off < end; ++i) {
-    const net::Packet& pkt = in.packets[i];
-    const size_t pkt_begin = off;
-    const size_t pkt_end = off + EffectiveLen(pkt);
-    off = pkt_end;
-    if (pkt_end <= begin) {
-      continue;  // wholly before this range
-    }
-    // Non-empty intersection: pkt_begin < end (loop condition) and
-    // pkt_end > begin (checked above).
-    const size_t lo = std::max(pkt_begin, begin);
-    const size_t hi = std::min(pkt_end, end);
-    if (pkt_begin >= begin) {
-      s.owned_pkts += 1.0;  // the packet's first byte is ours
-    }
-    s.owned_units += static_cast<double>(hi - lo);
-    // Scan the owned slice plus m-1 bytes past the seam (clamped to the
-    // packet): every occurrence *starting* in [lo, hi) — including one that
-    // straddles the seam — is found here, and an occurrence starting at or
-    // after `hi` cannot fit in this window, so no shard double-counts.
-    const size_t scan_end = std::min(pkt_end, hi + (m - 1));
-    if (matcher_.Contains(EffectiveBytes(pkt) + (lo - pkt_begin), scan_end - lo)) {
-      s.matched.push_back(i);
-    }
-  }
-}
-
-void PatternSearchQuery::MergeShard(ShardState& into, ShardState&& from) const {
-  auto& a = static_cast<PatternShard&>(into);
-  auto& b = static_cast<PatternShard&>(from);
-  a.owned_pkts += b.owned_pkts;
-  a.owned_units += b.owned_units;
-  // A packet split across shards can be matched by both (distinct occurrence
-  // start offsets); set_union dedupes so it counts once, like serially.
-  std::vector<size_t> matched;
-  matched.reserve(a.matched.size() + b.matched.size());
-  std::set_union(a.matched.begin(), a.matched.end(), b.matched.begin(), b.matched.end(),
-                 std::back_inserter(matched));
-  a.matched = std::move(matched);
-}
-
-void PatternSearchQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
-  auto& s = static_cast<PatternShard&>(merged);
-  const double inv = 1.0 / SafeRate(in.sampling_rate);
-  cur_matches_ += static_cast<double>(s.matched.size()) * inv;
-  ChargeWork(work::kPatternPkt * s.owned_pkts + work::kPatternByte * s.owned_units);
 }
 
 void PatternSearchQuery::OnEndInterval(size_t /*interval_index*/) {
@@ -989,7 +710,7 @@ AutofocusQuery::AutofocusQuery(double threshold_fraction, size_t interval_bins)
     : Query("autofocus", interval_bins), threshold_fraction_(threshold_fraction) {}
 
 void AutofocusQuery::OnBatch(const BatchInput& in) {
-  // Direct serial twin of the shard path (same discipline as TopKQuery).
+  // Same exact per-key accumulation as TopKQuery::OnBatch.
   batch_bytes_.clear();
   batch_order_.clear();
   for (const Flow& flow : in.flow_table().flows()) {
@@ -1011,37 +732,6 @@ void AutofocusQuery::OnBatch(const BatchInput& in) {
   }
   ChargeWork(work::kAutofocusPkt * static_cast<double>(in.packets.size()) +
              work::kAutofocusInsert * inserts);
-}
-
-std::unique_ptr<ShardState> AutofocusQuery::ForkShard() const {
-  return std::make_unique<KeyedBytesShard>();
-}
-
-void AutofocusQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                                  size_t end) const {
-  auto& s = static_cast<KeyedBytesShard&>(shard);
-  for (const Flow& flow : FlowRange(in, begin, end)) {
-    s.pkts += static_cast<double>(flow.packets);
-    s.Accumulate(TupleOf(in, flow).src_ip, static_cast<double>(flow.bytes));
-  }
-}
-
-void AutofocusQuery::MergeShard(ShardState& into, ShardState&& from) const {
-  static_cast<KeyedBytesShard&>(into).MergeFrom(std::move(static_cast<KeyedBytesShard&>(from)));
-}
-
-void AutofocusQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
-  auto& s = static_cast<KeyedBytesShard&>(merged);
-  const double inv = 1.0 / SafeRate(in.sampling_rate);
-  double inserts = 0.0;
-  for (const uint32_t key : s.order) {
-    auto [it, inserted] = src_bytes_.try_emplace(key, 0.0);
-    if (inserted) {
-      inserts += 1.0;
-    }
-    it->second += s.bytes.at(key) * inv;
-  }
-  ChargeWork(work::kAutofocusPkt * s.pkts + work::kAutofocusInsert * inserts);
 }
 
 std::set<uint64_t> AutofocusQuery::ComputeClusters(
@@ -1137,21 +827,7 @@ double AutofocusQuery::IntervalError(const Query& reference, size_t interval) co
 SuperSourcesQuery::SuperSourcesQuery(size_t top_n, size_t interval_bins)
     : Query("super-sources", interval_bins), top_n_(top_n), dst_hash_(0xfa11) {}
 
-namespace {
-struct SuperSourcesShard : ShardState {
-  double pkts = 0.0;
-  // Per-source destination bitmaps; the union of the shard bitmaps is the
-  // exact bit set the serial loop would have produced.
-  std::unordered_map<uint32_t, sketch::DirectBitmap> fanout;
-  std::vector<uint32_t> order;  // first-touch order of sources
-};
-}  // namespace
-
 void SuperSourcesQuery::OnBatch(const BatchInput& in) {
-  // Direct serial twin of the shard path: bitmap insertion is an exact bit
-  // union however it is grouped, and the work expression matches ApplyShards,
-  // so inserting straight into fanout_ (no per-batch shard bitmaps) is
-  // bit-identical to the sharded merge.
   rate_sum_ += SafeRate(in.sampling_rate);
   ++rate_batches_;
   double inserts = 0.0;
@@ -1167,54 +843,6 @@ void SuperSourcesQuery::OnBatch(const BatchInput& in) {
   }
   ChargeWork(work::kSuperSrcPkt * static_cast<double>(in.packets.size()) +
              work::kSuperSrcInsert * inserts);
-}
-
-std::unique_ptr<ShardState> SuperSourcesQuery::ForkShard() const {
-  return std::make_unique<SuperSourcesShard>();
-}
-
-void SuperSourcesQuery::OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                                     size_t end) const {
-  auto& s = static_cast<SuperSourcesShard&>(shard);
-  for (const Flow& flow : FlowRange(in, begin, end)) {
-    const net::FiveTuple& tuple = TupleOf(in, flow);
-    s.pkts += static_cast<double>(flow.packets);
-    auto [it, inserted] = s.fanout.try_emplace(tuple.src_ip, 128u);
-    if (inserted) {
-      s.order.push_back(tuple.src_ip);
-    }
-    uint8_t key[4];
-    std::memcpy(key, &tuple.dst_ip, 4);
-    it->second.Insert(dst_hash_.Hash(key, 4));
-  }
-}
-
-void SuperSourcesQuery::MergeShard(ShardState& into, ShardState&& from) const {
-  auto& a = static_cast<SuperSourcesShard&>(into);
-  auto& b = static_cast<SuperSourcesShard&>(from);
-  a.pkts += b.pkts;
-  for (const uint32_t src : b.order) {
-    auto [it, inserted] = a.fanout.try_emplace(src, 128u);
-    it->second.Union(b.fanout.at(src));
-    if (inserted) {
-      a.order.push_back(src);
-    }
-  }
-}
-
-void SuperSourcesQuery::ApplyShards(const BatchInput& in, ShardState&& merged) {
-  auto& s = static_cast<SuperSourcesShard&>(merged);
-  rate_sum_ += SafeRate(in.sampling_rate);
-  ++rate_batches_;
-  double inserts = 0.0;
-  for (const uint32_t src : s.order) {
-    auto [it, inserted] = fanout_.try_emplace(src, 128u);
-    if (inserted) {
-      inserts += 1.0;
-    }
-    it->second.Union(s.fanout.at(src));
-  }
-  ChargeWork(work::kSuperSrcPkt * s.pkts + work::kSuperSrcInsert * inserts);
 }
 
 void SuperSourcesQuery::OnEndInterval(size_t /*interval_index*/) {

@@ -24,7 +24,7 @@ namespace shedmon::query {
 // ---------------------------------------------------------------------------
 // counter — traffic load in packets and bytes (Table 2.2). Cost ~ packets.
 // ---------------------------------------------------------------------------
-class CounterQuery : public Query, public ShardableQuery {
+class CounterQuery : public Query {
  public:
   explicit CounterQuery(size_t interval_bins = 10);
 
@@ -38,14 +38,6 @@ class CounterQuery : public Query, public ShardableQuery {
   // Error split used by Table 4.1 ("counter (pkts)" / "counter (bytes)").
   double IntervalErrorPackets(const Query& reference, size_t interval) const;
   double IntervalErrorBytes(const Query& reference, size_t interval) const;
-
-  // Intra-query sharding (mergeable state; see query::ShardableQuery).
-  ShardableQuery* shardable() override { return this; }
-  std::unique_ptr<ShardState> ForkShard() const override;
-  void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                    size_t end) const override;
-  void MergeShard(ShardState& into, ShardState&& from) const override;
-  void ApplyShards(const BatchInput& in, ShardState&& merged) override;
 
  protected:
   void OnBatch(const BatchInput& in) override;
@@ -61,7 +53,7 @@ class CounterQuery : public Query, public ShardableQuery {
 // ---------------------------------------------------------------------------
 // application — port-based application classification. Cost ~ packets.
 // ---------------------------------------------------------------------------
-class ApplicationQuery : public Query, public ShardableQuery {
+class ApplicationQuery : public Query {
  public:
   explicit ApplicationQuery(size_t interval_bins = 10);
 
@@ -77,14 +69,6 @@ class ApplicationQuery : public Query, public ShardableQuery {
   double IntervalError(const Query& reference, size_t interval) const override;
   double IntervalErrorPackets(const Query& reference, size_t interval) const;
   double IntervalErrorBytes(const Query& reference, size_t interval) const;
-
-  // Intra-query sharding (mergeable state; see query::ShardableQuery).
-  ShardableQuery* shardable() override { return this; }
-  std::unique_ptr<ShardState> ForkShard() const override;
-  void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                    size_t end) const override;
-  void MergeShard(ShardState& into, ShardState&& from) const override;
-  void ApplyShards(const BatchInput& in, ShardState&& merged) override;
 
  protected:
   void OnBatch(const BatchInput& in) override;
@@ -102,7 +86,7 @@ class ApplicationQuery : public Query, public ShardableQuery {
 // Supports a custom shedding method: deterministic 1-in-k stride sampling
 // with rescaling, a low-variance estimator for a max-of-sums statistic.
 // ---------------------------------------------------------------------------
-class HighWatermarkQuery : public Query, public ShardableQuery {
+class HighWatermarkQuery : public Query {
  public:
   explicit HighWatermarkQuery(size_t interval_bins = 10);
 
@@ -111,14 +95,6 @@ class HighWatermarkQuery : public Query, public ShardableQuery {
   double IntervalError(const Query& reference, size_t interval) const override;
 
   bool supports_custom_shedding() const override { return true; }
-
-  // Intra-query sharding (mergeable state; see query::ShardableQuery).
-  ShardableQuery* shardable() override { return this; }
-  std::unique_ptr<ShardState> ForkShard() const override;
-  void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                    size_t end) const override;
-  void MergeShard(ShardState& into, ShardState&& from) const override;
-  void ApplyShards(const BatchInput& in, ShardState&& merged) override;
 
  protected:
   void OnBatch(const BatchInput& in) override;
@@ -136,7 +112,7 @@ class HighWatermarkQuery : public Query, public ShardableQuery {
 // flows — per-flow classification; reports the number of active 5-tuple
 // flows per interval. Flow sampling preferred. Cost ~ packets + new flows.
 // ---------------------------------------------------------------------------
-class FlowsQuery : public Query, public ShardableQuery {
+class FlowsQuery : public Query {
  public:
   explicit FlowsQuery(size_t interval_bins = 10);
 
@@ -145,14 +121,6 @@ class FlowsQuery : public Query, public ShardableQuery {
   const std::vector<double>& flow_counts() const { return snaps_; }
 
   double IntervalError(const Query& reference, size_t interval) const override;
-
-  // Intra-query sharding (mergeable state; see query::ShardableQuery).
-  ShardableQuery* shardable() override { return this; }
-  std::unique_ptr<ShardState> ForkShard() const override;
-  void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                    size_t end) const override;
-  void MergeShard(ShardState& into, ShardState&& from) const override;
-  void ApplyShards(const BatchInput& in, ShardState&& merged) override;
 
  protected:
   void OnBatch(const BatchInput& in) override;
@@ -170,7 +138,7 @@ class FlowsQuery : public Query, public ShardableQuery {
 // top-k — ranking of the top-k destination IPs by bytes ([12] in the thesis).
 // Error metric: misranked flow pairs. Custom shedding: Sample & Hold.
 // ---------------------------------------------------------------------------
-class TopKQuery : public Query, public ShardableQuery {
+class TopKQuery : public Query {
  public:
   explicit TopKQuery(size_t k = 10, size_t interval_bins = 10);
 
@@ -191,14 +159,6 @@ class TopKQuery : public Query, public ShardableQuery {
 
   bool supports_custom_shedding() const override { return true; }
 
-  // Intra-query sharding (mergeable state; see query::ShardableQuery).
-  ShardableQuery* shardable() override { return this; }
-  std::unique_ptr<ShardState> ForkShard() const override;
-  void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                    size_t end) const override;
-  void MergeShard(ShardState& into, ShardState&& from) const override;
-  void ApplyShards(const BatchInput& in, ShardState&& merged) override;
-
  protected:
   void OnBatch(const BatchInput& in) override;
   void OnCustomBatch(const BatchInput& in, double fraction) override;
@@ -212,7 +172,7 @@ class TopKQuery : public Query, public ShardableQuery {
   util::Rng admit_rng_;
   std::vector<std::shared_ptr<const Snapshot>> snaps_;
   // Reused per-batch scratch for OnBatch's exact-integer accumulation
-  // (cleared each batch, capacity kept so the serial hot path stays
+  // (cleared each batch, capacity kept so the hot path stays
   // allocation-free after warm-up).
   std::unordered_map<uint32_t, double> batch_bytes_;
   std::vector<uint32_t> batch_order_;
@@ -251,26 +211,12 @@ class TraceQuery : public Query {
 // pattern-search — exact byte-sequence search in payloads (query::Searcher).
 // Cost ~ bytes scanned. Accuracy: fraction of packets processed.
 // ---------------------------------------------------------------------------
-class PatternSearchQuery : public Query, public ShardableQuery {
+class PatternSearchQuery : public Query {
  public:
   explicit PatternSearchQuery(std::string pattern = "HTTP/1.1", size_t interval_bins = 10);
 
   const std::vector<double>& match_counts() const { return snaps_; }
   bool error_reads_results() const override { return false; }
-
-  // Intra-query sharding over *scanned bytes*, not packets: shard units are
-  // the concatenated effective payload stream, so a seam may fall inside a
-  // payload. A shard owns occurrences *starting* in its unit range and scans
-  // pattern.size() - 1 bytes past its seam (within the packet) so straddling
-  // occurrences are found by exactly one shard.
-  ShardableQuery* shardable() override { return this; }
-  size_t ShardUnits(const BatchInput& in) const override;
-  size_t MinShardUnits() const override { return 4096; }
-  std::unique_ptr<ShardState> ForkShard() const override;
-  void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                    size_t end) const override;
-  void MergeShard(ShardState& into, ShardState&& from) const override;
-  void ApplyShards(const BatchInput& in, ShardState&& merged) override;
 
  protected:
   void OnBatch(const BatchInput& in) override;
@@ -357,7 +303,7 @@ class BuggyP2pDetectorQuery : public P2pDetectorQuery {
 // ([55] in the thesis): the most specific IP prefixes whose unreported
 // traffic exceeds a threshold fraction of the total.
 // ---------------------------------------------------------------------------
-class AutofocusQuery : public Query, public ShardableQuery {
+class AutofocusQuery : public Query {
  public:
   explicit AutofocusQuery(double threshold_fraction = 0.02, size_t interval_bins = 10);
 
@@ -368,14 +314,6 @@ class AutofocusQuery : public Query, public ShardableQuery {
                                             double threshold_fraction);
 
   double IntervalError(const Query& reference, size_t interval) const override;
-
-  // Intra-query sharding (mergeable state; see query::ShardableQuery).
-  ShardableQuery* shardable() override { return this; }
-  std::unique_ptr<ShardState> ForkShard() const override;
-  void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                    size_t end) const override;
-  void MergeShard(ShardState& into, ShardState&& from) const override;
-  void ApplyShards(const BatchInput& in, ShardState&& merged) override;
 
  protected:
   void OnBatch(const BatchInput& in) override;
@@ -396,7 +334,7 @@ class AutofocusQuery : public Query, public ShardableQuery {
 // super-sources — sources with the largest fan-out (distinct destinations,
 // [139] in the thesis), counted per source with small direct bitmaps.
 // ---------------------------------------------------------------------------
-class SuperSourcesQuery : public Query, public ShardableQuery {
+class SuperSourcesQuery : public Query {
  public:
   explicit SuperSourcesQuery(size_t top_n = 10, size_t interval_bins = 10);
 
@@ -412,14 +350,6 @@ class SuperSourcesQuery : public Query, public ShardableQuery {
   const std::vector<std::shared_ptr<const Snapshot>>& snapshots() const { return snaps_; }
 
   double IntervalError(const Query& reference, size_t interval) const override;
-
-  // Intra-query sharding (mergeable state; see query::ShardableQuery).
-  ShardableQuery* shardable() override { return this; }
-  std::unique_ptr<ShardState> ForkShard() const override;
-  void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                    size_t end) const override;
-  void MergeShard(ShardState& into, ShardState&& from) const override;
-  void ApplyShards(const BatchInput& in, ShardState&& merged) override;
 
  protected:
   void OnBatch(const BatchInput& in) override;

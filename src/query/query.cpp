@@ -39,19 +39,6 @@ void Query::ProcessBatch(const BatchInput& in) {
   WithFlows(in, [this](const BatchInput& with) { OnBatch(with); });
 }
 
-void Query::ProcessShards(const BatchInput& in, std::vector<std::unique_ptr<ShardState>> shards) {
-  ShardableQuery* sh = shardable();
-  if (sh == nullptr || shards.empty()) {
-    throw std::logic_error("Query::ProcessShards: query is not shardable or no shards given");
-  }
-  cur_packets_ += static_cast<double>(in.packets.size());
-  std::unique_ptr<ShardState> merged = std::move(shards.front());
-  for (size_t s = 1; s < shards.size(); ++s) {
-    sh->MergeShard(*merged, std::move(*shards[s]));
-  }
-  sh->ApplyShards(in, std::move(*merged));
-}
-
 void Query::ProcessCustom(const BatchInput& in, double fraction) {
   cur_packets_ += static_cast<double>(in.packets.size());
   WithFlows(in, [&](const BatchInput& with) { OnCustomBatch(with, fraction); });

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,8 +8,6 @@
 #include "src/trace/flow_table.h"
 
 namespace shedmon::query {
-
-class ShardableQuery;
 
 // Which shedding mechanism suits the query best (§4.2); each query picks the
 // option that yields the best results at configuration time.
@@ -35,73 +32,6 @@ struct BatchInput {
 
   // *flows; throws std::logic_error when it is null.
   const trace::FlowTable& flow_table() const;
-};
-
-// Worker-local partial state for one shard of a batch. Concrete shardable
-// queries derive their own partial (counters, candidate key lists, shard-span
-// match sets); the base is an opaque tag so the scheduler can carry partials
-// without knowing the query type.
-class ShardState {
- public:
-  virtual ~ShardState() = default;
-};
-
-// Optional extension of the black-box query interface: intra-query data
-// parallelism with a deterministic merge. A batch is divided into
-// ShardUnits(in) abstract units (the view's flows for most queries; scanned
-// bytes for pattern-search, so seams may fall inside a payload); the
-// scheduler forks one ShardState per shard, processes disjoint contiguous
-// unit ranges on any workers in any order, then folds the partials back in
-// ascending shard-index order via Query::ProcessShards.
-//
-// The discipline that makes sharded execution bit-identical to serial
-// execution (not merely statistically equivalent) at every shard count:
-//  - OnShardBatch accumulates only exactly-representable partials (packet /
-//    byte / insertion counts as integer-valued doubles, candidate key lists,
-//    bitmap unions), so MergeShard's fold is exact and associative;
-//  - candidate keys keep first-touch order, and contiguous ascending ranges
-//    make the merged order the batch's first-occurrence order — the order
-//    the serial loop would have inserted them in (a key's first packet is
-//    its first flow's first packet, so per-flow and per-packet visits agree);
-//  - every floating-point rounding step (the 1/sampling_rate rescale, the
-//    += into interval state) and every ChargeWork call happens exactly once
-//    per batch, in ApplyShards, computed from the merged exact partials.
-// OnBatch of a shardable query either runs the same fork/apply path with one
-// shard, or — where the shard partial is heavier than a direct loop — a
-// direct twin evaluating the identical arithmetic; the differential fuzz
-// suite (query_shard_fuzz_test) pins serial and sharded results together.
-class ShardableQuery {
- public:
-  virtual ~ShardableQuery() = default;
-
-  // Total shardable units in `in`. Defaults to the view's flow count;
-  // queries whose work is byte-driven override it so shards balance by bytes.
-  virtual size_t ShardUnits(const BatchInput& in) const { return in.flow_table().num_flows(); }
-
-  // Below this many units a batch is not worth splitting (scheduler hint; a
-  // smaller range is still processed correctly). The default grain is in
-  // flows: a flow carries ~13 packets on every preset, so a 16-flow shard
-  // stands for ~200 packets of charged work.
-  virtual size_t MinShardUnits() const { return 16; }
-
-  // Creates an empty worker-local partial. Must be cheap: one is forked per
-  // shard per batch.
-  virtual std::unique_ptr<ShardState> ForkShard() const = 0;
-
-  // Processes units [begin, end) of `in` into `shard`. Const on the query:
-  // shards may read the query's pre-batch state (e.g. to classify a key as
-  // already-known) but only mutate their own partial, so disjoint ranges are
-  // safe to run concurrently.
-  virtual void OnShardBatch(ShardState& shard, const BatchInput& in, size_t begin,
-                            size_t end) const = 0;
-
-  // Exact associative fold of `from` into `into`; called with ascending
-  // shard indices, on one thread.
-  virtual void MergeShard(ShardState& into, ShardState&& from) const = 0;
-
-  // Applies the fully merged partial to query state and charges the batch's
-  // work — the single place where scaling/rounding and ChargeWork happen.
-  virtual void ApplyShards(const BatchInput& in, ShardState&& merged) = 0;
 };
 
 // A monitoring application ("plug-in module" in CoMo terms). The load
@@ -130,20 +60,6 @@ class Query {
   // Processes one (possibly sampled) batch; builds the flow table of
   // in.packets when in.flows is null.
   void ProcessBatch(const BatchInput& in);
-
-  // Intra-query data parallelism (mergeable-state discipline): non-null when
-  // this query's batches may be split into shards processed on different
-  // workers and folded back losslessly. Null (the default) means the query's
-  // per-batch state is order-sensitive and batches must stay whole.
-  virtual ShardableQuery* shardable() { return nullptr; }
-
-  // Sharded twin of ProcessBatch: the scheduler forked `shards` via
-  // ShardableQuery::ForkShard, ran OnShardBatch over a partition of the
-  // batch's shard units on workers, and hands the partials back here on one
-  // thread. Folds them in ascending shard-index order and applies the result;
-  // query state, results and work_units() end up bit-identical to a plain
-  // ProcessBatch(in) call, for any shard count and any shard execution order.
-  void ProcessShards(const BatchInput& in, std::vector<std::unique_ptr<ShardState>> shards);
 
   // Closes the current measurement interval; results become available for
   // interval index completed_intervals() - 1 afterwards.

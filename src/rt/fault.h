@@ -64,7 +64,7 @@ class FaultInjector {
   // scheduled clock jump and coordinator stall for this bin.
   void OnBinStart(uint64_t bin_index);
 
-  // Worker hook, called per sharded task: applies the bin's worker stall.
+  // Worker hook, called per query task: applies the bin's worker stall.
   void OnWorkerTask(uint64_t bin_index);
 
   // Sink hook, called per write attempt (including retries): returns the

@@ -68,17 +68,6 @@ void DirectBitmap::Clear() {
   bits_set_ = 0;
 }
 
-void DirectBitmap::Union(const DirectBitmap& other) {
-  if (other.size_bits_ != size_bits_) {
-    throw std::invalid_argument("DirectBitmap::Union size mismatch");
-  }
-  bits_set_ = 0;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    words_[i] |= other.words_[i];
-    bits_set_ += static_cast<uint32_t>(std::popcount(words_[i]));
-  }
-}
-
 MultiResBitmap::MultiResBitmap(uint32_t components, uint32_t component_bits)
     : components_(components),
       component_bits_(component_bits),

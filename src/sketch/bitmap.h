@@ -38,8 +38,6 @@ class DirectBitmap {
   bool Saturated() const { return bits_set_ == size_bits_; }
 
   void Clear();
-  // OR-merge; both bitmaps must have the same size.
-  void Union(const DirectBitmap& other);
 
  private:
   uint32_t size_bits_;

@@ -840,14 +840,6 @@ TEST(PipelineValidation, RejectsOutOfRangeSystemKnobs) {
   config = {};
   config.system_interval_bins = 0;
   EXPECT_THROW(B().Config(config).Build(), ConfigError);
-  config = {};
-  config.max_shards_per_query = 0;
-  EXPECT_THROW(B().Config(config).Build(), ConfigError);
-}
-
-TEST(PipelineValidation, RejectsShardingWithoutAWorkerPool) {
-  EXPECT_THROW(api::PipelineBuilder().MaxShardsPerQuery(8).Build(), ConfigError);
-  EXPECT_NO_THROW(api::PipelineBuilder().Threads(2).MaxShardsPerQuery(8).Build());
 }
 
 TEST(PipelineValidation, RejectsUnknownRosterEntriesAndBadMinRates) {
@@ -972,7 +964,6 @@ std::map<std::string, KeySample> KeySamples() {
       {"system.shedder", {"reactive", SampleKind::kEnum}},
       {"system.strategy", {"mmfs_cpu", SampleKind::kEnum}},
       {"system.threads", {"2", SampleKind::kNumber}},
-      {"system.shards", {"2", SampleKind::kNumber}},
       {"system.seed", {"7", SampleKind::kNumber}},
       {"system.buffer_bins", {"3", SampleKind::kNumber}},
       {"system.ewma_alpha", {"0.5", SampleKind::kNumber}},
@@ -1067,7 +1058,6 @@ TEST(ConfigSchema, FileLineAndFlagSetTheSameBuilderState) {
     EXPECT_EQ(a.shedder, b.shedder);
     EXPECT_EQ(a.strategy, b.strategy);
     EXPECT_EQ(a.num_threads, b.num_threads);
-    EXPECT_EQ(a.max_shards_per_query, b.max_shards_per_query);
     EXPECT_EQ(a.enable_custom_shedding, b.enable_custom_shedding);
     EXPECT_EQ(from_file.oracle(), from_flag.oracle());
     EXPECT_EQ(from_file.query_names(), from_flag.query_names());
@@ -1441,44 +1431,37 @@ TEST(PipelineDeterminism, ScrapingUnderLoadNeverPerturbsResults) {
   const GoldenRun golden = GoldenRunSystemOnTrace(golden_spec, SharedTrace());
 
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
-    for (const size_t shards : {size_t{1}, size_t{8}}) {
-      if (threads == 0 && shards > 1) {
-        continue;  // rejected by eager validation; covered in exec_test
-      }
-      SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
-                   std::to_string(shards));
-      GoldenSpec spec = SpecFor(names, core::ShedderKind::kPredictive,
-                                shed::StrategyKind::kMmfsPkt, false, threads);
-      spec.system.max_shards_per_query = shards;
-      auto pipeline = BuilderFor(spec).BuildUnique();
-      std::vector<api::QueryHandle> handles;
-      for (const auto& name : names) {
-        handles.push_back(pipeline->AddQuery(name));
-      }
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    GoldenSpec spec = SpecFor(names, core::ShedderKind::kPredictive,
+                              shed::StrategyKind::kMmfsPkt, false, threads);
+    auto pipeline = BuilderFor(spec).BuildUnique();
+    std::vector<api::QueryHandle> handles;
+    for (const auto& name : names) {
+      handles.push_back(pipeline->AddQuery(name));
+    }
 
-      std::atomic<bool> stop{false};
-      std::atomic<size_t> scrapes{0};
-      std::thread scraper([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::string text =
-              obs::PrometheusEncoder::Encode(pipeline->Metrics().Snapshot());
-          if (!text.empty()) {
-            scrapes.fetch_add(1, std::memory_order_relaxed);
-          }
+    std::atomic<bool> stop{false};
+    std::atomic<size_t> scrapes{0};
+    std::thread scraper([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::string text =
+            obs::PrometheusEncoder::Encode(pipeline->Metrics().Snapshot());
+        if (!text.empty()) {
+          scrapes.fetch_add(1, std::memory_order_relaxed);
         }
-      });
-      pipeline->Push(SharedTrace());
-      pipeline->Finish();
-      stop.store(true);
-      scraper.join();
-
-      EXPECT_GT(scrapes.load(), 0u);
-      ExpectBinLogsIdentical(golden.system->log(), pipeline->log());
-      for (size_t q = 0; q < names.size(); ++q) {
-        SCOPED_TRACE(names[q]);
-        EXPECT_EQ(golden.Accuracy(q).mean_error, handles[q].Accuracy().mean_error);
-        EXPECT_EQ(golden.Accuracy(q).stdev_error, handles[q].Accuracy().stdev_error);
       }
+    });
+    pipeline->Push(SharedTrace());
+    pipeline->Finish();
+    stop.store(true);
+    scraper.join();
+
+    EXPECT_GT(scrapes.load(), 0u);
+    ExpectBinLogsIdentical(golden.system->log(), pipeline->log());
+    for (size_t q = 0; q < names.size(); ++q) {
+      SCOPED_TRACE(names[q]);
+      EXPECT_EQ(golden.Accuracy(q).mean_error, handles[q].Accuracy().mean_error);
+      EXPECT_EQ(golden.Accuracy(q).stdev_error, handles[q].Accuracy().stdev_error);
     }
   }
 }

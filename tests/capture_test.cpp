@@ -2,7 +2,7 @@
 // the pipeline through pre-allocated slots that recycle as soon as each
 // frame is pushed, and — with an injected ManualClock freezing the
 // wall-time contribution — produce BinLogs bit-identical to an offline
-// replay of the same records, at every (threads x shards) combination and
+// replay of the same records, at every thread count and
 // for bins of any size. Protocol errors, truncation and overload are
 // counted, never crashed on.
 
@@ -75,19 +75,18 @@ const std::vector<std::string>& CaptureQueries() {
   return queries;
 }
 
-core::SystemConfig BaseConfig(size_t threads, size_t shards) {
+core::SystemConfig BaseConfig(size_t threads) {
   core::SystemConfig config;
   config.shedder = core::ShedderKind::kPredictive;
   config.num_threads = threads;
-  config.max_shards_per_query = shards;
   config.cycles_per_bin =
       0.5 * core::MeasureMeanDemand(CaptureQueries(), CaptureTrace(), core::OracleKind::kModel);
   return config;
 }
 
-api::PipelineBuilder Builder(size_t threads, size_t shards) {
+api::PipelineBuilder Builder(size_t threads) {
   api::PipelineBuilder builder;
-  builder.Config(BaseConfig(threads, shards));
+  builder.Config(BaseConfig(threads));
   for (const std::string& query : CaptureQueries()) {
     builder.AddQuery(query);
   }
@@ -98,7 +97,7 @@ api::PipelineBuilder Builder(size_t threads, size_t shards) {
 // facade on a single-coordinator pipeline.
 const std::vector<core::BinLog>& GoldenLog() {
   static const std::vector<core::BinLog> golden = [] {
-    auto pipeline = Builder(0, 1).BuildUnique();
+    auto pipeline = Builder(0).BuildUnique();
     pipeline->Push(CaptureTrace());
     pipeline->Finish();
     return pipeline->log();
@@ -141,12 +140,11 @@ bool WaitUntil(const std::function<bool()>& done) {
 
 // Builds a live pipeline listening on an ephemeral loopback port with a
 // frozen wall clock, so binning is driven purely by embedded timestamps.
-std::unique_ptr<api::Pipeline> BuildLive(size_t threads, size_t shards,
-                                         capture::SourceSpec source) {
+std::unique_ptr<api::Pipeline> BuildLive(size_t threads, capture::SourceSpec source) {
   capture::CaptureConfig cc;
   cc.sources.push_back(std::move(source));
   cc.clock = std::make_shared<rt::ManualClock>();
-  api::PipelineBuilder builder = Builder(threads, shards);
+  api::PipelineBuilder builder = Builder(threads);
   builder.CaptureFrom(cc);
   return builder.BuildUnique();
 }
@@ -155,38 +153,32 @@ std::unique_ptr<api::Pipeline> BuildLive(size_t threads, size_t shards,
 // Equivalence with offline replay
 // ---------------------------------------------------------------------------
 
-TEST(Capture, TcpReplayIsBitIdenticalToOfflineAtEveryThreadAndShardCount) {
+TEST(Capture, TcpReplayIsBitIdenticalToOfflineAtEveryThreadCount) {
   const size_t expected = CaptureTrace().packets.size();
   for (const size_t threads : {0, 2, 4}) {
-    for (const size_t shards : {1, 8}) {
-      if (threads == 0 && shards > 1) {
-        continue;  // sharding requires a worker pool
-      }
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " shards=" + std::to_string(shards));
-      auto pipeline = BuildLive(threads, shards, capture::SourceSpec::Tcp(0));
-      const uint16_t port = pipeline->capture()->port(0);
-      ASSERT_GT(port, 0);
-      EXPECT_EQ(capture::ReplayTraceTcp(CaptureTrace(), port), expected);
-      // The framed TCP stream is lossless: every record must arrive.
-      ASSERT_TRUE(WaitUntil([&] { return pipeline->capture_stats().packets >= expected; }))
-          << "got " << pipeline->capture_stats().packets << "/" << expected;
-      pipeline->Finish();
-      const capture::CaptureStats stats = pipeline->capture_stats();
-      EXPECT_EQ(stats.packets, expected);
-      EXPECT_EQ(stats.dropped(), 0u);
-      EXPECT_EQ(stats.truncated, 0u);
-      ExpectBinLogsIdentical(GoldenLog(), pipeline->log());
-      // Each captured payload is copied exactly once, out of its slot.
-      EXPECT_EQ(pipeline->Stats().ingest_copied_bytes, PayloadBytes(CaptureTrace()));
-      EXPECT_EQ(pipeline->Stats().capture_packets, expected);
-    }
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto pipeline = BuildLive(threads, capture::SourceSpec::Tcp(0));
+    const uint16_t port = pipeline->capture()->port(0);
+    ASSERT_GT(port, 0);
+    EXPECT_EQ(capture::ReplayTraceTcp(CaptureTrace(), port), expected);
+    // The framed TCP stream is lossless: every record must arrive.
+    ASSERT_TRUE(WaitUntil([&] { return pipeline->capture_stats().packets >= expected; }))
+        << "got " << pipeline->capture_stats().packets << "/" << expected;
+    pipeline->Finish();
+    const capture::CaptureStats stats = pipeline->capture_stats();
+    EXPECT_EQ(stats.packets, expected);
+    EXPECT_EQ(stats.dropped(), 0u);
+    EXPECT_EQ(stats.truncated, 0u);
+    ExpectBinLogsIdentical(GoldenLog(), pipeline->log());
+    // Each captured payload is copied exactly once, out of its slot.
+    EXPECT_EQ(pipeline->Stats().ingest_copied_bytes, PayloadBytes(CaptureTrace()));
+    EXPECT_EQ(pipeline->Stats().capture_packets, expected);
   }
 }
 
 TEST(Capture, UdpReplayMatchesOfflineReplay) {
   const size_t expected = CaptureTrace().packets.size();
-  auto pipeline = BuildLive(0, 1, capture::SourceSpec::Udp(0));
+  auto pipeline = BuildLive(0, capture::SourceSpec::Udp(0));
   const uint16_t port = pipeline->capture()->port(0);
   ASSERT_GT(port, 0);
   EXPECT_EQ(capture::ReplayTraceUdp(CaptureTrace(), port), expected);
@@ -217,12 +209,12 @@ TEST(Capture, BinLargerThanTheSlotPoolCompletesUnderAFrozenClock) {
     rec.ts_us = i * 10;
     big.packets.push_back(rec);
   }
-  auto offline = Builder(0, 1).BuildUnique();
+  auto offline = Builder(0).BuildUnique();
   offline->Push(big);
   offline->Finish();
   ASSERT_EQ(offline->log().size(), 1u);
 
-  auto pipeline = BuildLive(0, 1, capture::SourceSpec::Tcp(0));
+  auto pipeline = BuildLive(0, capture::SourceSpec::Tcp(0));
   const uint16_t port = pipeline->capture()->port(0);
   ASSERT_GT(port, 0);
   // The sender runs on its own thread and the wait is bounded, so a capture
@@ -247,7 +239,7 @@ TEST(Capture, PcapFollowTailsAGrowingFile) {
   trace::ExportPcap(t, path);
   const trace::Trace imported = trace::ImportPcap(path);
   ASSERT_EQ(imported.packets.size(), t.packets.size());
-  auto golden_pipeline = Builder(0, 1).BuildUnique();
+  auto golden_pipeline = Builder(0).BuildUnique();
   golden_pipeline->Push(imported);
   golden_pipeline->Finish();
 
@@ -259,7 +251,7 @@ TEST(Capture, PcapFollowTailsAGrowingFile) {
   first_half.packets.assign(t.packets.begin(), t.packets.begin() + half);
   trace::ExportPcap(first_half, path);
 
-  auto pipeline = BuildLive(0, 1, capture::SourceSpec::PcapFile(path));
+  auto pipeline = BuildLive(0, capture::SourceSpec::PcapFile(path));
   ASSERT_TRUE(WaitUntil(
       [&] { return pipeline->capture_stats().packets >= half; }));
 
@@ -304,7 +296,7 @@ int ConnectLoopback(uint16_t port) {
 }
 
 TEST(Capture, TcpStreamProtocolErrorDropsConnectionNotProcess) {
-  auto pipeline = BuildLive(0, 1, capture::SourceSpec::Tcp(0));
+  auto pipeline = BuildLive(0, capture::SourceSpec::Tcp(0));
   const uint16_t port = pipeline->capture()->port(0);
 
   // A stream that never says the magic word: counted as a decode drop, the
@@ -328,7 +320,7 @@ TEST(Capture, TcpStreamProtocolErrorDropsConnectionNotProcess) {
 }
 
 TEST(Capture, TcpOversizedFrameLengthIsAProtocolError) {
-  auto pipeline = BuildLive(0, 1, capture::SourceSpec::Tcp(0));
+  auto pipeline = BuildLive(0, capture::SourceSpec::Tcp(0));
   const int fd = ConnectLoopback(pipeline->capture()->port(0));
   // Valid magic, hostile frame_len: must be rejected before any allocation.
   uint8_t header[capture::kStreamHeaderLen] = {};
@@ -356,7 +348,7 @@ TEST(Capture, SnapLengthTruncatesOversizedFramesAndCounts) {
   cc.sources.push_back(capture::SourceSpec::Tcp(0));
   cc.clock = std::make_shared<rt::ManualClock>();
   cc.snap_bytes = 64;  // eth + ip + tcp headers fit; payloads do not
-  api::PipelineBuilder builder = Builder(0, 1);
+  api::PipelineBuilder builder = Builder(0);
   builder.CaptureFrom(cc);
   auto pipeline = builder.BuildUnique();
 
@@ -371,7 +363,7 @@ TEST(Capture, SnapLengthTruncatesOversizedFramesAndCounts) {
 }
 
 TEST(Capture, UdpRawDatagramWithoutMagicIsTreatedAsAFrame) {
-  auto pipeline = BuildLive(0, 1, capture::SourceSpec::Udp(0));
+  auto pipeline = BuildLive(0, capture::SourceSpec::Udp(0));
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr = {};
@@ -392,7 +384,7 @@ TEST(Capture, UdpRawDatagramWithoutMagicIsTreatedAsAFrame) {
 // ---------------------------------------------------------------------------
 
 TEST(Capture, BuildRejectsEmptySourceList) {
-  api::PipelineBuilder builder = Builder(0, 1);
+  api::PipelineBuilder builder = Builder(0);
   builder.CaptureFrom(capture::CaptureConfig{});
   EXPECT_THROW(builder.BuildUnique(), api::ConfigError);
 }
@@ -400,7 +392,7 @@ TEST(Capture, BuildRejectsEmptySourceList) {
 TEST(Capture, BuildRejectsPcapSourceWithoutPath) {
   capture::CaptureConfig cc;
   cc.sources.push_back(capture::SourceSpec::PcapFile(""));
-  api::PipelineBuilder builder = Builder(0, 1);
+  api::PipelineBuilder builder = Builder(0);
   builder.CaptureFrom(cc);
   EXPECT_THROW(builder.BuildUnique(), api::ConfigError);
 }
@@ -408,7 +400,7 @@ TEST(Capture, BuildRejectsPcapSourceWithoutPath) {
 TEST(Capture, BuildRejectsMissingPcapFileLoudly) {
   capture::CaptureConfig cc;
   cc.sources.push_back(capture::SourceSpec::PcapFile("/nonexistent/capture.pcap"));
-  api::PipelineBuilder builder = Builder(0, 1);
+  api::PipelineBuilder builder = Builder(0);
   builder.CaptureFrom(cc);
   EXPECT_THROW(builder.BuildUnique(), api::ConfigError);
 }
@@ -428,14 +420,14 @@ TEST(Capture, BuildRejectsTakenListenerPort) {
 
   capture::CaptureConfig cc;
   cc.sources.push_back(capture::SourceSpec::Udp(ntohs(addr.sin_port)));
-  api::PipelineBuilder builder = Builder(0, 1);
+  api::PipelineBuilder builder = Builder(0);
   builder.CaptureFrom(cc);
   EXPECT_THROW(builder.BuildUnique(), api::ConfigError);
   ::close(fd);
 }
 
 TEST(Capture, StartCaptureIsSingleShot) {
-  auto pipeline = BuildLive(0, 1, capture::SourceSpec::Udp(0));
+  auto pipeline = BuildLive(0, capture::SourceSpec::Udp(0));
   capture::CaptureConfig cc;
   cc.sources.push_back(capture::SourceSpec::Udp(0));
   EXPECT_THROW(pipeline->StartCapture(cc), api::ConfigError);
@@ -448,7 +440,7 @@ TEST(Capture, MetricsAndSpansCoverTheCaptureStage) {
   capture::CaptureConfig cc;
   cc.sources.push_back(capture::SourceSpec::Tcp(0));
   cc.clock = std::make_shared<rt::ManualClock>();
-  api::PipelineBuilder builder = Builder(0, 1);
+  api::PipelineBuilder builder = Builder(0);
   builder.Tracing().CaptureFrom(cc);
   auto pipeline = builder.BuildUnique();
 

@@ -1,7 +1,7 @@
 // Bitwise comparison of two standard query instances' completed results,
-// for suites that pin two ways of computing them together: sharded vs
-// serial execution, elided vs replayed references, and per-flow queries vs
-// the per-packet loops they replace.
+// for suites that pin two ways of computing them together: a batch with and
+// without its flow table, elided vs replayed references, and per-flow
+// queries vs the per-packet loops they replace.
 
 #pragma once
 

@@ -714,24 +714,6 @@ const trace::Trace& TieHeavyTrace() {
   return t;
 }
 
-// The twin runs shardable queries through the shard path on odd bins, as
-// the system does with several shards, so adoption is checked against
-// both of its execution paths.
-void RunTwinBin(Query& twin, const BatchInput& in, size_t bin) {
-  ShardableQuery* sh = twin.shardable();
-  if (sh == nullptr || bin % 2 == 0) {
-    twin.ProcessBatch(in);
-    return;
-  }
-  const size_t units = sh->ShardUnits(in);
-  std::vector<std::unique_ptr<ShardState>> shards;
-  for (size_t s = 0; s < 3; ++s) {
-    shards.push_back(sh->ForkShard());
-    sh->OnShardBatch(*shards.back(), in, units * s / 3, units * (s + 1) / 3);
-  }
-  twin.ProcessShards(in, std::move(shards));
-}
-
 // Property: for every standard query, a reference that per interval either
 // adopts the twin's closed interval (never forked), adopts the twin's open
 // interval at a random bin and replays the rest (forked), or replays the
@@ -769,7 +751,7 @@ TEST(ReferenceElision, AdoptThenReplayEqualsReplayFromStart) {
         mode = kReplayed;
       }
       const BatchInput full{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
-      RunTwinBin(*twin, full, bin);
+      twin->ProcessBatch(full);
       replay->ProcessBatch(full);
       if (mode == kReplayed) {
         subject->ProcessBatch(full);
@@ -1058,19 +1040,6 @@ std::unique_ptr<FlowBin> MakeFlowBin(util::Rng& rng, FlowBinKind kind) {
   return bin;
 }
 
-// Runs `in` through the shard path in `shards` even ranges of its units.
-void ProcessInShards(Query& q, const BatchInput& in, size_t shards) {
-  ShardableQuery* sh = q.shardable();
-  ASSERT_NE(sh, nullptr);
-  const size_t units = sh->ShardUnits(in);
-  std::vector<std::unique_ptr<ShardState>> states;
-  for (size_t s = 0; s < shards; ++s) {
-    states.push_back(sh->ForkShard());
-    sh->OnShardBatch(*states.back(), in, units * s / shards, units * (s + 1) / shards);
-  }
-  q.ProcessShards(in, std::move(states));
-}
-
 // The queries that visit flows: all but the per-packet three.
 std::vector<std::string> PerFlowQueryNames() {
   std::vector<std::string> names;
@@ -1087,8 +1056,8 @@ class PerFlowQueries : public ::testing::TestWithParam<std::string> {};
 // Property: each per-flow query, handed random bins as a whole batch, a
 // packet-sampled view or a flow-sampled view, ends up with the results and
 // work_units() of the per-packet loops (test_util::PerPacketReference), bit
-// for bit, whether it reads the view's flow table, builds its own (no table
-// given) or runs in 2 or 8 shards.
+// for bit, whether it reads the view's flow table or builds its own (no
+// table given).
 TEST_P(PerFlowQueries, MatchThePerPacketLoopsOnEveryView) {
   const std::string name = GetParam();
   util::Rng rng(0xf10e + std::hash<std::string>{}(name) % 1024);
@@ -1098,9 +1067,9 @@ TEST_P(PerFlowQueries, MatchThePerPacketLoopsOnEveryView) {
   for (int round = 0; round < kRounds; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
     test_util::PerPacketReference reference(name);
-    // Serial on the view's table, serial on a table of its own, 2 shards, 8.
+    // On the view's table, and on a table of its own.
     std::vector<std::unique_ptr<Query>> subjects;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 0; i < 2; ++i) {
       subjects.push_back(MakeQuery(name));
     }
     shed::FlowSampler flow_sampler(rng.NextU64());
@@ -1131,8 +1100,6 @@ TEST_P(PerFlowQueries, MatchThePerPacketLoopsOnEveryView) {
         reference.ProcessBatch(packets, rate);
         subjects[0]->ProcessBatch(in);
         subjects[1]->ProcessBatch({packets, 0, 100'000, rate});
-        ProcessInShards(*subjects[2], in, 2);
-        ProcessInShards(*subjects[3], in, 8);
         for (size_t i = 0; i < subjects.size(); ++i) {
           ASSERT_TRUE(test_util::SameBits(subjects[i]->work_units(), reference.work_units()))
               << "subject " << i << " interval " << interval << " batch " << b << " view "

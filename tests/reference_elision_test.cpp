@@ -5,7 +5,7 @@
 // whole trace holds — snapshots, ranked lists, packet counts — and
 // score the system's queries exactly as a full replay of every query does:
 // ErrorSeries and the pipeline's accuracies, bit for bit. Across presets,
-// thread and shard counts, overload, rates that cross 1 mid-interval,
+// thread counts, overload, rates that cross 1 mid-interval,
 // dropped and truncated bins, a mid-interval Detach and a Finish in a
 // partial interval.
 
@@ -140,11 +140,10 @@ std::vector<api::QueryHandle> AddAllQueries(api::Pipeline& pipeline,
   return handles;
 }
 
-// Every synthetic preset at threads {0, 2} x shards {1, 2}, at capacity
-// twice its demand, so most queries run at rate 1 after warm-up and their
-// references are elided, and at half its demand (overload-payload's K), so
-// every query is shed and trace's and pattern-search's packet counters
-// score shed intervals.
+// Every synthetic preset at threads {0, 2}, at capacity twice its demand, so
+// most queries run at rate 1 after warm-up and their references are elided,
+// and at half its demand (overload-payload's K), so every query is shed and
+// trace's and pattern-search's packet counters score shed intervals.
 TEST(ReferenceElisionPipeline, MatchesOfflineReferenceOnEveryPreset) {
   const std::vector<std::pair<std::string, trace::TraceSpec>> presets = {
       {"cesca1", trace::CescaI()},
@@ -158,37 +157,31 @@ TEST(ReferenceElisionPipeline, MatchesOfflineReferenceOnEveryPreset) {
         core::MeasureMeanDemand(query::AllQueryNames(), trace, core::OracleKind::kModel);
     for (const double capacity : {2.0, 0.5}) {
       for (const size_t threads : {size_t{0}, size_t{2}}) {
-        for (const size_t shards : {size_t{1}, size_t{2}}) {
-          if (shards > 1 && threads == 0) {
-            continue;  // sharding needs a pool
-          }
-          SCOPED_TRACE(label + " capacity " + std::to_string(capacity) + " threads " +
-                       std::to_string(threads) + " shards " + std::to_string(shards));
-          auto pipeline = api::PipelineBuilder()
-                              .CyclesPerBin(capacity * demand)
-                              .Threads(threads)
-                              .MaxShardsPerQuery(shards)
-                              .BuildUnique();
-          const auto handles = AddAllQueries(*pipeline);
-          pipeline->Push(trace);
-          pipeline->Finish();
-          ExpectReferencesMatchOffline(*pipeline, handles, trace);
-          ExpectEveryBinAccounted(*pipeline, handles.size());
-          EXPECT_GT(ReferenceBins(*pipeline, "replayed"), 0.0);
-          // trace and pattern-search count every closed bin, never replay it.
-          EXPECT_EQ(ReferenceBins(*pipeline, "counted"),
-                    2.0 * static_cast<double>(pipeline->log().size()));
-          if (capacity > 1.0) {
-            EXPECT_GT(ReferenceBins(*pipeline, "elided"), 0.0);
-            continue;
-          }
-          // Not vacuous: a packet counter scores a shed query.
-          const api::QueryHandle& trace_handle = handles.back();
-          ASSERT_EQ(trace_handle.name(), "trace");
-          ASSERT_NE(dynamic_cast<const query::PacketCountQuery*>(trace_handle.reference()),
-                    nullptr);
-          EXPECT_GT(trace_handle.Accuracy().mean_error, 0.0);
+        SCOPED_TRACE(label + " capacity " + std::to_string(capacity) + " threads " +
+                     std::to_string(threads));
+        auto pipeline = api::PipelineBuilder()
+                            .CyclesPerBin(capacity * demand)
+                            .Threads(threads)
+                            .BuildUnique();
+        const auto handles = AddAllQueries(*pipeline);
+        pipeline->Push(trace);
+        pipeline->Finish();
+        ExpectReferencesMatchOffline(*pipeline, handles, trace);
+        ExpectEveryBinAccounted(*pipeline, handles.size());
+        EXPECT_GT(ReferenceBins(*pipeline, "replayed"), 0.0);
+        // trace and pattern-search count every closed bin, never replay it.
+        EXPECT_EQ(ReferenceBins(*pipeline, "counted"),
+                  2.0 * static_cast<double>(pipeline->log().size()));
+        if (capacity > 1.0) {
+          EXPECT_GT(ReferenceBins(*pipeline, "elided"), 0.0);
+          continue;
         }
+        // Not vacuous: a packet counter scores a shed query.
+        const api::QueryHandle& trace_handle = handles.back();
+        ASSERT_EQ(trace_handle.name(), "trace");
+        ASSERT_NE(dynamic_cast<const query::PacketCountQuery*>(trace_handle.reference()),
+                  nullptr);
+        EXPECT_GT(trace_handle.Accuracy().mean_error, 0.0);
       }
     }
   }

@@ -3,7 +3,7 @@
 // under injected I/O faults, crash-safe checkpoint / restore replay, and —
 // the other side of the coin — proof that a pipeline with every rt feature
 // armed but no faults firing produces BinLogs bit-identical to a plain
-// pipeline at every (threads x shards) combination.
+// pipeline at every thread count.
 //
 // All time is a ManualClock: "this bin overran" is something the fault plan
 // states, never something the test hopes the scheduler reproduces.
@@ -45,11 +45,10 @@ const trace::Trace& RobustnessTrace() {
   return trace;
 }
 
-core::SystemConfig BaseConfig(size_t threads, size_t shards) {
+core::SystemConfig BaseConfig(size_t threads) {
   core::SystemConfig config;
   config.shedder = core::ShedderKind::kPredictive;
   config.num_threads = threads;
-  config.max_shards_per_query = shards;
   config.cycles_per_bin = 0.5 * core::MeasureMeanDemand({"counter", "flows"}, RobustnessTrace(),
                                                         core::OracleKind::kModel);
   return config;
@@ -112,7 +111,7 @@ TEST(Robustness, DeadlineLadderFiresUnderInjectedStalls) {
   governor.decay_bins = 2;
 
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .AddQuery("flows")
                       .RtClock(clock)
@@ -158,7 +157,7 @@ TEST(Robustness, LadderDecaysToCleanAfterTheOverloadPasses) {
   governor.decay_bins = 2;
 
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .AddQuery("flows")
                       .RtClock(clock)
@@ -188,10 +187,10 @@ TEST(Robustness, LadderDecaysToCleanAfterTheOverloadPasses) {
 // No-fault bit-identity: the rt layer must be invisible until it fires
 // ---------------------------------------------------------------------------
 
-TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadAndShardCount) {
+TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadCount) {
   // Golden: a plain pipeline with no rt features at all.
   auto golden = api::PipelineBuilder()
-                    .Config(BaseConfig(0, 1))
+                    .Config(BaseConfig(0))
                     .AddQuery("counter")
                     .AddQuery("flows")
                     .BuildUnique();
@@ -199,34 +198,29 @@ TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadAndShardCount) {
   golden->Finish();
 
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
-    for (const size_t shards : {size_t{1}, size_t{8}}) {
-      if (threads == 0 && shards > 1) {
-        continue;  // rejected by eager validation; covered in exec_test
-      }
-      SCOPED_TRACE("threads " + std::to_string(threads) + " shards " + std::to_string(shards));
-      // Everything armed: governor (never fires — the ManualClock does not
-      // move), fault injector with an empty plan, bounded ingest with a cap
-      // far above any bin, sink retry on a JSONL sink.
-      const std::string jsonl = test::TempPath("shedmon_robustness_identity.jsonl");
-      auto armed = api::PipelineBuilder()
-                       .Config(BaseConfig(threads, shards))
-                       .AddQuery("counter")
-                       .AddQuery("flows")
-                       .JsonlTo(jsonl)
-                       .RtClock(std::make_shared<rt::ManualClock>())
-                       .Deadline(0.9)
-                       .InjectFaults(rt::FaultPlan::Parse("seed=42"))
-                       .IngestCap(1 << 20, rt::OverflowPolicy::kDropNewest)
-                       .SinkRetry(rt::RetryPolicy{})
-                       .BuildUnique();
-      armed->Push(RobustnessTrace());
-      armed->Finish();
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Everything armed: governor (never fires — the ManualClock does not
+    // move), fault injector with an empty plan, bounded ingest with a cap
+    // far above any bin, sink retry on a JSONL sink.
+    const std::string jsonl = test::TempPath("shedmon_robustness_identity.jsonl");
+    auto armed = api::PipelineBuilder()
+                     .Config(BaseConfig(threads))
+                     .AddQuery("counter")
+                     .AddQuery("flows")
+                     .JsonlTo(jsonl)
+                     .RtClock(std::make_shared<rt::ManualClock>())
+                     .Deadline(0.9)
+                     .InjectFaults(rt::FaultPlan::Parse("seed=42"))
+                     .IngestCap(1 << 20, rt::OverflowPolicy::kDropNewest)
+                     .SinkRetry(rt::RetryPolicy{})
+                     .BuildUnique();
+    armed->Push(RobustnessTrace());
+    armed->Finish();
 
-      ExpectBinLogsIdentical(golden->log(), armed->log());
-      EXPECT_EQ(armed->Stats().deadline_misses, 0u);
-      EXPECT_EQ(armed->Stats().ingest_dropped, 0u);
-      std::remove(jsonl.c_str());
-    }
+    ExpectBinLogsIdentical(golden->log(), armed->log());
+    EXPECT_EQ(armed->Stats().deadline_misses, 0u);
+    EXPECT_EQ(armed->Stats().ingest_dropped, 0u);
+    std::remove(jsonl.c_str());
   }
 }
 
@@ -361,7 +355,7 @@ TEST(Robustness, SinkRetriesRecoverFromTransientFaults) {
   retry.max_retries = 3;
   retry.jitter_fraction = 0.0;
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .JsonlTo(path)
                       .RtClock(clock)
@@ -391,7 +385,7 @@ TEST(Robustness, SinkQuarantineKeepsTheMeasurementAlive) {
   retry.max_retries = 2;
   retry.jitter_fraction = 0.0;
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .AddQuery("flows")
                       .JsonlTo(path)
@@ -420,7 +414,7 @@ TEST(Robustness, SinkQuarantineKeepsTheMeasurementAlive) {
 TEST(Robustness, CheckpointThenRestoreReplaysTheRemainingBinsFieldExactly) {
   const std::string path = test::TempPath("shedmon_robustness_checkpoint.bin");
   std::remove(path.c_str());
-  const core::SystemConfig config = BaseConfig(0, 1);
+  const core::SystemConfig config = BaseConfig(0);
 
   auto full = api::PipelineBuilder().Config(config).AddQuery("counter").AddQuery("flows")
                   .BuildUnique();
@@ -481,7 +475,7 @@ TEST(Robustness, RestoreOrBuildAttachesTheBuildersSinksWithRetry) {
   const std::string csv = test::TempPath("shedmon_robustness_restore_sinks.csv");
   std::remove(path.c_str());
   std::remove(csv.c_str());
-  const core::SystemConfig config = BaseConfig(0, 1);
+  const core::SystemConfig config = BaseConfig(0);
   {
     auto victim = api::PipelineBuilder()
                       .Config(config)
@@ -553,9 +547,10 @@ TEST(Robustness, RestoreOrBuildFallsBackPastMissingOrCorruptCheckpoints) {
   std::remove(path.c_str());
 }
 
-// A checkpoint from an older snapshot format (say v2, which still carried a
-// per-query cycle count v3 dropped) is refused by version, so RestoreOrBuild
-// starts fresh instead of misreading the stream.
+// A checkpoint from an older snapshot format (v2, which still carried a
+// per-query cycle count v3 dropped; v3, whose config record still carried
+// the bound on splitting a query's batch) is refused by version, so
+// RestoreOrBuild starts fresh instead of misreading the stream.
 TEST(Robustness, RestoreOrBuildStartsFreshFromAnOlderSnapshotVersion) {
   const std::string path = test::TempPath("shedmon_robustness_old_version.bin");
   api::PipelineBuilder builder;
@@ -565,24 +560,29 @@ TEST(Robustness, RestoreOrBuildStartsFreshFromAnOlderSnapshotVersion) {
   pipeline->Snapshot(path);
   ASSERT_EQ(builder.RestoreOrBuild(path)->next_bin(), 10u);
 
-  std::string bytes;
+  std::string current;
   {
     std::ifstream in(path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    current.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
   }
-  ASSERT_GT(bytes.size(), 12u);
-  bytes[8] = 2;  // little-endian version word right after the 8-byte magic
-  {
-    std::istringstream in(bytes);
-    EXPECT_THROW(api::PipelineBuilder::Restore(in), obs::SnapshotError);
+  ASSERT_GT(current.size(), 12u);
+  for (const int version : {2, 3}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string bytes = current;
+    // The little-endian version word right after the 8-byte magic.
+    bytes[8] = static_cast<char>(version);
+    {
+      std::istringstream in(bytes);
+      EXPECT_THROW(api::PipelineBuilder::Restore(in), obs::SnapshotError);
+    }
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    auto fallback = builder.RestoreOrBuild(path);
+    EXPECT_EQ(fallback->next_bin(), 0u);
+    EXPECT_EQ(fallback->num_queries(), 1u);
   }
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << bytes;
-  }
-  auto fallback = builder.RestoreOrBuild(path);
-  EXPECT_EQ(fallback->next_bin(), 0u);
-  EXPECT_EQ(fallback->num_queries(), 1u);
   std::remove(path.c_str());
 }
 
@@ -592,7 +592,7 @@ TEST(Robustness, RestoreOrBuildStartsFreshFromAnOlderSnapshotVersion) {
 TEST(Robustness, InjectedCheckpointCorruptionIsDetectedOnRestore) {
   const std::string path = test::TempPath("shedmon_robustness_bitflip.bin");
   std::remove(path.c_str());
-  const core::SystemConfig config = BaseConfig(0, 1);
+  const core::SystemConfig config = BaseConfig(0);
   {
     auto victim = api::PipelineBuilder()
                       .Config(config)
@@ -628,7 +628,7 @@ TEST(Robustness, SinksCarryTheDegradationColumns) {
   rt::GovernorConfig governor;
   governor.budget_fraction = 0.5;
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .RtClock(clock)
                       .Deadline(governor)

@@ -199,19 +199,6 @@ TEST(DirectBitmap, ClearResets) {
   EXPECT_DOUBLE_EQ(bm.Estimate(), 0.0);
 }
 
-TEST(DirectBitmap, UnionMatchesSetUnion) {
-  DirectBitmap a(512);
-  DirectBitmap b(512);
-  for (uint64_t i = 0; i < 60; ++i) {
-    a.Insert(util::HashU64(i));
-  }
-  for (uint64_t i = 30; i < 90; ++i) {
-    b.Insert(util::HashU64(i));
-  }
-  a.Union(b);
-  EXPECT_NEAR(a.Estimate(), 90.0, 10.0);
-}
-
 // The estimate is read from a per-size table; it must equal the
 // linear-counting formula bit for bit at every occupancy, for the sizes in
 // use (super-sources' 128 bits, this suite's 256-1024).
@@ -232,12 +219,6 @@ TEST(DirectBitmap, TableEqualsFormulaAtEveryOccupancy) {
       bm.Insert(set);
     }
   }
-}
-
-TEST(DirectBitmap, UnionSizeMismatchThrows) {
-  DirectBitmap a(256);
-  DirectBitmap b(512);
-  EXPECT_THROW(a.Union(b), std::invalid_argument);
 }
 
 TEST(MultiResBitmap, RejectsBadComponentCount) {

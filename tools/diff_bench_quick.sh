@@ -4,7 +4,7 @@
 #   tools/diff_bench_quick.sh PARENT_BUILD CHANGE_BUILD
 #
 # Runs every bench_* driver (bench_micro aside) at --quick in both trees,
-# plain and at --threads=2 --shards=2, and compares stdout and exit status.
+# plain and at --threads=2, and compares stdout and exit status.
 # Prints one line per run and a unified diff for each mismatch; exits 0 when
 # every run matches, 1 otherwise, 2 on bad usage. Build both trees in the
 # same configuration first (e.g. Release).
@@ -39,7 +39,7 @@ for change_exe in "$change_dir"/bench_*; do
     status=1
     continue
   fi
-  for args in "" "--threads=2 --shards=2"; do
+  for args in "" "--threads=2"; do
     # shellcheck disable=SC2086  # $args is a list of flags
     "$parent_exe" --quick $args >"$out/parent" 2>/dev/null
     parent_rc=$?

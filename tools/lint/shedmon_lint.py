@@ -2,7 +2,7 @@
 """shedmon_lint — static enforcement of shedmon's load-bearing invariants.
 
 Every shedding decision in this tree must be bit-reproducible at any
-(threads x shards), and observability must be strictly one-way: scraping a
+thread count, and observability must be strictly one-way: scraping a
 run may never perturb it. The runtime test suites pin those properties after
 the fact; this linter rejects the source patterns that break them before
 they compile:

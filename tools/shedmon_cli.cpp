@@ -164,7 +164,7 @@ int Usage() {
       "also a config-file key (src/api/config.h), applied over the defaults\n"
       "--strategy mmfs_pkt --queries counter,flows,application, then over\n"
       "--config FILE, in order:\n"
-      "  --queries a,b,c --bin-us N --capacity CYCLES --threads N --shards N\n"
+      "  --queries a,b,c --bin-us N --capacity CYCLES --threads N\n"
       "  --shedder predictive|reactive|noshed|none --custom --oracle model|measured\n"
       "  --strategy eq_srates|mmfs_cpu|mmfs_pkt|eq|cpu|pkt\n"
       "  --csv FILE --jsonl FILE   per-bin rows\n"
