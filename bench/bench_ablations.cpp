@@ -33,7 +33,7 @@ Outcome Evaluate(const Pipeline& result) {
   size_t overshoot = 0;
   const double cap = result.system().capacity();
   for (const auto& bin : result.log()) {
-    const double spent = bin.query_cycles + bin.ps_cycles + bin.ls_cycles + bin.como_cycles;
+    const double spent = bin.spent_cycles();
     util_stats.Add(spent / cap);
     if (spent > cap * 1.01) {
       ++overshoot;

@@ -29,7 +29,7 @@ void RunScenario(const trace::TraceSpec& base, const bench::BenchArgs& args) {
                                        /*custom=*/false, /*min_rates=*/false);
     util::RunningStats cpu;
     for (const auto& bin : result->log()) {
-      cpu.Add(bin.query_cycles + bin.ps_cycles + bin.ls_cycles + bin.como_cycles);
+      cpu.Add(bin.spent_cycles());
     }
     table.AddRow({shedder == core::ShedderKind::kPredictive ? "load shedding (flow sampl.)"
                                                             : "no load shedding",

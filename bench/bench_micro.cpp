@@ -667,7 +667,7 @@ std::vector<std::string> ScalingWorkload() {
 // single-core host (like the box that records BENCH_*.json) the wall clock
 // cannot scale, but the model makespan — computed from the same
 // bit-reproducible cycle charges — shows what the worker pool buys. Each
-// query's batch stays whole, as it does in the executor, so treat the
+// query's batch stays whole, as it does in the query wave, so treat the
 // counter as the schedule bound, not a measurement.
 double ModelMakespanSpeedup(const std::vector<core::BinLog>& log, size_t threads) {
   if (threads == 0) {

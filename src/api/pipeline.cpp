@@ -365,7 +365,7 @@ Pipeline::Pipeline(const core::SystemConfig& config, core::OracleKind oracle_kin
                                                  {{"mode", "elided"}}, ref_help);
   m_ref_counted_ = &system_->metrics().GetCounter("shedmon_reference_bins_total",
                                                   {{"mode", "counted"}}, ref_help);
-  fork_hook_ = [this](std::span<const core::QueryRun> runs) { ForkInexact(runs); };
+  fork_hook_ = [this](std::span<const core::QueryPlan> plan) { ForkInexact(plan); };
   RefreshStats();
 }
 
@@ -744,13 +744,13 @@ void Pipeline::PlanReferences() {
   }
 }
 
-void Pipeline::ForkInexact(std::span<const core::QueryRun> runs) {
+void Pipeline::ForkInexact(std::span<const core::QueryPlan> plan) {
   for (size_t i = 0; i < slots_.size(); ++i) {
     Slot& slot = slots_[i];
-    const core::QueryRun& run = runs[i];
+    const core::QueryPlan& p = plan[i];
     // Exact: the query sees this whole bin unscaled, as its reference would
     // (a rate within kEps of 1 skips sampling but still rescales by 1/rate).
-    if (slot.reference == nullptr || (run.execute && !run.custom && run.rate == 1.0)) {
+    if (slot.reference == nullptr || (p.execute && !p.custom && p.rate == 1.0)) {
       continue;
     }
     slot.shed = true;
@@ -811,7 +811,7 @@ void Pipeline::NotifyObservers() {
   stats.bin_index = bins_processed_;
   stats.num_queries = system_->num_queries();
   stats.capacity = system_->capacity();
-  stats.spent_cycles = log.query_cycles + log.ps_cycles + log.ls_cycles + log.como_cycles;
+  stats.spent_cycles = log.spent_cycles();
   stats.utilization = stats.capacity > 0.0 ? stats.spent_cycles / stats.capacity : 0.0;
   const double in_pkts = static_cast<double>(log.packets_in);
   stats.drop_fraction = in_pkts > 0.0 ? static_cast<double>(log.packets_dropped) / in_pkts : 0.0;
@@ -871,8 +871,7 @@ void Pipeline::UpdateTallies(const core::BinLog& log) {
     ++batches_dropped_;
   }
   const double capacity = system_->capacity();
-  const double spent = log.query_cycles + log.ps_cycles + log.ls_cycles + log.como_cycles;
-  last_util_ = capacity > 0.0 ? spent / capacity : 0.0;
+  last_util_ = capacity > 0.0 ? log.spent_cycles() / capacity : 0.0;
   util_sum_ += last_util_;
   if (logger_ != nullptr) {
     logger_->Write(obs::LogEvent("bin_closed")

@@ -116,7 +116,6 @@ class QueryHandle {
   // query::PacketCountQuery: the full-rate packet count of each interval,
   // and no results to cast to the query's type.
   const query::Query* reference() const;
-  bool has_reference() const { return reference() != nullptr; }
 
   // Live accuracy against the pipeline-managed reference instance, over the
   // intervals both instances have completed so far (§2.2.1 metric). Throws
@@ -202,7 +201,8 @@ class PipelineBuilder {
   PipelineBuilder& Tracing(bool enable = true);
   // Embedded HTTP observability endpoint on 127.0.0.1:<port> serving
   // GET /metrics (Prometheus), /healthz, /stats and /trace. Port 0 picks an
-  // ephemeral port — read it back with Pipeline::serve_port(). Build()
+  // ephemeral port — read it back with Pipeline::serve_port(). The endpoint
+  // serves until the Pipeline is destroyed, after Finish too. Build()
   // throws ConfigError when the port cannot be bound (e.g. already in use).
   PipelineBuilder& ServeOn(uint16_t port);
 
@@ -365,7 +365,6 @@ class Pipeline {
   // open bin is processed without it. The handle and any copies become
   // stale; other handles stay valid (their index() shifts).
   DetachedQuery Detach(QueryHandle handle);
-  void Remove(QueryHandle handle) { (void)Detach(handle); }
 
   // ---- Observers ---------------------------------------------------------
   // Borrowed observer: caller keeps it alive until Finish() returns.
@@ -404,7 +403,6 @@ class Pipeline {
   // ---- Introspection -----------------------------------------------------
   const core::MonitoringSystem& system() const { return *system_; }
   const std::vector<core::BinLog>& log() const { return system_->log(); }
-  size_t bins_processed() const { return bins_processed_; }
   size_t num_queries() const { return system_->num_queries(); }
   uint64_t total_packets() const { return system_->total_packets(); }
   uint64_t total_dropped() const { return system_->total_dropped(); }
@@ -435,10 +433,9 @@ class Pipeline {
   // std::runtime_error when the file cannot be written.
   void DumpTrace(const std::string& path) const;
 
-  // The port PipelineBuilder::ServeOn bound, 0 when not serving.
+  // The port PipelineBuilder::ServeOn bound, 0 when not serving. The
+  // endpoint serves until the Pipeline is destroyed (Finish leaves it up).
   uint16_t serve_port() const { return server_ != nullptr ? server_->port() : 0; }
-  // Stops the endpoint (idempotent; Finish and destruction also stop it).
-  void StopServing() { server_.reset(); }
 
   // Attaches a structured JSONL event log: query_added / query_removed /
   // bin_closed / snapshot / finish events, one JSON object per line. Pass
@@ -469,13 +466,10 @@ class Pipeline {
   // RestoreOrBuild re-arms a restored pipeline from the builder.
   const rt::DeadlineGovernor* governor() const { return governor_.get(); }
   const rt::FaultInjector* fault_injector() const { return injector_.get(); }
-  const std::shared_ptr<rt::Clock>& rt_clock() const { return clock_; }
   // First bin a packet may land in: everything before it is already closed.
   // A driver replaying input into a restored pipeline skips packets whose
   // bin is older than this.
   uint64_t next_bin() const { return open_bin_; }
-  uint64_t ingest_dropped() const { return ingest_dropped_; }
-  size_t checkpoints_written() const { return checkpoints_written_; }
 
   // ---- Snapshot ----------------------------------------------------------
   // Serializes the run state (versioned binary format) so that
@@ -552,7 +546,7 @@ class Pipeline {
   // The system's pre-execution hook: a slot whose query is not exact this
   // bin is marked shed, and an elided one forks — its reference adopts the
   // query's open interval before the waves touch it and joins forked_.
-  void ForkInexact(std::span<const core::QueryRun> runs);
+  void ForkInexact(std::span<const core::QueryPlan> plan);
   // After the system's bin: replays the forked slots, advances the elided
   // ones (adopting the query's result at their interval end) and the
   // counted ones, and counts the bin's replayed, elided and counted

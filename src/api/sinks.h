@@ -37,8 +37,6 @@ class ResilientSinkBase : public BinObserver {
                 obs::JsonlLogger* logger);
 
   bool quarantined() const { return writer_ != nullptr && writer_->quarantined(); }
-  uint64_t write_retries() const { return writer_ != nullptr ? writer_->retries() : 0; }
-  uint64_t dropped_rows() const { return writer_ != nullptr ? writer_->dropped_writes() : 0; }
 
   void OnRunEnd() override;
 

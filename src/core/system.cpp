@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "src/obs/trace.h"
+#include "src/util/cycle_clock.h"
 
 namespace shedmon::core {
 
@@ -23,7 +24,6 @@ MonitoringSystem::MonitoringSystem(const SystemConfig& config,
       oracle_(std::move(oracle)),
       pool_(config.num_threads > 0 ? std::make_unique<exec::ThreadPool>(config.num_threads)
                                    : nullptr),
-      executor_(pool_.get()),
       strategy_(shed::MakeStrategy(config.strategy)),
       sys_extractor_(config.extractor),
       rng_(config.seed),
@@ -89,9 +89,9 @@ void MonitoringSystem::InitInstruments() {
         &reg.GetHistogram("shedmon_exec_task_seconds", {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0}, {},
                           "Wall time of one helper drain in seconds");
     pool_->SetMetrics(hooks);
-    executor_.SetMetrics(
+    wave_seconds_ =
         &reg.GetHistogram("shedmon_exec_wave_seconds", {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0}, {},
-                          "Per-bin query-wave wall time in seconds"));
+                          "Per-bin query-wave wall time in seconds");
   }
 }
 
@@ -110,7 +110,7 @@ void MonitoringSystem::UpdateBinInstruments(const BinLog& log) {
   ins_.backlog_cycles->Set(backlog_cycles_);
   ins_.rtthresh_cycles->Set(rtthresh_);
   ins_.avail_cycles->Set(log.avail_cycles);
-  const double spent = log.query_cycles + log.ps_cycles + log.ls_cycles + log.como_cycles;
+  const double spent = log.spent_cycles();
   const double util = capacity_ > kEps ? spent / capacity_ : 0.0;
   ins_.utilization->Set(util);
   ins_.bin_utilization->Observe(util);
@@ -137,12 +137,17 @@ MonitoringSystem::~MonitoringSystem() = default;
 
 query::Query& MonitoringSystem::AddQuery(std::unique_ptr<query::Query> query,
                                          const QueryConfig& config) {
-  auto runtime = std::make_unique<QueryRuntime>(QueryRuntime{
-      std::move(query), config,
-      predict::PredictionEngine(config_.predictor, config_.extractor),
-      shed::PacketSampler(rng_.NextU64()), shed::FlowSampler(rng_.NextU64()),
-      shed::EnforcementPolicy(config_.enforcement), 0, nullptr, nullptr, nullptr, nullptr, {}, {}});
-  queries_.push_back(std::move(runtime));
+  // The samplers' seeds are drawn in this order (a braced list evaluates
+  // left to right).
+  queries_.push_back(std::make_unique<QueryRuntime>(QueryRuntime{
+      .query = std::move(query),
+      .config = config,
+      .predictor = predict::MakePredictor(config_.predictor),
+      .counter = features::FeatureCounter(config_.extractor.mrb_components,
+                                          config_.extractor.mrb_bits),
+      .pkt_sampler = shed::PacketSampler(rng_.NextU64()),
+      .flow_sampler = shed::FlowSampler(rng_.NextU64()),
+      .enforcement = shed::EnforcementPolicy(config_.enforcement)}));
   // Baseline the oracle's per-query bookkeeping: a no-op for fresh
   // instances, and what keeps a re-registered veteran instance charged only
   // for its new work.
@@ -172,16 +177,6 @@ std::unique_ptr<query::Query> MonitoringSystem::RemoveQuery(size_t index) {
   return query;
 }
 
-void MonitoringSystem::SetFaultInjector(rt::FaultInjector* injector) {
-  injector_ = injector;
-  executor_.SetFaultInjector(injector);
-}
-
-void MonitoringSystem::SetTracer(obs::Tracer* tracer) {
-  tracer_ = tracer;
-  executor_.SetTracer(tracer);
-}
-
 void MonitoringSystem::MarkDeadline(bool missed, double overrun_us) {
   if (log_.empty()) {
     return;
@@ -195,7 +190,7 @@ void MonitoringSystem::MarkDeadline(bool missed, double overrun_us) {
 // deadline ladder share this path. The bin still drains capacity.
 void MonitoringSystem::RecordDroppedBin(const trace::Batch& batch, BinLog& log) {
   if (*pre_execute_) {
-    const std::vector<QueryRun> nothing(queries_.size());
+    const std::vector<QueryPlan> nothing(queries_.size());
     (*pre_execute_)(nothing);
   }
   log.batch_dropped = true;
@@ -211,19 +206,15 @@ void MonitoringSystem::RecordDroppedBin(const trace::Batch& batch, BinLog& log) 
 
 void MonitoringSystem::ProcessBatch(const trace::Batch& batch,
                                     const PreExecuteHook& pre_execute) {
-  pre_execute_ = &pre_execute;
-  // Batches from a Batcher or an api::Pipeline carry their flow table; one
-  // filled by hand gets it built here.
-  if (batch.flows.rows() == batch.size()) {
-    flows_ = &batch.flows;
-  } else {
-    own_flows_.Build(batch.packets);
-    flows_ = &own_flows_;
+  if (batch.flows.rows() != batch.size()) {
+    throw std::invalid_argument(
+        "MonitoringSystem::ProcessBatch: the batch has no flow table for its packets (call "
+        "batch.flows.Build(batch.packets))");
   }
+  pre_execute_ = &pre_execute;
   if (injector_ != nullptr) {
     injector_->OnBinStart(log_.size());
   }
-  executor_.SetBinIndex(log_.size());
 
   BinLog log;
   log.start_us = batch.start_us;
@@ -270,9 +261,7 @@ void MonitoringSystem::ProcessBatch(const trace::Batch& batch,
       break;
   }
 
-  const double spent =
-      log.query_cycles + log.ps_cycles + log.ls_cycles + log.como_cycles;
-  UpdateBufferAndThreshold(spent);
+  UpdateBufferAndThreshold(log.spent_cycles());
   log.backlog_cycles = backlog_cycles_;
   log.rtthresh = rtthresh_;
 
@@ -340,7 +329,7 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteQuery(QueryRuntime& q
   QueryTaskResult result;
   rate = std::clamp(rate, 0.0, 1.0);
   const trace::PacketVec* packets = &batch.packets;
-  const trace::FlowTable* flows = flows_;
+  const trace::FlowTable* flows = &batch.flows;
   if (rate < 1.0 - kEps) {
     WorkHint sample_hint{qr.query.get(), &batch.packets, 0.0};
     result.AddCharge(/*ls=*/true,
@@ -349,10 +338,10 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteQuery(QueryRuntime& q
                          qr.pkt_sampler.SampleInto(batch.packets, rate, qr.sample_buf,
                                                    qr.sample_rows);
                        } else {
-                         qr.flow_sampler.SampleInto(batch.packets, *flows_, rate,
+                         qr.flow_sampler.SampleInto(batch.packets, batch.flows, rate,
                                                     qr.sample_buf, qr.sample_rows);
                        }
-                       qr.sample_flows.Subset(*flows_, qr.sample_rows);
+                       qr.sample_flows.Subset(batch.flows, qr.sample_rows);
                      }));
     packets = &qr.sample_buf;
     flows = &qr.sample_flows;
@@ -372,7 +361,7 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteQuery(QueryRuntime& q
       WorkHint extract_hint{qr.query.get(), packets, 0.0};
       result.AddCharge(/*ls=*/true,
                        oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-                         features = qr.engine.counter().Count(shared->keys, qr.sample_flows);
+                         features = qr.counter.Count(shared->keys, qr.sample_flows);
                        }));
     }
   }
@@ -387,7 +376,7 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteQuery(QueryRuntime& q
                       static_cast<double>(config_.predictor.history)};
     result.AddCharge(/*ls=*/false,
                      oracle_->RunAt(base_seq++, WorkKind::kFcbfMlr, fit_hint, [&] {
-                       qr.engine.ObserveActual(features, used);
+                       qr.predictor->Observe(features, used);
                      }));
   }
 
@@ -411,7 +400,7 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& 
   rate = std::clamp(rate, 0.0, 1.0);
   // The query receives the *unsampled* batch (sampling_rate = 1); the budget
   // fraction travels separately so custom methods don't double-correct.
-  query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, flows_};
+  query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0, &batch.flows};
   WorkHint query_hint{qr.query.get(), &batch.packets, 0.0};
   const double used = oracle_->RunAt(base_seq++, WorkKind::kQuery, query_hint,
                                      [&] { qr.query->ProcessCustom(in, rate); });
@@ -432,13 +421,13 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& 
     WorkHint extract_hint{qr.query.get(), &batch.packets, 0.0};
     result.AddCharge(/*ls=*/false,
                      oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-                       full_features = qr.engine.counter().CountAll(shared.keys);
+                       full_features = qr.counter.CountAll(shared.keys);
                      }));
     WorkHint fit_hint{qr.query.get(), nullptr,
                       static_cast<double>(config_.predictor.history)};
     result.AddCharge(/*ls=*/false,
                      oracle_->RunAt(base_seq++, WorkKind::kFcbfMlr, fit_hint, [&] {
-                       qr.engine.ObserveActual(full_features, used);
+                       qr.predictor->Observe(full_features, used);
                      }));
   }
 
@@ -460,8 +449,9 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
   WorkHint extract_hint{nullptr, &batch.packets, 0.0};
   {
     obs::Span span(tracer_, obs::Stage::kExtraction, bin);
-    log.ps_cycles += oracle_->Run(WorkKind::kFeatureExtraction, extract_hint,
-                                  [&] { f_full = sys_extractor_.Extract(batch.packets, *flows_); });
+    log.ps_cycles += oracle_->Run(WorkKind::kFeatureExtraction, extract_hint, [&] {
+      f_full = sys_extractor_.Extract(batch.packets, batch.flows);
+    });
   }
   const SharedExtraction shared{f_full, sys_extractor_.keys()};
 
@@ -470,7 +460,7 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
   {
     obs::Span span(tracer_, obs::Stage::kPrediction, bin);
     for (size_t q = 0; q < n; ++q) {
-      pred[q] = std::max(0.0, queries_[q]->engine.PredictCycles(f_full));
+      pred[q] = std::max(0.0, queries_[q]->predictor->Predict(f_full));
       pred_total += pred[q];
     }
   }
@@ -537,7 +527,7 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
       alloc.rate[q] = 0.0;
       alloc.disabled[q] = true;
     }
-    if (qr.engine.predictor().history_size() < config_.warmup_observations) {
+    if (qr.predictor->history_size() < config_.warmup_observations) {
       // Probe cautiously while the cost model is cold, but never undercut the
       // user's declared minimum rate (m_q is a contract, §5.2).
       const double probe =
@@ -555,7 +545,7 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
     // (features, cycles) observations to bootstrap the model.
     plan[q].custom = config_.enable_custom_shedding && qr.config.allow_custom_shedding &&
                      qr.query->supports_custom_shedding() &&
-                     qr.engine.predictor().history_size() >= config_.warmup_observations;
+                     qr.predictor->history_size() >= config_.warmup_observations;
     plan[q].expected = alloc.rate[q] * pred[q];
   }
   const BinTotals totals = ExecuteBin(batch, plan, &shared, log);
@@ -611,11 +601,7 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
     const SharedExtraction* shared, BinLog& log) {
   const size_t n = plan.size();
   if (*pre_execute_) {
-    std::vector<QueryRun> runs(n);
-    for (size_t q = 0; q < n; ++q) {
-      runs[q] = {plan[q].execute, plan[q].custom, plan[q].rate};
-    }
-    (*pre_execute_)(runs);
+    (*pre_execute_)(plan);
   }
   // Charge slots are reserved in registration order so the sequenced cost
   // schedule matches the serial one whichever worker then runs which query.
@@ -626,9 +612,21 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
     }
   }
 
-  // One wave: each query's whole pipeline is one task.
+  // One wave: each query's whole pipeline is one task. Tasks may run in any
+  // order on any worker: each touches only its own query's state (plus the
+  // sequenced oracle), and everything order-sensitive is folded below.
   std::vector<QueryTaskResult> results(n);
-  executor_.Run(n, [&](size_t q) {
+  const size_t bin = log_.size();
+  const auto task = [&](size_t q) {
+    // Outermost, so the span covers an injected stall too: the trace shows
+    // the wall time the task actually took.
+    obs::Span span(tracer_, obs::Stage::kQuery, static_cast<uint32_t>(bin),
+                   static_cast<int64_t>(q));
+    if (injector_ != nullptr) {
+      // The stall hits whichever thread runs the task, worker or caller,
+      // exactly like a genuinely slow query would.
+      injector_->OnWorkerTask(bin);
+    }
     const QueryPlan& p = plan[q];
     if (!p.execute) {
       return;
@@ -640,7 +638,18 @@ MonitoringSystem::BinTotals MonitoringSystem::ExecuteBin(
     } else {
       results[q] = ExecuteQuery(qr, batch, p.rate, shared, p.base_seq);
     }
-  });
+  };
+  if (pool_ == nullptr || n <= 1) {
+    for (size_t q = 0; q < n; ++q) {
+      task(q);
+    }
+  } else {
+    // Grain 1: per-query costs are heterogeneous (Fig. 2.2 spans ~20x), so
+    // fine-grained dispatch load-balances better than equal chunks.
+    const uint64_t start_us = util::MonotonicNowUs();
+    pool_->ParallelFor(0, n, 1, task);
+    wave_seconds_->Observe(static_cast<double>(util::MonotonicNowUs() - start_us) * 1e-6);
+  }
 
   // The fold replays registration order on the coordinator, charge by
   // charge, exactly as the serial schedule would have accumulated it.
@@ -672,7 +681,7 @@ void MonitoringSystem::TickIntervals() {
     QueryRuntime& qr = *qr_ptr;
     if (++qr.bins_in_interval >= qr.query->interval_bins()) {
       qr.query->EndInterval();
-      qr.engine.StartInterval();
+      qr.counter.StartInterval();
       qr.flow_sampler.Reseed(rng_.NextU64());
       qr.bins_in_interval = 0;
     }
@@ -745,7 +754,7 @@ void MonitoringSystem::SaveState(obs::SnapshotWriter& w) const {
     w.I64(es.strikes);
     w.I64(es.penalty_left);
     w.U64(es.times_policed);
-    qr->engine.predictor().SaveState(w);
+    qr->predictor->SaveState(w);
   }
   oracle_->SaveState(w);
 }
@@ -788,7 +797,7 @@ void MonitoringSystem::LoadState(obs::SnapshotReader& r) {
     es.penalty_left = static_cast<int>(r.I64());
     es.times_policed = r.U64();
     qr->enforcement.SetState(es);
-    qr->engine.predictor().LoadState(r);
+    qr->predictor->LoadState(r);
   }
   oracle_->LoadState(r);
 }

@@ -10,12 +10,11 @@
 #include <vector>
 
 #include "src/core/cost.h"
-#include "src/exec/query_executor.h"
 #include "src/exec/thread_pool.h"
 #include "src/features/extractor.h"
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
-#include "src/predict/engine.h"
+#include "src/predict/predictors.h"
 #include "src/query/query.h"
 #include "src/shed/enforcement.h"
 #include "src/shed/sampler.h"
@@ -121,20 +120,29 @@ struct BinLog {
   uint8_t degradation = 0;       // rt::DegradeAction applied to this bin
   bool deadline_missed = false;  // bin overran its wall-clock budget
   double deadline_overrun_us = 0.0;
+
+  // Everything the bin cost, the sum the capture buffer drains against
+  // capacity: query + prediction + load shedding + core CoMo cycles.
+  double spent_cycles() const { return query_cycles + ps_cycles + ls_cycles + como_cycles; }
 };
 
-// One query's share of a bin as the system is about to run it, handed to
-// ProcessBatch's pre-execution hook.
-struct QueryRun {
-  bool execute = false;  // false: the query sees nothing of this bin
-  bool custom = false;   // Ch. 6: the query sheds its own load
-  double rate = 0.0;     // sampling rate the query's results are scaled by
+// One query's share of a bin as a shedder decided it. The three shedders
+// differ only in how they fill these; the system runs every plan the same
+// way.
+struct QueryPlan {
+  double rate = 0.0;  // sampling rate the query's results are scaled by
+  // Runs iff the query is neither disabled nor granted a zero rate; a query
+  // that does not run sees nothing of this bin.
+  bool execute = false;
+  bool custom = false;    // Ch. 6: the query sheds its own load at `rate`
+  double expected = 0.0;  // granted cycles, rate x predicted demand (predictive)
+  uint64_t base_seq = 0;  // first reserved charge slot (set before the wave)
 };
 // Called once per bin on the coordinating thread, after the shedding
-// decision and before any query's state changes, with one entry per
-// registered query in registration order. A dropped bin passes entries that
+// decision and before any query's state changes, with the plan of every
+// registered query in registration order. A dropped bin passes plans that
 // do not execute. The hook may read the queries, never change them.
-using PreExecuteHook = std::function<void(std::span<const QueryRun>)>;
+using PreExecuteHook = std::function<void(std::span<const QueryPlan>)>;
 
 // The CoMo-like monitoring pipeline with the thesis's load shedding scheme.
 // Offline and online behave identically (§2.3.2); capacity is an explicit
@@ -158,7 +166,9 @@ class MonitoringSystem {
   std::unique_ptr<query::Query> RemoveQuery(size_t index);
 
   // `pre_execute`, when set, sees every query's share of this bin before
-  // the queries run (see PreExecuteHook).
+  // the queries run (see PreExecuteHook). The batch must carry its flow
+  // table (Batcher and api::Pipeline build it; a batch filled by hand calls
+  // batch.flows.Build): throws std::invalid_argument otherwise.
   void ProcessBatch(const trace::Batch& batch, const PreExecuteHook& pre_execute = nullptr);
   // Flushes any partially filled measurement intervals at end of input.
   void Finish();
@@ -168,8 +178,8 @@ class MonitoringSystem {
   query::Query& query(size_t i) { return *queries_[i]->query; }
   const query::Query& query(size_t i) const { return *queries_[i]->query; }
   const shed::EnforcementPolicy& enforcement(size_t i) const { return queries_[i]->enforcement; }
-  // The query's cost model and feature counter (read-only).
-  const predict::PredictionEngine& engine(size_t i) const { return queries_[i]->engine; }
+  // The query's cost model (read-only).
+  const predict::CostPredictor& predictor(size_t i) const { return *queries_[i]->predictor; }
 
   const SystemConfig& config() const { return config_; }
   double capacity() const { return capacity_; }
@@ -193,7 +203,7 @@ class MonitoringSystem {
   // execution). Borrowed pointer; nullptr
   // (the default) detaches. Spans are write-only like the metrics, so traced
   // runs stay bit-identical.
-  void SetTracer(obs::Tracer* tracer);
+  void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   const QueryConfig& query_config(size_t i) const { return queries_[i]->config; }
   double backlog_cycles() const { return backlog_cycles_; }
@@ -211,9 +221,9 @@ class MonitoringSystem {
   // is bit-exact with never having called this.
   void SetDegradation(const rt::Directive& directive) { degrade_ = directive; }
   // Fault-injection hook; nullptr (the default) detaches. The injector's
-  // OnBinStart fires before each batch and its worker hook is threaded
-  // through the exec fan-out.
-  void SetFaultInjector(rt::FaultInjector* injector);
+  // OnBinStart fires before each batch and its OnWorkerTask before every
+  // query task of the bin's wave.
+  void SetFaultInjector(rt::FaultInjector* injector) { injector_ = injector; }
   // Stamps the governor's stopwatch verdict onto the most recent bin; the
   // fields are pure bookkeeping read by sinks/tests, never by shedding.
   void MarkDeadline(bool missed, double overrun_us);
@@ -235,7 +245,12 @@ class MonitoringSystem {
   struct QueryRuntime {
     std::unique_ptr<query::Query> query;
     QueryConfig config;
-    predict::PredictionEngine engine;
+    std::unique_ptr<predict::CostPredictor> predictor;
+    // Re-counts the rows the query kept after sampling, from the bin's
+    // shared keys, so the regression history pairs the cycles the query
+    // actually spent with the features of the packets it actually processed
+    // (Alg. 1 lines 12 & 16).
+    features::FeatureCounter counter;
     shed::PacketSampler pkt_sampler;
     shed::FlowSampler flow_sampler;
     shed::EnforcementPolicy enforcement;
@@ -255,23 +270,11 @@ class MonitoringSystem {
     // within the bin's query wave — the Packets point into the current
     // Batch's arena — so ExecuteQuery clears the buffers (capacity kept)
     // and none of the three may be read between bins.
-    trace::PacketVec sample_buf;
-    std::vector<uint32_t> sample_rows;
-    trace::FlowTable sample_flows;
+    trace::PacketVec sample_buf{};
+    std::vector<uint32_t> sample_rows{};
+    trace::FlowTable sample_flows{};
   };
 
-  // One query's share of a bin as a shedder decided it. The three shedders
-  // differ only in how they fill these; ExecuteBin runs every plan the same
-  // way.
-  struct QueryPlan {
-    double rate = 0.0;
-    // Runs iff the query is neither disabled nor granted a zero rate; a
-    // query that does not run has its whole share of the batch shed.
-    bool execute = false;
-    bool custom = false;    // Ch. 6: the query sheds its own load at `rate`
-    double expected = 0.0;  // granted cycles, rate x predicted demand (predictive)
-    uint64_t base_seq = 0;  // first reserved charge slot (set by ExecuteBin)
-  };
   // The prediction stage's extraction of the whole bin, shared with every
   // query's history update (§3.4.4): its features, reused at full rate, and
   // its keys, which each query's counter re-counts over the flows it kept.
@@ -295,10 +298,12 @@ class MonitoringSystem {
   // Applies the active directive's boost/truncate rungs to a finished rate
   // allocation, in place; shared by the predictive and reactive paths.
   void ApplyDegradation(std::vector<double>& rate, std::vector<bool>& disabled);
-  // Runs one bin's plan: reserves the charge slots in registration order,
-  // fans the queries out in one wave, and folds their results into `log` in
-  // registration order — charges, packets shed, per-query and total query
-  // cycles. A non-null `shared` (predictive only)
+  // Runs one bin's plan: hands it to the pre-execution hook, reserves the
+  // charge slots in registration order, runs the queries in one wave (on the
+  // pool when there is one and more than one query; each task inside a
+  // kQuery span, after the fault injector's worker hook), and folds their
+  // results into `log` in registration order — charges, packets shed,
+  // per-query and total query cycles. A non-null `shared` (predictive only)
   // feeds the cost models from the prediction-stage extraction.
   BinTotals ExecuteBin(const trace::Batch& batch, std::vector<QueryPlan>& plan,
                        const SharedExtraction* shared, BinLog& log);
@@ -388,7 +393,9 @@ class MonitoringSystem {
   Instruments ins_;
   std::unique_ptr<CostOracle> oracle_;
   std::unique_ptr<exec::ThreadPool> pool_;  // null when num_threads == 0
-  exec::QueryExecutor executor_;
+  // Wall time of each pooled query wave (shedmon_exec_wave_seconds); null
+  // when the system runs serially.
+  obs::Histogram* wave_seconds_ = nullptr;
   std::unique_ptr<shed::ShedStrategy> strategy_;
   features::FeatureExtractor sys_extractor_;
   std::vector<std::unique_ptr<QueryRuntime>> queries_;
@@ -397,10 +404,6 @@ class MonitoringSystem {
   rt::FaultInjector* injector_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   const PreExecuteHook* pre_execute_ = nullptr;  // set for one ProcessBatch call
-  // The flow table of the batch in ProcessBatch (set for one call): the
-  // batch's own, or own_flows_ built for a batch that came without one.
-  const trace::FlowTable* flows_ = nullptr;
-  trace::FlowTable own_flows_;
 
   double capacity_ = 0.0;
   double backlog_cycles_ = 0.0;

@@ -53,16 +53,6 @@ class FusedTupleHasher {
     }
   }
 
-  // Fixed-arity fast path: N must equal num_hashes(). The compile-time trip
-  // count lets the compiler unroll and vectorize the XOR accumulation, which
-  // is what makes the per-packet cost of the 10-aggregate extraction small
-  // and deterministic.
-  template <size_t N>
-  void HashAll(const uint8_t* key, std::array<uint64_t, N>& out) const {
-    assert(N == num_hashes_);
-    HashAll(key, out.data());
-  }
-
   // Fully static fast path: both the key length and the hash count are
   // compile-time constants (KeyLen must equal key_len()), so the whole
   // accumulation is a branch-free straight line of vectorizable XORs. This is
@@ -81,15 +71,6 @@ class FusedTupleHasher {
   }
 
   // Single-sub-hash conveniences (num_hashes() == 1), the FlowSampler path.
-  uint64_t Hash1(const uint8_t* key) const {
-    assert(num_hashes_ == 1);
-    uint64_t h = 0;
-    for (size_t i = 0; i < key_len_; ++i) {
-      h ^= *RowFor(i, key[i]);
-    }
-    return h;
-  }
-
   template <size_t KeyLen>
   uint64_t Hash1Fixed(const uint8_t* key) const {
     assert(KeyLen == key_len_ && num_hashes_ == 1);
@@ -101,10 +82,6 @@ class FusedTupleHasher {
   }
 
   // Hash mapped to [0, 1); bit-identical to H3Hash::HashUnit.
-  double HashUnit1(const uint8_t* key) const {
-    return static_cast<double>(Hash1(key) >> 11) * 0x1.0p-53;
-  }
-
   template <size_t KeyLen>
   double HashUnit1Fixed(const uint8_t* key) const {
     return static_cast<double>(Hash1Fixed<KeyLen>(key) >> 11) * 0x1.0p-53;

@@ -361,19 +361,19 @@ TEST(PipelinePush, RejectsPacketsOlderThanTheOpenBin) {
   record.ts_us = 260'000;
   pipeline->Push(net::Packet::View(record));
   pipeline->Finish();
-  EXPECT_EQ(pipeline->bins_processed(), 3u);
+  EXPECT_EQ(pipeline->log().size(), 3u);
 }
 
 TEST(PipelinePush, AdvanceTimeClosesEmptyBins) {
   auto pipeline = api::PipelineBuilder().BuildUnique();
   pipeline->AddQuery("counter");
   pipeline->AdvanceTime(500'000);  // five empty bins
-  EXPECT_EQ(pipeline->bins_processed(), 5u);
+  EXPECT_EQ(pipeline->log().size(), 5u);
   for (const auto& bin : pipeline->log()) {
     EXPECT_EQ(bin.packets_in, 0u);
   }
   pipeline->Finish();
-  EXPECT_EQ(pipeline->bins_processed(), 5u);  // Finish adds no empty bin
+  EXPECT_EQ(pipeline->log().size(), 5u);  // Finish adds no empty bin
 }
 
 TEST(PipelinePush, FinishIsIdempotentAndClosesThePipeline) {
@@ -383,9 +383,9 @@ TEST(PipelinePush, FinishIsIdempotentAndClosesThePipeline) {
   record.ts_us = 10;
   pipeline->Push(net::Packet::View(record));
   pipeline->Finish();
-  EXPECT_EQ(pipeline->bins_processed(), 1u);
+  EXPECT_EQ(pipeline->log().size(), 1u);
   pipeline->Finish();  // no-op
-  EXPECT_EQ(pipeline->bins_processed(), 1u);
+  EXPECT_EQ(pipeline->log().size(), 1u);
   EXPECT_TRUE(pipeline->finished());
   EXPECT_THROW(pipeline->Push(net::Packet::View(record)), std::logic_error);
   EXPECT_THROW(pipeline->AddQuery("flows"), std::logic_error);
@@ -411,7 +411,7 @@ TEST(PipelineHandles, DetachReturnsQueryAndReferenceAndInvalidatesHandle) {
     pipeline->Push(net::Packet::View(packet));
   }
   pipeline->AdvanceTime(15 * 100'000);
-  ASSERT_EQ(pipeline->bins_processed(), 15u);
+  ASSERT_EQ(pipeline->log().size(), 15u);
 
   api::DetachedQuery detached = pipeline->Detach(counter);
   ASSERT_NE(detached.query, nullptr);
@@ -434,7 +434,7 @@ TEST(PipelineHandles, DetachReturnsQueryAndReferenceAndInvalidatesHandle) {
   // The detached pair still yields the standard accuracy summary.
   const auto row = query::SummarizeAccuracy(*detached.query, *detached.reference);
   EXPECT_GE(row.mean_error, 0.0);
-  EXPECT_TRUE(flows.has_reference());
+  EXPECT_NE(flows.reference(), nullptr);
   EXPECT_GE(flows.Accuracy().mean_error, 0.0);
 }
 
@@ -447,7 +447,7 @@ TEST(PipelineHandles, RemovedQueryStopsAffectingTheRun) {
   api::QueryHandle pattern = pipeline->AddQuery("pattern-search");
   pipeline->AdvanceTime(10 * 100'000);
   EXPECT_EQ(pipeline->log().back().rate.size(), 2u);
-  pipeline->Remove(pattern);
+  pipeline->Detach(pattern);
   pipeline->AdvanceTime(12 * 100'000);
   pipeline->Finish();
   EXPECT_EQ(pipeline->log().back().rate.size(), 1u);
@@ -459,7 +459,7 @@ TEST(PipelineHandles, UserQueryWithoutReferenceHasNoAccuracy) {
   auto pipeline = api::PipelineBuilder().BuildUnique();
   api::QueryHandle custom =
       pipeline->AddQuery(std::make_unique<query::CounterQuery>(), {0.1, true});
-  EXPECT_FALSE(custom.has_reference());
+  EXPECT_EQ(custom.reference(), nullptr);
   EXPECT_THROW(custom.Accuracy(), std::logic_error);
   EXPECT_THROW((void)pipeline->AddQuery(std::unique_ptr<query::Query>()),
                std::invalid_argument);
@@ -468,7 +468,7 @@ TEST(PipelineHandles, UserQueryWithoutReferenceHasNoAccuracy) {
 TEST(PipelineHandles, TrackAccuracyOffSkipsReferences) {
   auto pipeline = api::PipelineBuilder().TrackAccuracy(false).BuildUnique();
   api::QueryHandle counter = pipeline->AddQuery("counter");
-  EXPECT_FALSE(counter.has_reference());
+  EXPECT_EQ(counter.reference(), nullptr);
   EXPECT_THROW(counter.Accuracy(), std::logic_error);
   EXPECT_EQ(pipeline->AverageAccuracy(), 0.0);
 }
@@ -575,7 +575,7 @@ TEST(PipelineApi, ObserversFireOnCoordinatorThreadInBinOrder) {
     pipeline->Push(SharedTrace());
     pipeline->Finish();
 
-    ASSERT_EQ(recorder.bins.size(), pipeline->bins_processed());
+    ASSERT_EQ(recorder.bins.size(), pipeline->log().size());
     for (size_t b = 0; b < recorder.bins.size(); ++b) {
       EXPECT_EQ(recorder.bins[b], b);
       EXPECT_EQ(recorder.start_us[b], b * pipeline->time_bin_us());
@@ -594,7 +594,7 @@ TEST(PipelineApi, ObserverSeesArrivalsAndRemovalsInStats) {
   pipeline->AdvanceTime(2 * 100'000);  // bins 0-1: one query
   pipeline->AddQuery("flows");
   pipeline->AdvanceTime(4 * 100'000);  // bins 2-3: two queries
-  pipeline->Remove(counter);
+  pipeline->Detach(counter);
   pipeline->AdvanceTime(5 * 100'000);  // bin 4: flows only
   pipeline->Finish();
 
@@ -1156,7 +1156,7 @@ TEST(PipelineApi, StatsSummarizesTheRunFromRunningTallies) {
   pipeline->Finish();
 
   const api::PipelineStats stats = pipeline->Stats();
-  EXPECT_EQ(stats.bins, pipeline->bins_processed());
+  EXPECT_EQ(stats.bins, pipeline->log().size());
   EXPECT_EQ(stats.queries, 2u);
   EXPECT_EQ(stats.packets, pipeline->total_packets());
   EXPECT_EQ(stats.dropped, pipeline->total_dropped());
@@ -1249,7 +1249,7 @@ TEST(PipelineApi, JsonlEventLogRecordsTheLifecycle) {
   pipeline->SetLogger(std::make_unique<obs::JsonlLogger>(out));
   api::QueryHandle counter = pipeline->AddQuery("counter");
   pipeline->AdvanceTime(2 * 100'000);
-  pipeline->Remove(counter);
+  pipeline->Detach(counter);
   pipeline->Finish();
 
   const std::string text = out.str();
@@ -1529,7 +1529,8 @@ class FeatureShadowCheck : public api::BinObserver {
       if (!want) {
         continue;
       }
-      const predict::MlrPredictor* mlr = pipeline_.system().engine(q).mlr();
+      const auto* mlr =
+          dynamic_cast<const predict::MlrPredictor*>(&pipeline_.system().predictor(q));
       ASSERT_NE(mlr, nullptr);
       const std::span<const double> got = mlr->newest_features();
       ASSERT_EQ(got.size(), want->size());
@@ -1581,7 +1582,7 @@ TEST(PipelineFeatures, HistoryUpdatesMatchFromScratchExtractionOfTheProcessedPac
   pipeline->Push(SharedTrace());
   pipeline->Finish();
 
-  EXPECT_GT(pipeline->ingest_dropped(), 0u);
+  EXPECT_GT(pipeline->Stats().ingest_dropped, 0u);
   size_t shed_bins = 0;
   for (const core::BinLog& log : pipeline->log()) {
     shed_bins += log.rate[0] < 1.0 && log.rate[0] > 0.0 ? 1 : 0;

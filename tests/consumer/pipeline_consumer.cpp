@@ -25,7 +25,7 @@ int main() {
   pipeline.Push(traffic);
   pipeline.Finish();
 
-  if (pipeline.bins_processed() == 0 || !counter.valid()) {
+  if (pipeline.log().empty() || !counter.valid()) {
     std::fprintf(stderr, "FAIL: pipeline processed no bins\n");
     return 1;
   }
@@ -35,7 +35,7 @@ int main() {
     return 1;
   }
   std::printf("OK: %zu bins, %llu packets, counter mean error %.3f\n",
-              pipeline.bins_processed(),
+              pipeline.log().size(),
               static_cast<unsigned long long>(pipeline.total_packets()),
               accuracy.mean_error);
   return 0;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 #include "src/api/run.h"
 #include "src/core/cost.h"
@@ -374,6 +375,17 @@ TEST(System, QueryArrivalMidRunIsAbsorbed) {
   trace::Batch batch;
   size_t bin = 0;
   while (batcher.Next(batch)) {
+    if (bin == 10) {
+      // The same packets handed over without their flow table are rejected
+      // before the system changes.
+      trace::Batch bare;
+      bare.start_us = batch.start_us;
+      bare.duration_us = batch.duration_us;
+      bare.packets = batch.packets;
+      ASSERT_FALSE(bare.packets.empty());
+      EXPECT_THROW(system.ProcessBatch(bare), std::invalid_argument);
+      EXPECT_EQ(system.log().size(), bin);
+    }
     if (bin == 30) {
       system.AddQuery(query::MakeQuery("application"));
     }

@@ -1,7 +1,7 @@
 // src/exec/ tests: ThreadPool semantics (fork-join draining, exception
-// propagation, zero-task and one-worker edges), QueryExecutor waves, and the
-// subsystem's headline property — parallel pipelines are bit-identical to
-// serial ones at every thread count, for every shedder kind.
+// propagation, zero-task and one-worker edges), the system's per-bin query
+// wave, and the subsystem's headline property — parallel pipelines are
+// bit-identical to serial ones at every thread count, for every shedder kind.
 
 #include <gtest/gtest.h>
 
@@ -22,8 +22,8 @@
 #include "src/api/pipeline.h"
 #include "src/api/run.h"
 #include "src/core/runner.h"
-#include "src/exec/query_executor.h"
 #include "src/exec/thread_pool.h"
+#include "src/obs/metrics.h"
 #include "src/query/queries.h"
 #include "src/trace/batch.h"
 #include "src/trace/generator.h"
@@ -212,54 +212,6 @@ TEST(ThreadPoolTest, ParallelForRethrowsFirstIterationError) {
                std::invalid_argument);
   // All chunks ran to completion before the rethrow (no detached work left).
   EXPECT_EQ(executed.load(), 64);
-}
-
-// ---------------------------------------------------------------------------
-// QueryExecutor
-// ---------------------------------------------------------------------------
-
-TEST(QueryExecutorTest, RunFinishesEveryTaskBeforeReturning) {
-  exec::ThreadPool pool(4);
-  exec::QueryExecutor executor(&pool);
-  std::vector<std::atomic<int>> hits(25);
-  executor.Run(hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(QueryExecutorTest, NullPoolRunsInline) {
-  exec::QueryExecutor executor(nullptr);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::vector<size_t> order;
-  executor.Run(3, [&](size_t i) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-    order.push_back(i);
-  });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
-}
-
-TEST(QueryExecutorTest, TaskFailureRethrowsAfterEveryTask) {
-  exec::ThreadPool pool(2);
-  exec::QueryExecutor executor(&pool);
-  std::atomic<int> executed{0};
-  EXPECT_THROW(executor.Run(4,
-                            [&](size_t i) {
-                              executed.fetch_add(1);
-                              if (i == 2) {
-                                throw std::runtime_error("task failed");
-                              }
-                            }),
-               std::runtime_error);
-  EXPECT_EQ(executed.load(), 4);
-}
-
-TEST(QueryExecutorTest, ZeroTasksIsANoOp) {
-  exec::ThreadPool pool(2);
-  exec::QueryExecutor executor(&pool);
-  int calls = 0;
-  executor.Run(0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -487,6 +439,46 @@ TEST(BinFold, EveryShedderFoldsTheSameWay) {
     }
     EXPECT_GT(processed, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The query wave's timing
+// ---------------------------------------------------------------------------
+
+// Observations in shedmon_exec_wave_seconds, the histogram perfbench reads as
+// the pool's wave time; 0 when the series was never registered.
+uint64_t WaveObservations(const api::Pipeline& pipeline) {
+  for (const obs::MetricSample& sample : pipeline.Metrics().Snapshot().samples) {
+    if (sample.name == "shedmon_exec_wave_seconds") {
+      return sample.histogram.count;
+    }
+  }
+  return 0;
+}
+
+TEST(QueryWave, PooledWavesAreTimedOncePerExecutedBin) {
+  // No shedding at twice the capacity fills the capture buffer, so some
+  // bins are dropped whole and run no wave.
+  const EquivalenceCase c{"no_shed", core::ShedderKind::kNoShed, shed::StrategyKind::kEqSrates,
+                          0.5, false};
+  for (const size_t threads : {0, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    PipelineBuilder spec = EquivalenceSpec(c);
+    spec.Threads(threads);
+    const auto pipeline = api::RunTrace(spec, EquivalenceTrace());
+    uint64_t executed = 0;
+    for (const core::BinLog& bin : pipeline->log()) {
+      executed += bin.batch_dropped ? 0 : 1;
+    }
+    EXPECT_GT(executed, 0u);
+    EXPECT_LT(executed, pipeline->log().size());
+    // The serial path (threads 0) times nothing.
+    EXPECT_EQ(WaveObservations(*pipeline), threads == 0 ? 0u : executed);
+  }
+  // A single query's wave runs inline on the coordinator even with a pool.
+  PipelineBuilder solo = SoloSpec("counter");
+  solo.Threads(2);
+  EXPECT_EQ(WaveObservations(*api::RunTrace(solo, EquivalenceTrace())), 0u);
 }
 
 // ---------------------------------------------------------------------------

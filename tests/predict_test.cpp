@@ -17,7 +17,6 @@
 #include "src/features/extractor.h"
 #include "src/features/features.h"
 #include "src/obs/snapshot.h"
-#include "src/predict/engine.h"
 #include "src/predict/fcbf.h"
 #include "src/predict/linalg.h"
 #include "src/predict/predictors.h"
@@ -473,20 +472,6 @@ TEST(PredictorFactory, BuildsAllKinds) {
   EXPECT_EQ(MakePredictor(cfg)->name(), "slr");
   cfg.kind = PredictorKind::kEwma;
   EXPECT_EQ(MakePredictor(cfg)->name(), "ewma");
-}
-
-TEST(PredictionEngineTest, EndToEndPredictObserve) {
-  PredictorConfig cfg;
-  features::FeatureExtractor::Config ex;
-  PredictionEngine engine(cfg, ex);
-  util::Rng rng(31);
-  for (int i = 0; i < 30; ++i) {
-    const double pkts = 100.0 + rng.NextDouble() * 100.0;
-    engine.ObserveActual(MakeFeatures(pkts, pkts * 10, 5), 25.0 * pkts);
-  }
-  const double pred = engine.PredictCycles(MakeFeatures(160, 1600, 5));
-  EXPECT_NEAR(pred, 4000.0, 400.0);
-  EXPECT_NE(engine.mlr(), nullptr);
 }
 
 // Parameterized: MLR accuracy as a function of history length (the Fig. 3.5

@@ -245,7 +245,6 @@ TEST(Robustness, IngestCapDropNewestKeepsTheHeadOfEachBin) {
   }
   pipeline->AdvanceTime(100'000);  // close bin 0
   EXPECT_EQ(pipeline->log().back().packets_in, 10u);
-  EXPECT_EQ(pipeline->ingest_dropped(), 15u);
   EXPECT_EQ(pipeline->Stats().ingest_dropped, 15u);
   // Drops are ingest-buffer accounting, never BinLog packet fields.
   EXPECT_EQ(pipeline->log().back().packets_dropped, 0u);
@@ -265,7 +264,7 @@ TEST(Robustness, IngestCapDropOldestKeepsTheTailOfEachBin) {
   pipeline->AdvanceTime(100'000);
   pipeline->Finish();
   EXPECT_EQ(pipeline->log().back().packets_in, 10u);
-  EXPECT_EQ(pipeline->ingest_dropped(), 15u);
+  EXPECT_EQ(pipeline->Stats().ingest_dropped, 15u);
   // The survivors are the LAST ten records (the 500-byte ones).
   const auto& snaps = dynamic_cast<const query::CounterQuery&>(counter.query()).snapshots();
   ASSERT_FALSE(snaps.empty());
@@ -341,7 +340,7 @@ TEST(Robustness, IngestCapResetsAtEveryBinBoundary) {
   for (const core::BinLog& log : pipeline->log()) {
     EXPECT_EQ(log.packets_in, 10u);
   }
-  EXPECT_EQ(pipeline->ingest_dropped(), 6u);
+  EXPECT_EQ(pipeline->Stats().ingest_dropped, 6u);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,7 +436,7 @@ TEST(Robustness, CheckpointThenRestoreReplaysTheRemainingBinsFieldExactly) {
       }
       victim->Push(net::Packet::View(packet));
     }
-    EXPECT_EQ(victim->checkpoints_written(), 2u);  // bins 10 and 20
+    EXPECT_EQ(victim->Stats().checkpoints, 2u);  // bins 10 and 20
     // No Finish(): the victim is simply abandoned.
   }
 
@@ -607,7 +606,7 @@ TEST(Robustness, InjectedCheckpointCorruptionIsDetectedOnRestore) {
       }
       victim->Push(net::Packet::View(packet));
     }
-    EXPECT_GE(victim->checkpoints_written(), 1u);
+    EXPECT_GE(victim->Stats().checkpoints, 1u);
   }
   ASSERT_TRUE(std::ifstream(path).good());
   EXPECT_THROW(api::PipelineBuilder::Restore(path), obs::SnapshotError);

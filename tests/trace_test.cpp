@@ -849,7 +849,7 @@ TEST(FlowTable, IngestCapDropOldestTablesCoverThePostEvictionRows) {
   const Trace t = TraceGenerator(SmallSpec()).Generate();
   pipeline->Push(t);
   pipeline->Finish();
-  EXPECT_GT(pipeline->ingest_dropped(), 0u);
+  EXPECT_GT(pipeline->Stats().ingest_dropped, 0u);
   EXPECT_EQ(checks.checked(), pipeline->log().size());
 }
 

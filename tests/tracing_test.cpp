@@ -424,7 +424,6 @@ TEST(Tracing, ScrapedPipelineDeterminismAtEveryThreadCount) {
     for (std::thread& scraper : scrapers) {
       scraper.join();
     }
-    observed->StopServing();
 
     ExpectBinLogsIdentical(golden->log(), observed->log());
   }
